@@ -15,6 +15,7 @@ from .mobility import Trace
 MATRIX_NODES = (50, 100)
 MATRIX_VMAX = (5.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 MATRIX_SESSIONS = (15, 30)
+PRESETS = {"set1": set1_config, "set2": set2_config}
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ def matrix_cells(protocols=PROTOCOLS, nodes=MATRIX_NODES, vmax=MATRIX_VMAX,
 
 
 def cell_config(cell: Cell, preset, seed, base=None):
-    make = {"set1": set1_config, "set2": set2_config}.get(preset)
+    make = PRESETS.get(preset)
     if make is None:
         if base is None:
             raise ConfigError(f"unknown preset {preset!r} and no base config")
@@ -118,7 +119,6 @@ def write_comparison_table(rows, replications, path):
 # --- argument parsing ---------------------------------------------------------
 
 def _add_scenario_flags(p):
-    p.add_argument("--config", help="key = value scenario file; flags override")
     p.add_argument("--protocol", choices=PROTOCOLS)
     p.add_argument("--nodes", type=int, dest="node_count")
     p.add_argument("--vmax", type=float, dest="v_max")
@@ -150,8 +150,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="execute a single scenario")
+    base = runp.add_mutually_exclusive_group()
+    base.add_argument("--preset", choices=tuple(PRESETS))
+    base.add_argument("--config",
+                      help="key = value scenario file; flags override")
     _add_scenario_flags(runp)
-    runp.add_argument("--preset", choices=("set1", "set2"))
     runp.add_argument("--seed", type=int, required=True)
     runp.add_argument("--out-dir", required=True)
     runp.add_argument("--trace-in", help="replay a mobility trace CSV")
@@ -160,7 +163,7 @@ def build_parser():
     runp.add_argument("--emit-routes", action="store_true")
 
     matp = sub.add_parser("matrix", help="run the experiment matrix")
-    matp.add_argument("--preset", choices=("set1", "set2"), required=True)
+    matp.add_argument("--preset", choices=tuple(PRESETS), required=True)
     matp.add_argument("--reps", type=int, default=1)
     matp.add_argument("--seed", type=int, required=True)
     matp.add_argument("--out-dir", required=True)
@@ -174,16 +177,12 @@ def build_parser():
 
 
 def _cmd_run(args):
-    if args.preset == "set1":
-        cfg = set1_config()
-    elif args.preset == "set2":
-        cfg = set2_config()
-    elif args.config:
+    if args.config:
         cfg = load_config(args.config)
+    elif args.preset:
+        cfg = PRESETS[args.preset]()
     else:
         cfg = ScenarioConfig()
-    if args.config and args.preset:
-        cfg = load_config(args.config)
     cfg = _apply_flags(cfg, args)
     os.makedirs(args.out_dir, exist_ok=True)
     trace = Trace.load(args.trace_in) if args.trace_in else None

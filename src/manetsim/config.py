@@ -67,6 +67,8 @@ class ScenarioConfig:
             raise ConfigError("session_count must be >= 0")
         if self.cbr_rate <= 0 or self.packet_size <= 0:
             raise ConfigError("cbr_rate and packet_size must be positive")
+        if self.buffer_cap < 0:
+            raise ConfigError("buffer_cap must be >= 0")
         if self.initial_battery <= 0:
             raise ConfigError("initial_battery must be positive")
         if self.bitrate <= 0:
@@ -134,19 +136,26 @@ def load_config(path) -> ScenarioConfig:
             key, text = key.strip(), text.strip()
             if key not in field_names:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, text)
+            try:
+                values[key] = _parse_value(key, text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
+                                  f"{text!r} ({exc})") from None
     return ScenarioConfig(**values).validate()
 
 
 def _parse_value(key, text):
     if key in _TUPLE_FIELDS:
-        return tuple(float(part) for part in text.split(","))
+        parts = tuple(float(part) for part in text.split(","))
+        if len(parts) != 2:
+            raise ValueError("expected two comma-separated numbers")
+        return parts
     if key in _BOOL_FIELDS:
         if text.lower() in ("true", "1", "on", "yes"):
             return True
         if text.lower() in ("false", "0", "off", "no"):
             return False
-        raise ConfigError(f"bad boolean for {key}: {text!r}")
+        raise ValueError("expected a boolean")
     if key in _INT_FIELDS:
         return int(text)
     if key in _STR_FIELDS:

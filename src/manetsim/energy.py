@@ -127,17 +127,18 @@ class EnergyLedger:
                 writer.writerow(row)
 
 
-def charge_unicast_hop(ledger, sender, receiver, d, nbytes, model,
-                       payload_categories=("data_tx", "data_rx"),
-                       control_category="mac"):
-    """Charge one RTS/CTS/DATA/ACK unicast exchange over a hop.
+def unicast_exchange(sender, receiver, d, nbytes, model,
+                     payload_categories=("data_tx", "data_rx"),
+                     control_category="mac"):
+    """The (node, category, Joules) debits of one RTS/CTS/payload/ACK
+    exchange over a hop of length d: sender payload, sender control,
+    receiver payload, receiver control.
 
     The sender transmits RTS and the payload and receives CTS and ACK; the
     receiver mirrors that. Payload energy lands in payload_categories
     (sender, receiver); the three control packets land in control_category.
+    Callers apply the debits under their own policy for dead nodes.
     """
-    if not (ledger.alive(sender) and ledger.alive(receiver)):
-        raise DeadNodeError("unicast hop with a dead endpoint")
     p_tx = tx_power(d, model)
     p_rx = model.rx_power
     bitrate = model.bitrate
@@ -146,14 +147,11 @@ def charge_unicast_hop(ledger, sender, receiver, d, nbytes, model,
     t_cts = 8.0 * model.cts_bytes / bitrate
     t_ack = 8.0 * model.ack_bytes / bitrate
     tx_cat, rx_cat = payload_categories
-    ledger.debit(sender, tx_cat, p_tx * t_payload)
-    ledger.debit(sender, control_category,
-                 p_tx * t_rts + p_rx * (t_cts + t_ack))
-    if ledger.alive(receiver):
-        ledger.debit(receiver, rx_cat, p_rx * t_payload)
-    if ledger.alive(receiver):
-        ledger.debit(receiver, control_category,
-                     p_rx * t_rts + p_tx * (t_cts + t_ack))
+    return ((sender, tx_cat, p_tx * t_payload),
+            (sender, control_category, p_tx * t_rts + p_rx * (t_cts + t_ack)),
+            (receiver, rx_cat, p_rx * t_payload),
+            (receiver, control_category,
+             p_rx * t_rts + p_tx * (t_cts + t_ack)))
 
 
 def charge_broadcast(ledger, sender, neighbor_ids, nbytes, model,
@@ -213,10 +211,15 @@ def charge_route_discovery(ledger, snap, source, route, model):
         if alive[node]:
             ledger.debit(node, "discovery",
                          tx_p * airtimes[node] + model.rx_power * float(rx_sum[node]))
-    if route is not None:
-        for u, v in zip(route.nodes[:-1], route.nodes[1:]):
-            if ledger.alive(u) and ledger.alive(v):
-                charge_unicast_hop(ledger, v, u, snap.distance(u, v),
-                                   model.rrep_bytes, model,
-                                   payload_categories=("discovery", "discovery"),
-                                   control_category="discovery")
+    if route is None:
+        return
+    # the RREP travels back from the destination; a node its own reply
+    # exhausts pays nothing more, and a hop with a dead endpoint is skipped
+    for u, v in zip(route.nodes[:-1], route.nodes[1:]):
+        if not (ledger.alive(u) and ledger.alive(v)):
+            continue
+        for node, category, joules in unicast_exchange(
+                v, u, snap.distance(u, v), model.rrep_bytes, model,
+                ("discovery", "discovery"), "discovery"):
+            if ledger.alive(node):
+                ledger.debit(node, category, joules)

@@ -10,7 +10,7 @@ from . import mobility as mob
 from .config import ScenarioConfig
 from .energy import (DeadNodeError, EnergyLedger, PowerModel, airtime,
                      charge_beacon_round, charge_route_discovery,
-                     tx_power)
+                     unicast_exchange)
 from .protocols import select_route
 from .topology import snapshot
 
@@ -44,10 +44,6 @@ class PacketRecord:
 
     def total_delay(self, kappa):
         return self.buffering + self.service(kappa) + self.propagation
-
-    def delay_components(self, kappa):
-        """(buffering, queuing+transmission, propagation) seconds."""
-        return (self.buffering, self.service(kappa), self.propagation)
 
     @property
     def delivered(self):
@@ -86,53 +82,6 @@ def discovery_latency(hops, model, forwarding_overhead=1.0e-3):
     return 2.0 * hops * (airtime(model.rreq_base_bytes, model) + forwarding_overhead)
 
 
-def hop_contention(snap, transmitters, u, v, radius):
-    """Concurrent transmitters (other than the hop's own endpoints) within
-    the contention radius of either endpoint."""
-    if len(transmitters) == 0:
-        return 0
-    near = (snap.dist[u, transmitters] <= radius) | (snap.dist[v, transmitters] <= radius)
-    near &= (transmitters != u) & (transmitters != v)
-    return int(np.count_nonzero(near))
-
-
-def _exchange_airtime(model):
-    return airtime(model.data_bytes + model.rts_bytes + model.cts_bytes
-                   + model.ack_bytes, model)
-
-
-def _service_kernel(tails, heads, snap, tx, dist_to_tx, model, exchange):
-    hop_d = snap.dist[tails, heads]
-    prop = float(hop_d.sum()) / SPEED_OF_LIGHT
-    base = exchange * len(tails)
-    cont = 0.0
-    if len(tx):
-        for idx in range(len(tails)):
-            u, v = tails[idx], heads[idx]
-            radius = hop_d[idx] if model.tpc else snap.r
-            near = (dist_to_tx[u] <= radius) | (dist_to_tx[v] <= radius)
-            near &= (tx != u) & (tx != v)
-            cont += exchange * float(np.count_nonzero(near))
-    return base, cont, prop
-
-
-def service_components(route, snap, transmitters, model):
-    """Per-hop (airtime sum, contention-weighted airtime sum, propagation)."""
-    tails = np.asarray(route.nodes[:-1])
-    heads = np.asarray(route.nodes[1:])
-    tx = np.asarray(transmitters, dtype=int)
-    dist_to_tx = snap.dist[:, tx] if len(tx) else None
-    return _service_kernel(tails, heads, snap, tx, dist_to_tx, model,
-                           _exchange_airtime(model))
-
-
-def packet_delay(route, snap, discovery_wait, model, kappa, transmitters=()):
-    """End-to-end delay of one packet over a live route."""
-    transmitters = np.asarray(transmitters, dtype=int)
-    base, cont, prop = service_components(route, snap, transmitters, model)
-    return discovery_wait + base + kappa * cont + prop
-
-
 @dataclass
 class _SessionState:
     session: Session
@@ -151,13 +100,10 @@ class Simulation:
     def __init__(self, config, trace=None, trace_out=None, check_invariants=False):
         config.validate()
         self.config = config
-        self.model = PowerModel.from_config(config)
-        self._exchange = _exchange_airtime(self.model)
-        bitrate = self.model.bitrate
-        self._unicast_times = (8.0 * self.model.data_bytes / bitrate,
-                               8.0 * self.model.rts_bytes / bitrate,
-                               8.0 * self.model.cts_bytes / bitrate,
-                               8.0 * self.model.ack_bytes / bitrate)
+        m = self.model = PowerModel.from_config(config)
+        # airtime of one RTS/CTS/DATA/ACK exchange: a hop's base service time
+        self._exchange = airtime(m.data_bytes + m.rts_bytes + m.cts_bytes
+                                 + m.ack_bytes, m)
         self.trace = trace
         self.trace_out = trace_out
         self.check_invariants = check_invariants
@@ -317,7 +263,15 @@ class Simulation:
 
     def _tick_send_tables(self, snap, to_send):
         """Per-session service components and per-packet charge vectors for
-        this tick; every packet of a session reuses them."""
+        this tick; every packet of a session reuses them.
+
+        The service components of a route are (sum of per-hop exchange
+        airtimes, the same weighted by each hop's contention count,
+        propagation time). A hop's contention count is the number of this
+        tick's transmitters, other than the hop's own endpoints, within the
+        contention radius of either endpoint: the hop length with TPC, the
+        transmission range without.
+        """
         senders, seen = [], set()
         for st, _, _ in to_send:
             if st.session.id not in seen:
@@ -332,6 +286,10 @@ class Simulation:
         near = (dist_to_tx[tails] <= radius) | (dist_to_tx[heads] <= radius)
         near &= (tx[None, :] != tails[:, None]) & (tx[None, :] != heads[:, None])
         counts = near.sum(axis=1)
+        m = self.model
+        hop_charges = [unicast_exchange(u, v, d, m.data_bytes, m)
+                       for u, v, d in zip(tails.tolist(), heads.tolist(),
+                                          hop_d.tolist())]
         service, charges = {}, {}
         off = 0
         for st in senders:
@@ -342,27 +300,10 @@ class Simulation:
                 self._exchange * float(counts[sl].sum()),
                 float(hop_d[sl].sum()) / SPEED_OF_LIGHT,
             )
-            charges[st.session.id] = self._data_charges(st.route_arrays,
-                                                        hop_d[sl])
+            charges[st.session.id] = [c for hop in hop_charges[sl]
+                                      for c in hop]
             off += h
         return service, charges
-
-    def _data_charges(self, route_arrays, hop_d):
-        """Per-packet (node, category, Joules) debits along the route; the
-        per-node aggregation of one RTS/CTS/DATA/ACK exchange per hop."""
-        m = self.model
-        p_rx = m.rx_power
-        t_data, t_rts, t_cts, t_ack = self._unicast_times
-        out = []
-        _, tails, heads = route_arrays
-        for i in range(len(tails)):
-            u, v = int(tails[i]), int(heads[i])
-            p_tx = tx_power(float(hop_d[i]), m)
-            out.append((u, "data_tx", p_tx * t_data))
-            out.append((u, "mac", p_tx * t_rts + p_rx * (t_cts + t_ack)))
-            out.append((v, "data_rx", p_rx * t_data))
-            out.append((v, "mac", p_rx * t_rts + p_tx * (t_cts + t_ack)))
-        return out
 
     def _deliver(self, st, pkt, wait, service, charges):
         debit = self.ledger.debit

@@ -32,10 +32,6 @@ class Route:
         return self.nodes[1:-1]
 
 
-class NoRouteError(Exception):
-    """Source and destination are disconnected in the snapshot."""
-
-
 # --- max-bottleneck (widest path) kernel --------------------------------------
 
 def widest_path(adj, s, d, node_weights=None):

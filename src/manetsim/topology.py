@@ -1,8 +1,5 @@
 """Instantaneous wireless graph built from node positions."""
 
-import csv
-import math
-
 import numpy as np
 
 
@@ -33,7 +30,6 @@ class TopologySnapshot:
         self.in_range = (self.dist <= r) & self.alive[:, None] & self.alive[None, :]
         np.fill_diagonal(self.in_range, False)
         self._let = None
-        self._adjacency = None
 
     @property
     def let(self):
@@ -55,34 +51,11 @@ class TopologySnapshot:
             self._let = let
         return self._let
 
-    @property
-    def adjacency(self):
-        """Per-node sorted neighbor lists of (neighbor id, distance, let)."""
-        if self._adjacency is None:
-            let = self.let
-            adj = {}
-            for i in range(self.n):
-                nbrs = np.nonzero(self.in_range[i])[0]
-                adj[i] = [(int(j), float(self.dist[i, j]), float(let[i, j]))
-                          for j in nbrs]
-            self._adjacency = adj
-        return self._adjacency
-
     def neighbors(self, i):
         return [int(j) for j in np.nonzero(self.in_range[i])[0]]
 
-    def neighbor_ids(self, i):
-        """Neighbor ids as an ndarray (fast path for hot loops)."""
-        return np.nonzero(self.in_range[i])[0]
-
-    def degree(self, i):
-        return int(np.count_nonzero(self.in_range[i]))
-
     def degrees(self):
         return self.in_range.sum(axis=1)
-
-    def has_edge(self, i, j):
-        return bool(self.in_range[i, j])
 
     def distance(self, i, j):
         return float(self.dist[i, j])
@@ -99,16 +72,3 @@ def traffic_interference(snap: TopologySnapshot, states, node):
         raise KeyError(f"unknown node id {node}")
     return sum(states[j].activity for j in np.nonzero(snap.in_range[node])[0])
 
-
-def dump_edges(snap: TopologySnapshot, path):
-    """Debug dump of the snapshot's edge list as CSV."""
-    let = snap.let
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("time_s", "i", "j", "dist_m", "let_s"))
-        for i in range(snap.n):
-            for j in np.nonzero(snap.in_range[i])[0]:
-                if i < j:
-                    writer.writerow((repr(snap.time), i, int(j),
-                                     repr(float(snap.dist[i, j])),
-                                     repr(float(let[i, j]))))

@@ -1,6 +1,7 @@
 """Command line interface, config files, and the experiment matrix runner."""
 
 import csv
+import re
 
 import pytest
 
@@ -37,6 +38,11 @@ class TestConfigFiles:
         path.write_text("node_count 10\n")
         with pytest.raises(ConfigError):
             load_config(path)
+        # unparsable values name the file and line
+        for line in ("area = 1000", "node_count = fifty"):
+            path.write_text(f"# scenario\n{line}\n")
+            with pytest.raises(ConfigError, match=re.escape(f"{path}:2: ")):
+                load_config(path)
 
     def test_bad_boolean_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -46,9 +52,10 @@ class TestConfigFiles:
 
     def test_invalid_values_rejected_on_load(self, tmp_path):
         path = tmp_path / "scenario.cfg"
-        path.write_text("node_count = 1\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for line in ("node_count = 1", "buffer_cap = -1"):
+            path.write_text(line + "\n")
+            with pytest.raises(ConfigError):
+                load_config(path)
 
 
 class TestMatrixCells:
@@ -215,10 +222,19 @@ class TestCommandLine:
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("node_count = 1\n")
-        code = self.run_cli("run", "--config", str(bad), "--seed", "1",
-                            "--out-dir", str(tmp_path / "out"))
-        assert code == 2
+        for line in ("node_count = 1", "node_count = fifty"):
+            bad.write_text(line + "\n")
+            code = self.run_cli("run", "--config", str(bad), "--seed", "1",
+                                "--out-dir", str(tmp_path / "out"))
+            assert code == 2
+
+    def test_preset_and_config_are_exclusive(self, tmp_path):
+        cfg_path = tmp_path / "scenario.cfg"
+        save_config(_small_base(), cfg_path)
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", "--preset", "set1", "--config", str(cfg_path),
+                         "--seed", "1", "--out-dir", str(tmp_path / "out"))
+        assert exc.value.code == 2
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "file.txt"

@@ -9,8 +9,8 @@ import pytest
 from manetsim.energy import (CATEGORIES, DeadNodeError, EnergyLedger,
                              PowerModel, airtime, broadcast_tx_power,
                              charge_beacon_round, charge_broadcast,
-                             charge_route_discovery, charge_unicast_hop,
-                             flood_depths, rreq_bytes, tx_power)
+                             charge_route_discovery, flood_depths,
+                             rreq_bytes, tx_power, unicast_exchange)
 from manetsim.mobility import NodeState
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
@@ -127,30 +127,46 @@ class TestLedger:
             assert parts == pytest.approx(ledger.total(node), abs=1e-12)
 
 
+def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
+    """Apply one hop's exchange table to a ledger, as the data path does."""
+    for node, category, joules in unicast_exchange(sender, receiver, d,
+                                                   nbytes, model):
+        ledger.debit(node, category, joules)
+
+
 class TestUnicastHop:
     def test_data_tx_energy_fixed_power(self):
         ledger = EnergyLedger(2, 1500.0)
-        charge_unicast_hop(ledger, 0, 1, 250.0, 512, FIXED)
+        charge_exchange(ledger, 0, 1, 250.0, FIXED)
         assert ledger.entries["data_tx"][0] == pytest.approx(2.8672e-3)
 
     def test_data_tx_energy_tpc(self):
         ledger = EnergyLedger(2, 1500.0)
-        charge_unicast_hop(ledger, 0, 1, 250.0, 512, TPC)
+        charge_exchange(ledger, 0, 1, 250.0, TPC)
         assert ledger.entries["data_tx"][0] == pytest.approx(
             1.39945 * 2.048e-3, rel=1e-6)
 
     def test_receiver_charges(self):
         ledger = EnergyLedger(2, 1500.0)
-        charge_unicast_hop(ledger, 0, 1, 100.0, 512, FIXED)
+        charge_exchange(ledger, 0, 1, 100.0, FIXED)
         assert ledger.entries["data_rx"][1] == pytest.approx(0.967 * 2.048e-3)
         # receiver sends CTS + ACK at hop power, receives RTS at rx power
         expected_mac = (0.967 * airtime(20, FIXED)
                         + 1.4 * (airtime(14, FIXED) + airtime(14, FIXED)))
         assert ledger.entries["mac"][1] == pytest.approx(expected_mac)
 
+    def test_debit_order_and_categories(self):
+        table = unicast_exchange(3, 7, 100.0, 64, FIXED,
+                                 ("discovery", "discovery"), "discovery")
+        assert [(n, c) for n, c, _ in table] == [(3, "discovery")] * 2 + \
+            [(7, "discovery")] * 2
+        table = unicast_exchange(3, 7, 100.0, 512, FIXED)
+        assert [(n, c) for n, c, _ in table] == \
+            [(3, "data_tx"), (3, "mac"), (7, "data_rx"), (7, "mac")]
+
     def test_total_equals_sum_of_debits(self):
         ledger = EnergyLedger(2, 1500.0)
-        charge_unicast_hop(ledger, 0, 1, 200.0, 512, TPC)
+        charge_exchange(ledger, 0, 1, 200.0, TPC)
         per_node = [ledger.total(0), ledger.total(1)]
         assert ledger.grand_total() == pytest.approx(sum(per_node))
         assert all(1500.0 - ledger.residual(n) == ledger.total(n)
@@ -160,15 +176,15 @@ class TestUnicastHop:
         ledger = EnergyLedger(2, 1.0)
         ledger.debit(1, "mac", 1.0)
         with pytest.raises(DeadNodeError):
-            charge_unicast_hop(ledger, 0, 1, 100.0, 512, FIXED)
+            charge_exchange(ledger, 0, 1, 100.0, FIXED)
 
     def test_tpc_dominance_per_hop(self):
         rng = random.Random(4)
         for _ in range(100):
             d = rng.uniform(0.0, 250.0)
             lt, lf = EnergyLedger(2, 1500.0), EnergyLedger(2, 1500.0)
-            charge_unicast_hop(lt, 0, 1, d, 512, TPC)
-            charge_unicast_hop(lf, 0, 1, d, 512, FIXED)
+            charge_exchange(lt, 0, 1, d, TPC)
+            charge_exchange(lf, 0, 1, d, FIXED)
             assert lt.grand_total() <= lf.grand_total()
 
 
@@ -223,6 +239,26 @@ class TestRouteDiscovery:
         assert ledger.grand_total() == pytest.approx(flood + reply)
         assert ledger.category_total("discovery") == pytest.approx(
             ledger.grand_total())
+
+    def test_replier_exhausted_by_its_own_reply(self):
+        # node 1 can pay its flood share and half its RREP payload: the
+        # reply kills it, its control debit is skipped, node 0 still pays
+        states = make_states([(0.0, 0.0), (100.0, 0.0)])
+        snap = snapshot(states, 250.0, 0.0)
+        route = Route(session=0, nodes=(0, 1), protocol="FORP",
+                      metric_value=1.0, discovered_at=0.0)
+        flood = EnergyLedger(2, 1500.0)
+        charge_route_discovery(flood, snap, 0, None, FIXED)
+        payload = 1.4 * airtime(64, FIXED)
+        ledger = EnergyLedger(2, 1500.0)
+        ledger.debit(1, "mac", 1500.0 - (flood.total(1) + 0.5 * payload))
+        charge_route_discovery(ledger, snap, 0, route, FIXED)
+        assert ledger.residual(1) == 0.0
+        assert list(ledger.newly_dead) == [1]
+        # node 0 receives the RREP and RTS, and sends CTS and ACK
+        received = 0.967 * (airtime(64, FIXED) + airtime(20, FIXED)) \
+            + 1.4 * 2 * airtime(14, FIXED)
+        assert ledger.total(0) == pytest.approx(flood.total(0) + received)
 
     def test_no_route_charges_flood_only(self):
         states = make_states([(0.0, 0.0), (100.0, 0.0)])

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from manetsim.config import ConfigError, ScenarioConfig, set1_config, set2_config
-from manetsim.energy import EnergyLedger, PowerModel, airtime, charge_unicast_hop
-from manetsim.engine import (PacketRecord, Simulation, discovery_latency,
-                             hop_contention, make_sessions, packet_delay,
-                             run, service_components, write_packets_csv,
-                             write_routes_csv)
+from manetsim.energy import PowerModel, airtime, unicast_exchange
+from manetsim.engine import (PacketRecord, Session, Simulation, _SessionState,
+                             discovery_latency, make_sessions, run,
+                             write_packets_csv, write_routes_csv)
 from manetsim.mobility import NodeState, Trace
-from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
 
@@ -28,6 +26,34 @@ def line_states(xs, battery=1500.0):
     return [NodeState(id=i, pos=(x, 0.0), speed=0.0, heading=0.0,
                       waypoint=(x, 0.0), battery=battery)
             for i, x in enumerate(xs)]
+
+
+def send_tables(xs, routes, tpc=False):
+    """The engine's send tables for one tick in which each route (a node
+    sequence over static nodes at positions xs on a line) sends one packet.
+    Returns per route its (base, contention, propagation) service components
+    and its per-packet charges."""
+    sim = Simulation(small_config(tpc=tpc))
+    snap = snapshot(line_states(xs), 250.0, 0.0)
+    to_send = []
+    for sid, nodes in enumerate(routes):
+        st = _SessionState(Session(id=sid, source=nodes[0],
+                                   destination=nodes[-1], start=0.0))
+        arr = np.array(nodes)
+        st.route_arrays = (arr, arr[:-1], arr[1:])
+        to_send.append((st, PacketRecord(session=sid, seq=0, created_at=0.0),
+                        0.0))
+    service, charges = sim._tick_send_tables(snap, to_send)
+    return ([service[sid] for sid in range(len(routes))],
+            [charges[sid] for sid in range(len(routes))])
+
+
+def delay(components, kappa=0.5):
+    base, cont, prop = components
+    return base + kappa * cont + prop
+
+
+EXCHANGE = airtime(512 + 20 + 14 + 14, PowerModel())
 
 
 class TestSessions:
@@ -124,8 +150,6 @@ class TestInvariantsDuringRun:
             assert p.delivered_at >= p.created_at
             assert p.delivered_at - p.created_at == pytest.approx(
                 p.total_delay(kappa), rel=1e-12)
-            b, s, pr = p.delay_components(kappa)
-            assert p.total_delay(kappa) == pytest.approx(b + s + pr, rel=1e-12)
 
     def test_conservation_at_end_of_run(self):
         result = run(small_config(duration=20.0))
@@ -151,44 +175,44 @@ class TestDelayModel:
             discovery_latency(0, PowerModel())
 
     def test_one_hop_delay_no_contention(self):
-        snap = snapshot(line_states([0.0, 100.0]), 250.0, 0.0)
-        route = Route(session=0, nodes=(0, 1), protocol="FORP",
-                      metric_value=1.0, discovered_at=0.0)
-        model = PowerModel()
-        delay = packet_delay(route, snap, 0.0, model, kappa=0.5)
-        expected = airtime(512 + 20 + 14 + 14, model) + 100.0 / 3.0e8
-        assert delay == pytest.approx(expected)
-        assert delay == pytest.approx(2.24e-3, rel=1e-2)
+        [components], _ = send_tables([0.0, 100.0], [(0, 1)])
+        expected = EXCHANGE + 100.0 / 3.0e8
+        assert components == (EXCHANGE, 0.0, 100.0 / 3.0e8)
+        assert delay(components) == pytest.approx(expected)
+        assert delay(components) == pytest.approx(2.24e-3, rel=1e-2)
 
     def test_hop_additivity_without_contention(self):
+        # airtime and propagation add up hop by hop; contention does not:
+        # the route's own first-hop transmitter contends with its second hop
+        xs = [0.0, 100.0, 200.0]
+        [one], _ = send_tables(xs, [(0, 1)])
+        [two], [charges] = send_tables(xs, [(0, 1, 2)])
+        assert two[0] == pytest.approx(2 * one[0])
+        assert two[2] == pytest.approx(2 * one[2])
+        assert two[1] == EXCHANGE * 1
         model = PowerModel()
-        snap = snapshot(line_states([0.0, 100.0, 200.0]), 250.0, 0.0)
-        one = Route(session=0, nodes=(0, 1), protocol="FORP",
-                    metric_value=1.0, discovered_at=0.0)
-        two = Route(session=0, nodes=(0, 1, 2), protocol="FORP",
-                    metric_value=1.0, discovered_at=0.0)
-        d1 = packet_delay(one, snap, 0.0, model, kappa=0.5)
-        d2 = packet_delay(two, snap, 0.0, model, kappa=0.5)
-        assert d2 == pytest.approx(2 * d1)
+        assert charges == [*unicast_exchange(0, 1, 100.0, 512, model),
+                           *unicast_exchange(1, 2, 100.0, 512, model)]
 
     def test_contention_counts_nearby_transmitters_only(self):
-        # interferer at 150 m is inside the fixed radius (250 m) but outside
-        # the TPC radius (the 100 m hop length)
-        snap = snapshot(line_states([0.0, 100.0, -150.0]), 250.0, 0.0)
-        assert hop_contention(snap, np.array([2]), 0, 1, 250.0) == 1
-        assert hop_contention(snap, np.array([2]), 0, 1, 100.0) == 0
+        # route (2, 3) transmits from 150 m: inside the fixed radius (250 m),
+        # outside the TPC radius (the 100 m hop length); its receiver at
+        # -50 m sends nothing; route (4, 5) transmits from 500 m away
+        xs = [0.0, 100.0, -150.0, -50.0, 600.0, 700.0]
+        routes = [(0, 1), (2, 3), (4, 5)]
+        fixed, _ = send_tables(xs, routes, tpc=False)
+        tpc, _ = send_tables(xs, routes, tpc=True)
+        assert fixed[0][1] == EXCHANGE * 1
+        assert tpc[0][1] == 0.0
         # a hop's own endpoints never count against it
-        assert hop_contention(snap, np.array([0, 1]), 0, 1, 250.0) == 0
+        both_ways, _ = send_tables([0.0, 100.0], [(0, 1), (1, 0)])
+        assert [c[1] for c in both_ways] == [0.0, 0.0]
 
     def test_tpc_strictly_reduces_contention_delay(self):
-        snap = snapshot(line_states([0.0, 100.0, -150.0]), 250.0, 0.0)
-        route = Route(session=0, nodes=(0, 1), protocol="FORP",
-                      metric_value=1.0, discovered_at=0.0)
-        fixed = packet_delay(route, snap, 0.0, PowerModel(tpc=False),
-                             kappa=0.5, transmitters=[2])
-        tpc = packet_delay(route, snap, 0.0, PowerModel(tpc=True),
-                           kappa=0.5, transmitters=[2])
-        assert tpc < fixed
+        xs = [0.0, 100.0, -150.0, -50.0]
+        [fixed, _], _ = send_tables(xs, [(0, 1), (2, 3)], tpc=False)
+        [tpc, _], _ = send_tables(xs, [(0, 1), (2, 3)], tpc=True)
+        assert delay(tpc) < delay(fixed)
 
     def test_kappa_scales_only_the_contention_term(self):
         pkt = PacketRecord(session=0, seq=0, created_at=0.0, buffering=1e-3,
@@ -200,29 +224,6 @@ class TestDelayModel:
 
 
 class TestEnergyWiring:
-    def test_data_charges_match_per_hop_unicast(self):
-        for tpc in (False, True):
-            cfg = small_config(tpc=tpc)
-            sim = Simulation(cfg)
-            states = line_states([0.0, 90.0, 180.0])
-            snap = snapshot(states, 250.0, 0.0)
-            nodes = np.array([0, 1, 2])
-            arrays = (nodes, nodes[:-1], nodes[1:])
-            hop_d = snap.dist[nodes[:-1], nodes[1:]]
-            charges = sim._data_charges(arrays, hop_d)
-
-            expected = EnergyLedger(3, 1500.0)
-            for u, v in ((0, 1), (1, 2)):
-                charge_unicast_hop(expected, u, v, snap.distance(u, v), 512,
-                                   sim.model)
-            got = EnergyLedger(3, 1500.0)
-            for node, cat, joules in charges:
-                got.debit(node, cat, joules)
-            for n in range(3):
-                for cat in ("data_tx", "data_rx", "mac"):
-                    assert got.entries[cat][n] == pytest.approx(
-                        expected.entries[cat][n], rel=1e-12)
-
     def test_beacon_energy_identical_across_protocols(self):
         totals = {proto: run(small_config(protocol=proto, duration=10.0))
                   .ledger.category_total("beacon")
@@ -293,16 +294,3 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             run(cfg.replace(node_count=10), trace=Trace.load(trace_path))
 
-
-class TestServiceComponentsAgainstKernel:
-    def test_components_recompute_for_any_kappa(self):
-        snap = snapshot(line_states([0.0, 100.0, -150.0]), 250.0, 0.0)
-        route = Route(session=0, nodes=(0, 1), protocol="FORP",
-                      metric_value=1.0, discovered_at=0.0)
-        model = PowerModel()
-        base, cont, prop = service_components(route, snap, [2], model)
-        for kappa in (0.1, 0.5, 1.0):
-            direct = packet_delay(route, snap, 0.0, model, kappa,
-                                  transmitters=[2])
-            assert direct == pytest.approx(base + kappa * cont + prop,
-                                           rel=1e-12)

@@ -166,7 +166,8 @@ class TestComputeReport:
         delivered = [p for p in result.packets if p.delivered]
         report = compute_report(result)
         parts = [sum(c) / len(delivered)
-                 for c in zip(*(p.delay_components(kappa) for p in delivered))]
+                 for c in zip(*((p.buffering, p.service(kappa), p.propagation)
+                                for p in delivered))]
         assert report.delay_per_packet == pytest.approx(sum(parts), rel=1e-9)
 
     def test_kappa_override_recomputes_delay_only(self, result):

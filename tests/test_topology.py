@@ -1,6 +1,5 @@
 """Instantaneous wireless graph construction and interference sums."""
 
-import csv
 import math
 import random
 
@@ -9,7 +8,7 @@ import pytest
 
 from manetsim.config import ScenarioConfig
 from manetsim.mobility import NodeState, init_mobility, link_expiration_time
-from manetsim.topology import dump_edges, snapshot, traffic_interference
+from manetsim.topology import snapshot, traffic_interference
 
 
 def make_states(positions, battery=1500.0, speed=0.0, heading=0.0):
@@ -30,16 +29,16 @@ def random_states(rng, n=50, area=1000.0, v_max=20.0):
 class TestSnapshotEdges:
     def test_boundary_distance_inclusive(self):
         snap = snapshot(make_states([(0.0, 0.0), (0.0, 250.0)]), 250.0, 0.0)
-        assert snap.has_edge(0, 1)
+        assert snap.in_range[0, 1]
         assert snap.distance(0, 1) == pytest.approx(250.0)
 
     def test_boundary_distance_exclusive(self):
         snap = snapshot(make_states([(0.0, 0.0), (0.0, 250.01)]), 250.0, 0.0)
-        assert not snap.has_edge(0, 1)
+        assert not snap.in_range[0, 1]
 
     def test_no_self_loops(self):
         snap = snapshot(make_states([(0.0, 0.0), (10.0, 0.0)]), 250.0, 0.0)
-        assert not snap.has_edge(0, 0)
+        assert not snap.in_range[0, 0]
         assert 0 not in snap.neighbors(0)
 
     def test_dead_nodes_carry_no_edges(self):
@@ -58,12 +57,10 @@ class TestSnapshotEdges:
         for _ in range(10):
             snap = snapshot(random_states(rng), 250.0, 0.0)
             assert (snap.in_range == snap.in_range.T).all()
-            for i, nbrs in snap.adjacency.items():
-                for j, dist, let in nbrs:
-                    assert dist <= 250.0
-                    back = {k: (d, l) for k, d, l in snap.adjacency[j]}
-                    assert i in back
-                    assert back[i] == (dist, let)
+            i, j = np.nonzero(snap.in_range)
+            assert (snap.dist[i, j] <= 250.0).all()
+            assert (snap.dist[i, j] == snap.dist[j, i]).all()
+            assert (snap.let[i, j] == snap.let[j, i]).all()
 
     def test_let_matrix_matches_scalar_formula(self):
         rng = random.Random(9)
@@ -137,18 +134,3 @@ class TestTrafficInterference:
                            for m in snap.neighbors(node))
             assert traffic_interference(snap, states, node) == expected
 
-
-class TestDumpEdges:
-    def test_csv_lists_each_edge_once(self, tmp_path):
-        states = make_states([(0.0, 0.0), (100.0, 0.0), (600.0, 600.0)])
-        snap = snapshot(states, 250.0, 1.5)
-        path = tmp_path / "edges.csv"
-        dump_edges(snap, path)
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
-        assert len(rows) == 1
-        row = rows[0]
-        assert (int(row["i"]), int(row["j"])) == (0, 1)
-        assert float(row["dist_m"]) == pytest.approx(100.0)
-        assert float(row["time_s"]) == 1.5
-        assert float(row["let_s"]) == math.inf  # static nodes never separate
