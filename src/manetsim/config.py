@@ -1,6 +1,7 @@
 """Scenario configuration: parameter set for one simulation run."""
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 
@@ -50,6 +51,11 @@ class ScenarioConfig:
     seed: int = 1
 
     def validate(self):
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            parts = value if name in _TUPLE_FIELDS else (value,)
+            if not all(map(math.isfinite, parts)):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         w, h = self.area
         if w <= 0 or h <= 0:
             raise ConfigError(f"zero-area rectangle: {self.area}")
@@ -90,6 +96,10 @@ class ScenarioConfig:
 
     def replace(self, **kw):
         return dataclasses.replace(self, **kw)
+
+
+_REAL_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                     if f.type in (float, tuple))
 
 
 def set1_config(**overrides):

@@ -83,6 +83,10 @@ class EnergyLedger:
     def residual(self, node):
         return self._residual[node]
 
+    def alive_mask(self):
+        """Boolean array: which nodes still have battery left."""
+        return np.array(self._residual) > 0.0
+
     def debit(self, node, category, joules):
         """Charge a node; returns True if this debit exhausted its battery."""
         joules = float(joules)  # keep numpy scalars out of the ledger
@@ -184,11 +188,12 @@ def charge_beacon_round(ledger, snap, model):
 
 def flood_depths(snap, source):
     """BFS hop counts from the flood source over the snapshot."""
+    nbrs = snap.neighbor_lists
     depths = {source: 0}
     frontier = deque([source])
     while frontier:
         u = frontier.popleft()
-        for v in snap.neighbors(u):
+        for v in nbrs[u]:
             if v not in depths:
                 depths[v] = depths[u] + 1
                 frontier.append(v)
@@ -201,16 +206,18 @@ def charge_route_discovery(ledger, snap, source, route, model):
     was found, RREP unicast hops back along it. On no-route only the flood is
     charged."""
     depths = flood_depths(snap, source)
-    airtimes = np.array([airtime(rreq_bytes(depths.get(n, 0), model), model)
-                         for n in range(snap.n)])
-    alive = np.array([ledger.alive(n) for n in range(snap.n)])
-    tx_p = broadcast_tx_power(model)
+    hops = np.zeros(snap.n, dtype=np.int64)
+    hops[list(depths)] = list(depths.values())
+    # airtime(rreq_bytes(h)) for every node at once
+    airtimes = 8.0 * (model.rreq_base_bytes + model.rreq_hop_bytes * hops) \
+        / model.bitrate
+    alive = ledger.alive_mask()
     # reception energy from every live neighbor's rebroadcast, one debit each
     rx_sum = snap.in_range @ (airtimes * alive)
-    for node in range(snap.n):
-        if alive[node]:
-            ledger.debit(node, "discovery",
-                         tx_p * airtimes[node] + model.rx_power * float(rx_sum[node]))
+    charges = (broadcast_tx_power(model) * airtimes
+               + model.rx_power * rx_sum).tolist()
+    for node in np.flatnonzero(alive).tolist():
+        ledger.debit(node, "discovery", charges[node])
     if route is None:
         return
     # the RREP travels back from the destination; a node its own reply

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mobility as mob
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .energy import (DeadNodeError, EnergyLedger, PowerModel, airtime,
                      charge_beacon_round, charge_route_discovery,
                      unicast_exchange)
@@ -113,6 +113,10 @@ class Simulation:
         if trace is not None:
             if trace.node_count != config.node_count:
                 raise ValueError("trace node count does not match config")
+            for k, t in enumerate(trace.times):
+                if abs(t - k * config.tick) > 1e-9:
+                    raise ConfigError(f"trace tick {k} is at t={t!r}, not at "
+                                      f"{k} * tick = {k * config.tick!r}")
             trace.apply(0, self.states)
         self.sessions = [_SessionState(s) for s in make_sessions(config, traffic_rng)]
         for st in self.sessions:

@@ -39,63 +39,62 @@ def widest_path(adj, s, d, node_weights=None):
 
     adj maps node -> {neighbor: edge weight}. With node_weights given, the
     bottleneck is taken over intermediate node weights instead (a direct s-d
-    edge then has bottleneck +inf). Ties broken by fewer hops, then by
-    lexicographically smallest node sequence. Returns (path, bottleneck).
+    edge then has bottleneck +inf), and adj need only map node -> neighbors.
+    Ties broken by fewer hops, then by lexicographically smallest node
+    sequence. Returns (path, bottleneck).
     """
     if s == d:
         raise ValueError("source equals destination")
-    bottleneck = _best_bottleneck(adj, s, d, node_weights)
+    if node_weights is None:
+        def links(u):
+            return adj[u].items()
+    else:
+        # entering v costs v's weight; the endpoints cost nothing
+        def links(u):
+            return [(v, math.inf if v == s or v == d else node_weights[v])
+                    for v in adj[u]]
+    bottleneck = _best_bottleneck(links, s, d)
     if bottleneck is None:
         return None
-    path = _min_hop_lex_path(_thresholded(adj, s, d, node_weights, bottleneck), s, d)
+    # the links at or above the bottleneck carry exactly the optimal paths
+    path = _min_hop_lex_path(
+        lambda u: [v for v, w in links(u) if w >= bottleneck], s, d)
     assert path is not None
     return path, bottleneck
 
 
-def _best_bottleneck(adj, s, d, node_weights):
+def _best_bottleneck(links, s, d):
+    """Widest s-d bottleneck over the (neighbor, width) pairs links(u)."""
     best = {s: math.inf}
     heap = [(-math.inf, s)]
     done = set()
     while heap:
-        neg, u = heapq.heappop(heap)
+        _, u = heapq.heappop(heap)
         if u in done:
             continue
         done.add(u)
         if u == d:
             return best[d]
-        for v, w in adj[u].items():
+        bu = best[u]
+        for v, w in links(u):
             if v in done:
                 continue
-            if node_weights is None:
-                cand = min(best[u], w)
-            elif v == d:
-                cand = best[u]
-            else:
-                cand = min(best[u], node_weights[v])
+            cand = min(bu, w)
             if cand > best.get(v, -math.inf):
                 best[v] = cand
                 heapq.heappush(heap, (-cand, v))
     return None
 
 
-def _thresholded(adj, s, d, node_weights, bottleneck):
-    """Subgraph containing exactly the bottleneck-optimal paths."""
-    if node_weights is None:
-        return {u: [v for v, w in nbrs.items() if w >= bottleneck]
-                for u, nbrs in adj.items()}
-    keep = {u for u in adj
-            if u in (s, d) or node_weights[u] >= bottleneck}
-    return {u: [v for v in adj[u] if v in keep]
-            for u in keep}
-
-
 def _min_hop_lex_path(nbrs, s, d):
-    """Lexicographically smallest minimum-hop s-d path, or None."""
+    """Lexicographically smallest minimum-hop s-d path over the graph whose
+    neighbor lists nbrs(u) returns, or None."""
     hops = {d: 0}
     queue = deque([d])
-    while queue:
+    # every node nearer to d than s is labelled by the time s is
+    while queue and s not in hops:
         u = queue.popleft()
-        for v in nbrs[u]:
+        for v in nbrs(u):
             if v not in hops:
                 hops[v] = hops[u] + 1
                 queue.append(v)
@@ -104,7 +103,7 @@ def _min_hop_lex_path(nbrs, s, d):
     path = [s]
     u = s
     while u != d:
-        u = min(v for v in nbrs[u] if hops.get(v, -1) == hops[u] - 1)
+        u = min(v for v in nbrs(u) if hops.get(v, -1) == hops[u] - 1)
         path.append(u)
     return tuple(path)
 
@@ -157,16 +156,10 @@ def _check_endpoints(snap, s, d):
         raise ValueError("source or destination is dead")
 
 
-def _edge_adj(snap):
-    let = snap.let
-    return {i: {int(j): float(let[i, j]) for j in np.nonzero(snap.in_range[i])[0]}
-            for i in range(snap.n)}
-
-
 def select_forp(snap, s, d, session=-1):
     """Most stable route: maximize the minimum link expiration time (RET)."""
     _check_endpoints(snap, s, d)
-    found = widest_path(_edge_adj(snap), s, d)
+    found = widest_path(snap.let_adjacency, s, d)
     if found is None:
         return None
     path, ret = found
@@ -178,7 +171,7 @@ def select_mmbcr(snap, states, s, d, session=-1):
     """Power-aware route: maximize the minimum intermediate residual battery."""
     _check_endpoints(snap, s, d)
     batteries = [n.battery for n in states]
-    found = widest_path(_edge_adj(snap), s, d, node_weights=batteries)
+    found = widest_path(snap.neighbor_lists, s, d, node_weights=batteries)
     if found is None:
         return None
     path, bottleneck = found
@@ -192,10 +185,8 @@ def select_lbr(snap, states, s, d, session=-1):
     _check_endpoints(snap, s, d)
     act = np.array([float(n.activity) for n in states])
     interference = snap.in_range @ act
-    cost = act + interference
-    nbrs = {i: [int(j) for j in np.nonzero(snap.in_range[i])[0]]
-            for i in range(snap.n)}
-    found = _least_cost_path(nbrs, cost, s, d)
+    cost = (act + interference).tolist()
+    found = _least_cost_path(snap.neighbor_lists, cost, s, d)
     if found is None:
         return None
     path, total = found

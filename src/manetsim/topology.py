@@ -1,5 +1,7 @@
 """Instantaneous wireless graph built from node positions."""
 
+from functools import cached_property
+
 import numpy as np
 
 
@@ -8,8 +10,9 @@ class TopologySnapshot:
 
     Edges are pairs at Euclidean distance <= r (inclusive); dead nodes
     (battery exhausted) carry no edges. Each edge is annotated with its
-    distance and predicted link expiration time. The LET matrix is computed
-    lazily because most ticks never look at it.
+    distance and predicted link expiration time. The LET matrix and the
+    neighbour structures that route discovery reads are built lazily, at
+    most once per snapshot, because most ticks never look at them.
     """
 
     def __init__(self, states, r, t):
@@ -51,8 +54,26 @@ class TopologySnapshot:
             self._let = let
         return self._let
 
+    @cached_property
+    def neighbor_lists(self):
+        """Ascending neighbour ids of every node, as lists indexed by node."""
+        rows, cols = np.nonzero(self.in_range)
+        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
+        cols = cols.tolist()
+        return [cols[start:end] for start, end in zip([0] + ends, ends)]
+
+    @cached_property
+    def let_adjacency(self):
+        """FORP's graph: node -> {neighbour: LET of the link}."""
+        rows, cols = np.nonzero(self.in_range)
+        lets = iter(self.let[rows, cols].tolist())
+        # zip exhausts each neighbour list before drawing from lets, so every
+        # row takes exactly its own LETs, in the same row-major order
+        return {i: dict(zip(nbrs, lets))
+                for i, nbrs in enumerate(self.neighbor_lists)}
+
     def neighbors(self, i):
-        return [int(j) for j in np.nonzero(self.in_range[i])[0]]
+        return list(self.neighbor_lists[i])
 
     def degrees(self):
         return self.in_range.sum(axis=1)

@@ -1,6 +1,8 @@
 """Command line interface, config files, and the experiment matrix runner."""
 
 import csv
+import dataclasses
+import math
 import re
 
 import pytest
@@ -52,10 +54,28 @@ class TestConfigFiles:
 
     def test_invalid_values_rejected_on_load(self, tmp_path):
         path = tmp_path / "scenario.cfg"
-        for line in ("node_count = 1", "buffer_cap = -1"):
+        for line in ("node_count = 1", "buffer_cap = -1", "v_max = inf",
+                     "duration = nan", "area = 1000, inf"):
             path.write_text(line + "\n")
             with pytest.raises(ConfigError):
                 load_config(path)
+
+
+_REAL_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)
+                if isinstance(f.default, (float, tuple))]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", _REAL_FIELDS)
+def test_non_finite_values_rejected(name, bad):
+    default = getattr(ScenarioConfig(), name)
+    value = (default[0], bad) if isinstance(default, tuple) else bad
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig(**{name: value}).validate()
+    if isinstance(default, tuple):  # a list works wherever a tuple does
+        ScenarioConfig(**{name: list(default)}).validate()
+        with pytest.raises(ConfigError, match=name):
+            ScenarioConfig(**{name: list(value)}).validate()
 
 
 class TestMatrixCells:
@@ -208,6 +228,19 @@ class TestCommandLine:
         assert (out_a / "metrics.csv").read_bytes() == \
             (out_b / "metrics.csv").read_bytes()
 
+    def test_trace_with_another_tick_rejected(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        assert self.run_cli("run", "--nodes", "15", "--sessions", "3",
+                            "--duration", "8", "--seed", "2",
+                            "--out-dir", str(tmp_path / "a"),
+                            "--trace-out", str(trace)) == 0
+        cfg_path = tmp_path / "scenario.cfg"
+        save_config(_small_base().replace(tick=0.2), cfg_path)
+        code = self.run_cli("run", "--config", str(cfg_path), "--seed", "2",
+                            "--out-dir", str(tmp_path / "b"),
+                            "--trace-in", str(trace))
+        assert code == 2
+
     def test_paired_traces_across_protocols(self, tmp_path):
         traces = []
         for proto in ("FORP", "LBR", "MMBCR"):
@@ -227,6 +260,13 @@ class TestCommandLine:
             code = self.run_cli("run", "--config", str(bad), "--seed", "1",
                                 "--out-dir", str(tmp_path / "out"))
             assert code == 2
+
+    def test_non_finite_flag_exit_code(self, tmp_path):
+        code = self.run_cli("run", "--nodes", "15", "--sessions", "3",
+                            "--duration", "8", "--vmax", "inf", "--seed", "1",
+                            "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_preset_and_config_are_exclusive(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"

@@ -287,6 +287,15 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             run(cfg.replace(duration=10.0), trace=Trace.load(trace_path))
 
+    def test_tick_mismatch_rejected(self, tmp_path):
+        cfg = small_config(duration=2.0)
+        trace_path = tmp_path / "trace.csv"
+        run(cfg, trace_out=str(trace_path))
+        with pytest.raises(ConfigError, match="tick"):
+            Simulation(cfg.replace(tick=0.2), trace=Trace.load(trace_path))
+        # a trace longer than the run is fine at the same tick
+        run(cfg.replace(duration=1.0), trace=Trace.load(trace_path))
+
     def test_node_count_mismatch_rejected(self, tmp_path):
         cfg = small_config(duration=2.0)
         trace_path = tmp_path / "trace.csv"

@@ -6,19 +6,30 @@ import random
 import numpy as np
 import pytest
 
+from manetsim.energy import EnergyLedger, PowerModel, charge_route_discovery
 from manetsim.mobility import NodeState
 from manetsim.protocols import (Route, select_forp, select_lbr, select_mmbcr,
                                 select_route, widest_path)
-from manetsim.topology import traffic_interference
+from manetsim.topology import TopologySnapshot, snapshot, traffic_interference
 
 
 class GraphSnap:
-    """Minimal snapshot stand-in: an explicit edge list with optional LETs."""
+    """Minimal snapshot stand-in: an explicit edge list with optional LETs.
+
+    The neighbour lists and the LET adjacency the selectors read are the
+    engine's own TopologySnapshot code, run on this edge list.
+    """
+
+    neighbor_lists = TopologySnapshot.neighbor_lists
+    let_adjacency = TopologySnapshot.let_adjacency
+    neighbors = TopologySnapshot.neighbors
 
     def __init__(self, n, edges, lets=None, time=0.0, dead=()):
         self.n = n
         self.time = time
         self.r = 250.0
+        self.edges = list(edges)
+        self.lets = lets
         self.alive = np.array([i not in dead for i in range(n)])
         self.in_range = np.zeros((n, n), dtype=bool)
         self.let = np.full((n, n), math.inf)
@@ -28,9 +39,6 @@ class GraphSnap:
             if lets is not None:
                 self.let[i, j] = self.let[j, i] = lets[idx]
         self.in_range &= self.alive[:, None] & self.alive[None, :]
-
-    def neighbors(self, i):
-        return [int(j) for j in np.nonzero(self.in_range[i])[0]]
 
 
 def make_states(n, batteries=None, activities=None):
@@ -254,8 +262,9 @@ class TestProperties:
         for _ in range(50):
             snap, states, s, d = random_instance(rng)
             before = select_forp(snap, s, d)
-            snap.let = np.where(np.isinf(snap.let), math.inf, snap.let ** 3)
-            after = select_forp(snap, s, d)
+            cubed = GraphSnap(snap.n, snap.edges,
+                              [w ** 3 for w in snap.lets])
+            after = select_forp(cubed, s, d)
             if before is None:
                 assert after is None
             else:
@@ -315,3 +324,41 @@ class TestProperties:
             assert route.protocol == proto
         with pytest.raises(ValueError):
             select_route("DSR", snap, states, 0, 1)
+
+
+class TestSharedSnapshotStructures:
+    def fresh_snapshot(self, seed, n, area):
+        rng = random.Random(seed)
+        states = [NodeState(id=i, pos=(rng.uniform(0, area), rng.uniform(0, area)),
+                            speed=rng.uniform(1.0, 20.0),
+                            heading=rng.uniform(0, 2 * math.pi),
+                            waypoint=(0.0, 0.0), battery=rng.uniform(1.0, 9.0),
+                            activity=rng.randint(0, 2))
+                  for i in range(n)]
+        return snapshot(states, 250.0, 0.0), states
+
+    def test_only_forp_builds_the_let_matrix(self):
+        for seed in range(5):
+            snap, states = self.fresh_snapshot(seed, 30, 600.0)
+            select_mmbcr(snap, states, 0, 29)
+            select_lbr(snap, states, 0, 29)
+            charge_route_discovery(EnergyLedger(30, 1500.0), snap, 0, None,
+                                   PowerModel())
+            assert snap._let is None
+            select_forp(snap, 0, 29)
+            assert snap._let is not None
+
+    def test_selectors_on_real_snapshots_match_oracles(self):
+        for seed in range(20):
+            snap, states = self.fresh_snapshot(seed, 8, 500.0)
+            for route, expected in (
+                    (select_forp(snap, 0, 7), oracle_forp(snap, 0, 7)),
+                    (select_mmbcr(snap, states, 0, 7),
+                     oracle_mmbcr(snap, states, 0, 7)),
+                    (select_lbr(snap, states, 0, 7),
+                     oracle_lbr(snap, states, 0, 7))):
+                if expected is None:
+                    assert route is None
+                else:
+                    assert route.nodes == expected[0]
+                    assert route.metric_value == expected[1]

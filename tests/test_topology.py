@@ -97,6 +97,46 @@ class TestSnapshotEdges:
         assert mean_degree(100) >= mean_degree(50)
 
 
+class TestSharedNeighbourStructures:
+    def random_snapshot(self, rng):
+        # some dead nodes, and a few far out so that they are isolated
+        states = random_states(rng, n=rng.randint(2, 40), area=800.0)
+        for node in states:
+            if rng.random() < 0.15:
+                node.battery = 0.0
+            elif rng.random() < 0.1:
+                node.pos = (5000.0 + 1000.0 * node.id, 5000.0)
+        return snapshot(states, 250.0, 0.0)
+
+    def test_neighbor_lists_match_in_range_rows(self):
+        rng = random.Random(21)
+        for _ in range(50):
+            snap = self.random_snapshot(rng)
+            assert len(snap.neighbor_lists) == snap.n
+            for i in range(snap.n):
+                expected = np.nonzero(snap.in_range[i])[0].tolist()
+                assert snap.neighbor_lists[i] == expected
+                assert snap.neighbors(i) == expected
+                if not snap.alive[i]:
+                    assert expected == []
+
+    def test_let_adjacency_matches_let_matrix(self):
+        rng = random.Random(22)
+        for _ in range(50):
+            snap = self.random_snapshot(rng)
+            adj = snap.let_adjacency
+            assert sorted(adj) == list(range(snap.n))
+            for i in range(snap.n):
+                assert list(adj[i]) == snap.neighbor_lists[i]
+            for i, j in zip(*np.nonzero(snap.in_range)):
+                assert adj[i][j] == snap.let[i, j]
+
+    def test_built_once_per_snapshot(self):
+        snap = self.random_snapshot(random.Random(23))
+        assert snap.neighbor_lists is snap.neighbor_lists
+        assert snap.let_adjacency is snap.let_adjacency
+
+
 class TestTrafficInterference:
     def test_isolated_node(self):
         snap = snapshot(make_states([(0.0, 0.0), (900.0, 900.0)]), 250.0, 0.0)
