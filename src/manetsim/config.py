@@ -51,6 +51,10 @@ class ScenarioConfig:
     seed: int = 1
 
     def validate(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             parts = value if name in _TUPLE_FIELDS else (value,)
@@ -100,6 +104,8 @@ class ScenarioConfig:
 
 _REAL_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
                      if f.type in (float, tuple))
+_INT_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                    if f.type is int)
 
 
 def set1_config(**overrides):
@@ -119,7 +125,6 @@ def set2_config(**overrides):
 
 _TUPLE_FIELDS = {"area", "start_window"}
 _BOOL_FIELDS = {"tpc", "until_first_failure"}
-_INT_FIELDS = {"node_count", "session_count", "packet_size", "buffer_cap", "seed"}
 _STR_FIELDS = {"protocol"}
 
 

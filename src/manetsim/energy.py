@@ -105,6 +105,26 @@ class EnergyLedger:
         self.entries[category][node] += joules
         return False
 
+    def debit_all(self, debits):
+        """Apply (node, category, joules) debits in order; exactly
+        `for d in debits: self.debit(*d)`.
+
+        Debits that leave their node alive are applied in a local loop; from
+        the first one that is negative, hits a dead node or would exhaust a
+        battery, the rest of the list goes through debit, which truncates,
+        records the death and raises as usual.
+        """
+        residual, entries = self._residual, self.entries
+        for i, (node, category, joules) in enumerate(debits):
+            joules = float(joules)
+            remaining = residual[node]
+            if not 0.0 <= joules < remaining:
+                for d in debits[i:]:
+                    self.debit(*d)
+                return
+            residual[node] = remaining - joules
+            entries[category][node] += joules
+
     def total(self, node):
         # derived from the residual accumulator, so that
         # initial - residual == total holds exactly; the per-category
@@ -131,31 +151,29 @@ class EnergyLedger:
                 writer.writerow(row)
 
 
-def unicast_exchange(sender, receiver, d, nbytes, model,
-                     payload_categories=("data_tx", "data_rx"),
-                     control_category="mac"):
-    """The (node, category, Joules) debits of one RTS/CTS/payload/ACK
-    exchange over a hop of length d: sender payload, sender control,
-    receiver payload, receiver control.
+def unicast_exchange(hop_lengths, nbytes, model):
+    """Joules of one RTS/CTS/payload/ACK exchange over each hop of the given
+    lengths, as one (sender payload, sender control, receiver payload,
+    receiver control) tuple per hop.
 
     The sender transmits RTS and the payload and receives CTS and ACK; the
-    receiver mirrors that. Payload energy lands in payload_categories
-    (sender, receiver); the three control packets land in control_category.
-    Callers apply the debits under their own policy for dead nodes.
+    receiver mirrors that. Callers attach the nodes and categories and apply
+    the debits under their own policy for dead nodes.
     """
-    p_tx = tx_power(d, model)
     p_rx = model.rx_power
     bitrate = model.bitrate
     t_payload = 8.0 * nbytes / bitrate
     t_rts = 8.0 * model.rts_bytes / bitrate
-    t_cts = 8.0 * model.cts_bytes / bitrate
-    t_ack = 8.0 * model.ack_bytes / bitrate
-    tx_cat, rx_cat = payload_categories
-    return ((sender, tx_cat, p_tx * t_payload),
-            (sender, control_category, p_tx * t_rts + p_rx * (t_cts + t_ack)),
-            (receiver, rx_cat, p_rx * t_payload),
-            (receiver, control_category,
-             p_rx * t_rts + p_tx * (t_cts + t_ack)))
+    t_cts_ack = 8.0 * model.cts_bytes / bitrate + 8.0 * model.ack_bytes / bitrate
+    rx_payload = p_rx * t_payload
+    rx_rts = p_rx * t_rts
+    rx_cts_ack = p_rx * t_cts_ack
+    hops = []
+    for d in hop_lengths:
+        p_tx = tx_power(d, model)
+        hops.append((p_tx * t_payload, p_tx * t_rts + rx_cts_ack,
+                     rx_payload, rx_rts + p_tx * t_cts_ack))
+    return hops
 
 
 def charge_broadcast(ledger, sender, neighbor_ids, nbytes, model,
@@ -222,11 +240,12 @@ def charge_route_discovery(ledger, snap, source, route, model):
         return
     # the RREP travels back from the destination; a node its own reply
     # exhausts pays nothing more, and a hop with a dead endpoint is skipped
-    for u, v in zip(route.nodes[:-1], route.nodes[1:]):
+    tails, heads = route.nodes[:-1], route.nodes[1:]
+    lengths = snap.dist[list(tails), list(heads)].tolist()
+    for u, v, joules in zip(tails, heads,
+                            unicast_exchange(lengths, model.rrep_bytes, model)):
         if not (ledger.alive(u) and ledger.alive(v)):
             continue
-        for node, category, joules in unicast_exchange(
-                v, u, snap.distance(u, v), model.rrep_bytes, model,
-                ("discovery", "discovery"), "discovery"):
+        for node, j in zip((v, v, u, u), joules):
             if ledger.alive(node):
-                ledger.debit(node, category, joules)
+                ledger.debit(node, "discovery", j)

@@ -3,6 +3,7 @@
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from .protocols import select_route
 from .topology import snapshot
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
+# categories of a data hop's four debits, in unicast_exchange's order
+_DATA_CATEGORIES = ("data_tx", "mac", "data_rx", "mac")
 
 
 @dataclass
@@ -86,12 +89,21 @@ def discovery_latency(hops, model, forwarding_overhead=1.0e-3):
 class _SessionState:
     session: Session
     route: object = None
-    route_arrays: tuple = None       # (nodes, hop tails, hop heads) as np arrays
+    hop_ends: np.ndarray = None      # (2, hops) array: each hop's tail, head
+    debit_nodes: list = None         # node of each debit of a packet, in order
     buffer: deque = field(default_factory=deque)
     next_pkt_time: float = None
     next_retry_time: float = 0.0
     discovery_wait: float = 0.0      # latency of a discovery made this tick
     seq: int = 0
+
+    def follow(self, route):
+        """Adopt a freshly discovered route and cache what every tick that
+        sends over it reads."""
+        self.route = route
+        tails, heads = route.nodes[:-1], route.nodes[1:]
+        self.hop_ends = np.array((tails, heads))
+        self.debit_nodes = [n for u, v in zip(tails, heads) for n in (u, u, v, v)]
 
 
 class Simulation:
@@ -185,7 +197,8 @@ class Simulation:
         for node in st.route.intermediates:
             self.states[node].activity -= 1
         st.route = None
-        st.route_arrays = None
+        st.hop_ends = None
+        st.debit_nodes = None
         st.next_retry_time = t
 
     def _maintain_routes(self, snap, t):
@@ -193,14 +206,12 @@ class Simulation:
         if not live:
             return
         # one combined validity check; fall back to per-route only on breakage
-        tails = np.concatenate([st.route_arrays[1] for st in live])
-        heads = np.concatenate([st.route_arrays[2] for st in live])
-        if snap.in_range[tails, heads].all() and snap.alive[tails].all() \
-                and snap.alive[heads].all():
+        tails, heads = ends = np.concatenate([st.hop_ends for st in live], axis=1)
+        if snap.in_range[tails, heads].all() and snap.alive[ends].all():
             return
         for st in live:
-            nodes, tails, heads = st.route_arrays
-            if not (snap.alive[nodes].all() and snap.in_range[tails, heads].all()):
+            tails, heads = ends = st.hop_ends
+            if not (snap.alive[ends].all() and snap.in_range[tails, heads].all()):
                 self._teardown(st, t)
 
     def _discover_routes(self, snap, t):
@@ -220,9 +231,7 @@ class Simulation:
             if route is None:
                 st.next_retry_time = t + cfg.discovery_retry_interval
                 continue
-            st.route = route
-            nodes = np.array(route.nodes)
-            st.route_arrays = (nodes, nodes[:-1], nodes[1:])
+            st.follow(route)
             st.discovery_wait = discovery_latency(route.hops, self.model,
                                                   cfg.forwarding_overhead)
             self.routes.append(route)
@@ -276,44 +285,44 @@ class Simulation:
         contention radius of either endpoint: the hop length with TPC, the
         transmission range without.
         """
-        senders, seen = [], set()
-        for st, _, _ in to_send:
-            if st.session.id not in seen:
-                seen.add(st.session.id)
-                senders.append(st)
-        tx = np.unique(np.concatenate([st.route_arrays[1] for st in senders]))
-        tails = np.concatenate([st.route_arrays[1] for st in senders])
-        heads = np.concatenate([st.route_arrays[2] for st in senders])
+        senders = list({st.session.id: st for st, _, _ in to_send}.values())
+        tails, heads = ends = np.concatenate([st.hop_ends for st in senders],
+                                             axis=1)
+        is_tx = np.zeros(snap.n, dtype=bool)
+        is_tx[tails] = True
+        tx = np.flatnonzero(is_tx)
         hop_d = snap.dist[tails, heads]
-        dist_to_tx = snap.dist[:, tx]
-        radius = hop_d[:, None] if self.model.tpc else snap.r
-        near = (dist_to_tx[tails] <= radius) | (dist_to_tx[heads] <= radius)
-        near &= (tx[None, :] != tails[:, None]) & (tx[None, :] != heads[:, None])
-        counts = near.sum(axis=1)
+        # distances from both ends of every hop to every transmitter; a
+        # hop's tail is a transmitter at distance 0, and its head is one
+        # only if it transmits too: neither counts against the hop
+        n_hops = len(tails)
+        near = snap.dist[ends.ravel()][:, tx].reshape(2, n_hops, len(tx)) \
+            <= (hop_d[:, None] if self.model.tpc else snap.r)
+        counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
+        hop_len = hop_d.tolist()
         m = self.model
-        hop_charges = [unicast_exchange(u, v, d, m.data_bytes, m)
-                       for u, v, d in zip(tails.tolist(), heads.tolist(),
-                                          hop_d.tolist())]
+        debits = list(zip(
+            chain.from_iterable(st.debit_nodes for st in senders),
+            _DATA_CATEGORIES * n_hops,
+            chain.from_iterable(unicast_exchange(hop_len, m.data_bytes, m))))
         service, charges = {}, {}
         off = 0
         for st in senders:
-            h = len(st.route_arrays[1])
-            sl = slice(off, off + h)
-            service[st.session.id] = (
-                self._exchange * h,
-                self._exchange * float(counts[sl].sum()),
-                float(hop_d[sl].sum()) / SPEED_OF_LIGHT,
-            )
-            charges[st.session.id] = [c for hop in hop_charges[sl]
-                                      for c in hop]
-            off += h
+            h = st.route.hops
+            end = off + h
+            # numpy sums fewer than 8 floats left to right, as sum() does;
+            # from 8 on it sums pairwise, so only its own sum matches
+            prop = sum(hop_len[off:end]) if h < 8 else float(hop_d[off:end].sum())
+            service[st.session.id] = (self._exchange * h,
+                                      self._exchange * float(sum(counts[off:end])),
+                                      prop / SPEED_OF_LIGHT)
+            charges[st.session.id] = debits[4 * off:4 * end]
+            off = end
         return service, charges
 
     def _deliver(self, st, pkt, wait, service, charges):
-        debit = self.ledger.debit
         try:
-            for node, category, joules in charges:
-                debit(node, category, joules)
+            self.ledger.debit_all(charges)
         except DeadNodeError:
             return  # forwarder died mid-path; packet lost
         base, cont, prop = service

@@ -24,6 +24,8 @@ from test_mobility import link_expiration_time
 from test_protocols import (oracle_forp, oracle_lbr, oracle_mmbcr,
                             random_instance)
 
+pytestmark = pytest.mark.slow
+
 PROTOCOLS = ("FORP", "LBR", "MMBCR")
 SEEDS = (1, 2, 3, 4, 5)
 VMAXES = (5.0, 50.0)

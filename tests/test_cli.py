@@ -78,6 +78,14 @@ def test_non_finite_values_rejected(name, bad):
             ScenarioConfig(**{name: list(value)}).validate()
 
 
+@pytest.mark.parametrize("bad", [2.5, 50.0, math.nan, True, "50"])
+@pytest.mark.parametrize("name", ["node_count", "session_count", "packet_size",
+                                  "buffer_cap", "seed"])
+def test_non_integer_values_rejected(name, bad):
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig(**{name: bad}).validate()
+
+
 class TestMatrixCells:
     def test_full_matrix_size(self):
         # 3 protocols x 2 densities x 6 speeds x 2 loads x 2 tpc modes

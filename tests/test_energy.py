@@ -4,7 +4,10 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manetsim.energy import (CATEGORIES, DeadNodeError, EnergyLedger,
                              PowerModel, airtime, broadcast_tx_power,
@@ -127,11 +130,65 @@ class TestLedger:
             assert parts == pytest.approx(ledger.total(node), abs=1e-12)
 
 
+# debits against a 3-node ledger of 1 J per node, one node possibly dead
+# from the start: amounts up to half a battery exhaust nodes part-way through
+# a list; a few are negative, exactly zero, or numpy scalars
+_amounts = st.one_of(st.floats(0.0, 0.5), st.just(0.0), st.floats(-1.0, -1e-9),
+                     st.floats(0.0, 0.5).map(np.float64))
+_debits = st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CATEGORIES),
+                             _amounts), max_size=25)
+
+
+def _outcome(apply, dead, debits):
+    ledger = EnergyLedger(3, 1.0)
+    if dead is not None:
+        ledger.debit(dead, "beacon", 1.0)
+    try:
+        apply(ledger, debits)
+        error = None
+    except (DeadNodeError, ValueError) as exc:
+        error = (type(exc), str(exc))
+    return ledger, error
+
+
+class TestDebitAll:
+    @settings(max_examples=300, deadline=None)
+    @given(debits=_debits, dead=st.one_of(st.none(), st.integers(0, 2)))
+    def test_equals_one_debit_per_entry(self, debits, dead):
+        def one_by_one(ledger, debits):
+            for d in debits:
+                ledger.debit(*d)
+
+        batched, error = _outcome(EnergyLedger.debit_all, dead, debits)
+        sequential, expected_error = _outcome(one_by_one, dead, debits)
+        # the same exception, raised by the same debit (its message names the
+        # node), after the same debits were applied
+        assert error == expected_error
+        assert batched._residual == sequential._residual
+        assert batched.entries == sequential.entries
+        assert list(batched.newly_dead) == list(sequential.newly_dead)
+        assert all(type(v) is float for v in batched._residual)
+        assert all(type(v) is float
+                   for cat in CATEGORIES for v in batched.entries[cat])
+
+    def test_exhaustion_mid_list_then_dead_node(self):
+        ledger = EnergyLedger(2, 1.0)
+        with pytest.raises(DeadNodeError, match="node 0"):
+            ledger.debit_all([(1, "mac", 0.25), (0, "data_tx", 0.75),
+                              (0, "mac", 0.5), (0, "data_rx", 0.1),
+                              (1, "mac", 0.25)])
+        assert ledger.entries["mac"] == [0.25, 0.25]
+        assert ledger.entries["data_tx"] == [0.75, 0.0]
+        assert ledger.residual(0) == 0.0 and ledger.residual(1) == 0.75
+        assert list(ledger.newly_dead) == [0]
+
+
 def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
     """Apply one hop's exchange table to a ledger, as the data path does."""
-    for node, category, joules in unicast_exchange(sender, receiver, d,
-                                                   nbytes, model):
-        ledger.debit(node, category, joules)
+    [joules] = unicast_exchange([d], nbytes, model)
+    for node, category, j in zip((sender, sender, receiver, receiver),
+                                 ("data_tx", "mac", "data_rx", "mac"), joules):
+        ledger.debit(node, category, j)
 
 
 class TestUnicastHop:
@@ -156,13 +213,19 @@ class TestUnicastHop:
         assert ledger.entries["mac"][1] == pytest.approx(expected_mac)
 
     def test_debit_order_and_categories(self):
-        table = unicast_exchange(3, 7, 100.0, 64, FIXED,
-                                 ("discovery", "discovery"), "discovery")
-        assert [(n, c) for n, c, _ in table] == [(3, "discovery")] * 2 + \
-            [(7, "discovery")] * 2
-        table = unicast_exchange(3, 7, 100.0, 512, FIXED)
-        assert [(n, c) for n, c, _ in table] == \
-            [(3, "data_tx"), (3, "mac"), (7, "data_rx"), (7, "mac")]
+        # per hop: sender payload, sender control, receiver payload,
+        # receiver control
+        t_pay, t_rts = airtime(64, FIXED), airtime(20, FIXED)
+        t_cts_ack = airtime(14, FIXED) + airtime(14, FIXED)
+        [hop] = unicast_exchange([100.0], 64, FIXED)
+        assert hop == pytest.approx((1.4 * t_pay, 1.4 * t_rts + 0.967 * t_cts_ack,
+                                     0.967 * t_pay, 0.967 * t_rts + 1.4 * t_cts_ack),
+                                    rel=1e-15)
+        # one call over many hops is the per-hop calls, value for value
+        lengths = [0.0, 37.5, 100.0, 249.9, 250.0]
+        assert unicast_exchange(lengths, 512, TPC) == \
+            [hop for d in lengths for hop in unicast_exchange([d], 512, TPC)]
+        assert unicast_exchange([], 512, TPC) == []
 
     def test_total_equals_sum_of_debits(self):
         ledger = EnergyLedger(2, 1500.0)

@@ -12,6 +12,7 @@ from manetsim.engine import (PacketRecord, Session, Simulation, _SessionState,
                              discovery_latency, make_sessions, run,
                              write_packets_csv, write_routes_csv)
 from manetsim.mobility import NodeState, Trace
+from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
 
@@ -33,14 +34,18 @@ def send_tables(xs, routes, tpc=False):
     sequence over static nodes at positions xs on a line) sends one packet.
     Returns per route its (base, contention, propagation) service components
     and its per-packet charges."""
+    return tick_tables(snapshot(line_states(xs), 250.0, 0.0), routes, tpc)
+
+
+def tick_tables(snap, routes, tpc=False):
+    """send_tables over any snapshot."""
     sim = Simulation(small_config(tpc=tpc))
-    snap = snapshot(line_states(xs), 250.0, 0.0)
     to_send = []
     for sid, nodes in enumerate(routes):
         st = _SessionState(Session(id=sid, source=nodes[0],
                                    destination=nodes[-1], start=0.0))
-        arr = np.array(nodes)
-        st.route_arrays = (arr, arr[:-1], arr[1:])
+        st.follow(Route(session=sid, nodes=tuple(nodes), protocol="LBR",
+                        metric_value=0.0, discovered_at=0.0))
         to_send.append((st, PacketRecord(session=sid, seq=0, created_at=0.0),
                         0.0))
     service, charges = sim._tick_send_tables(snap, to_send)
@@ -190,9 +195,12 @@ class TestDelayModel:
         assert two[0] == pytest.approx(2 * one[0])
         assert two[2] == pytest.approx(2 * one[2])
         assert two[1] == EXCHANGE * 1
-        model = PowerModel()
-        assert charges == [*unicast_exchange(0, 1, 100.0, 512, model),
-                           *unicast_exchange(1, 2, 100.0, 512, model)]
+        (a, b, c, d), (e, f, g, h) = unicast_exchange([100.0, 100.0], 512,
+                                                      PowerModel())
+        assert charges == [(0, "data_tx", a), (0, "mac", b),
+                           (1, "data_rx", c), (1, "mac", d),
+                           (1, "data_tx", e), (1, "mac", f),
+                           (2, "data_rx", g), (2, "mac", h)]
 
     def test_contention_counts_nearby_transmitters_only(self):
         # route (2, 3) transmits from 150 m: inside the fixed radius (250 m),
@@ -207,6 +215,49 @@ class TestDelayModel:
         # a hop's own endpoints never count against it
         both_ways, _ = send_tables([0.0, 100.0], [(0, 1), (1, 0)])
         assert [c[1] for c in both_ways] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("tpc", [False, True])
+    def test_send_tables_are_exact(self, tpc):
+        # walks of 3, 8 and 10 hops with 60-240 m steps in a 1 km square,
+        # plus a one-hop route back along the 8-hop walk; compared with ==
+        rng = random.Random(14)
+        points, routes = [], []
+        for hops in (3, 8, 10):
+            x, y = rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)
+            routes.append(list(range(len(points), len(points) + hops + 1)))
+            for _ in range(hops + 1):
+                points.append((x, y))
+                angle, step = rng.uniform(0.0, 2 * math.pi), rng.uniform(60.0, 240.0)
+                x, y = x + step * math.cos(angle), y + step * math.sin(angle)
+        routes.append([routes[1][4], routes[1][3]])
+        states = [NodeState(id=i, pos=p, speed=0.0, heading=0.0, waypoint=p,
+                            battery=1500.0) for i, p in enumerate(points)]
+        snap = snapshot(states, 250.0, 0.0)
+        service, charges = tick_tables(snap, routes, tpc)
+
+        model = PowerModel(tpc=tpc)
+        transmitters = {u for nodes in routes for u in nodes[:-1]}
+        for nodes, (base, cont, prop), got in zip(routes, service, charges):
+            hops = list(zip(nodes[:-1], nodes[1:]))
+            hop_d = snap.dist[nodes[:-1], nodes[1:]]
+            if len(hops) >= 8:  # a left-to-right sum would round differently
+                assert sum(hop_d.tolist()) != float(np.sum(hop_d))
+            assert prop == float(np.sum(hop_d)) / 3.0e8
+            assert base == EXCHANGE * len(hops)
+            counts = []
+            for u, v in hops:
+                radius = snap.dist[u, v] if tpc else 250.0
+                counts.append(sum(
+                    1 for w in transmitters if w not in (u, v)
+                    and (snap.dist[u, w] <= radius or snap.dist[v, w] <= radius)))
+            assert cont == EXCHANGE * float(sum(counts))
+            expected = []
+            for (u, v), d in zip(hops, hop_d.tolist()):
+                [(a, b, c, e)] = unicast_exchange([d], 512, model)
+                expected += [(u, "data_tx", a), (u, "mac", b),
+                             (v, "data_rx", c), (v, "mac", e)]
+            assert got == expected
+        assert any(service[i][1] > 0.0 for i in range(4))
 
     def test_tpc_strictly_reduces_contention_delay(self):
         xs = [0.0, 100.0, -150.0, -50.0]
@@ -303,3 +354,51 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             run(cfg.replace(node_count=10), trace=Trace.load(trace_path))
 
+
+
+class TestMidTickDeath:
+    def test_forwarder_dies_while_a_session_drains_its_buffer(self):
+        # nodes at 0, 200, 400 m: 0 -> 1 -> 2 is the only route, and it
+        # exists only from t = 2 s, when node 2 arrives; every packet made
+        # until then goes out in that tick
+        tick, arrive = 0.1, 20
+        rows = [[(0.0, 0.0, 0.0, 0.0), (200.0, 0.0, 0.0, 0.0),
+                 (400.0 if k >= arrive else 1000.0, 0.0, 0.0, 0.0)]
+                for k in range(40)]
+        trace = Trace([k * tick for k in range(40)], rows)
+        cfg = ScenarioConfig(node_count=3, session_count=1, tick=tick,
+                             area=(2000.0, 2000.0), start_window=(0.0, 0.0),
+                             until_first_failure=True, max_duration=3.9,
+                             protocol="LBR", seed=1)
+        sim = Simulation(cfg, trace=trace)
+        st = sim.sessions[0]
+        st.session.source, st.session.destination = 0, 2
+        # node 1 receives on hop 0 and sends on hop 1 of every packet; it
+        # can pay for two packets, then dies at its payload debit of the
+        # third, which a further debit to it makes the engine drop
+        m = PowerModel()
+        t_pay, t_rts = airtime(512, m), airtime(20, m)
+        t_cts_ack = airtime(14, m) + airtime(14, m)
+        receive = 0.967 * t_pay + 0.967 * t_rts + 1.4 * t_cts_ack
+        send = 1.4 * t_pay + 1.4 * t_rts + 0.967 * t_cts_ack
+        budget = 2 * (receive + send) + receive + 0.5 * 1.4 * t_pay
+        discover = sim._discover_routes
+
+        def discover_then_drain_forwarder(snap, t):
+            discover(snap, t)
+            if st.route is not None:
+                sim.ledger.debit(1, "mac", sim.ledger.residual(1) - budget)
+        sim._discover_routes = discover_then_drain_forwarder
+        result = sim.run()
+
+        [route] = result.routes
+        assert route.nodes == (0, 1, 2)
+        sent = [p for p in result.packets if p.created_at <= route.discovered_at]
+        assert len(sent) == 9                 # one every 0.25 s from t = 0
+        assert [p.delivered for p in sent] == [True, True] + [False] * 7
+        assert sent[0].buffering > sent[1].buffering > 0.0
+        assert result.ledger.residual(1) == 0.0
+        assert result.first_failure_time == route.discovered_at
+        assert result.end_time == route.discovered_at
+        # the third packet was lost; the later ones wait for a new route
+        assert [p.seq for p in st.buffer] == [p.seq for p in sent[3:]]
