@@ -78,9 +78,6 @@ class TopologySnapshot:
     def degrees(self):
         return self.in_range.sum(axis=1)
 
-    def distance(self, i, j):
-        return float(self.dist[i, j])
-
 
 def snapshot(states, r, t):
     """Build the topology snapshot for the given node states."""

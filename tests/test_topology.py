@@ -30,7 +30,7 @@ class TestSnapshotEdges:
     def test_boundary_distance_inclusive(self):
         snap = snapshot(make_states([(0.0, 0.0), (0.0, 250.0)]), 250.0, 0.0)
         assert snap.in_range[0, 1]
-        assert snap.distance(0, 1) == pytest.approx(250.0)
+        assert snap.dist[0, 1] == pytest.approx(250.0)
 
     def test_boundary_distance_exclusive(self):
         snap = snapshot(make_states([(0.0, 0.0), (0.0, 250.01)]), 250.0, 0.0)
