@@ -151,14 +151,30 @@ class EnergyLedger:
                 writer.writerow(row)
 
 
+# categories of an exchange's four joules, in unicast_exchange's order
+DATA_EXCHANGE = ("data_tx", "mac", "data_rx", "mac")
+DISCOVERY_EXCHANGE = ("discovery",) * 4
+
+
+def exchange_payers(senders, receivers, categories):
+    """Who pays each of unicast_exchange's four joules per hop, and under
+    which category: one ((node, category),) * 4 tuple per hop, the hop sent
+    by senders[i] to receivers[i], in unicast_exchange's order.
+    """
+    sp, sc, rp, rc = categories
+    return [((s, sp), (s, sc), (r, rp), (r, rc))
+            for s, r in zip(senders, receivers)]
+
+
 def unicast_exchange(hop_lengths, nbytes, model):
     """Joules of one RTS/CTS/payload/ACK exchange over each hop of the given
     lengths, as one (sender payload, sender control, receiver payload,
     receiver control) tuple per hop.
 
     The sender transmits RTS and the payload and receives CTS and ACK; the
-    receiver mirrors that. Callers attach the nodes and categories and apply
-    the debits under their own policy for dead nodes.
+    receiver mirrors that. exchange_payers names the node and category of
+    each joule; callers apply the debits under their own policy for dead
+    nodes.
     """
     p_rx = model.rx_power
     bitrate = model.bitrate
@@ -242,10 +258,10 @@ def charge_route_discovery(ledger, snap, source, route, model):
     # exhausts pays nothing more, and a hop with a dead endpoint is skipped
     tails, heads = route.nodes[:-1], route.nodes[1:]
     lengths = snap.dist[list(tails), list(heads)].tolist()
-    for u, v, joules in zip(tails, heads,
-                            unicast_exchange(lengths, model.rrep_bytes, model)):
-        if not (ledger.alive(u) and ledger.alive(v)):
+    for payers, joules in zip(exchange_payers(heads, tails, DISCOVERY_EXCHANGE),
+                              unicast_exchange(lengths, model.rrep_bytes, model)):
+        if not all(ledger.alive(node) for node, _ in payers):
             continue
-        for node, j in zip((v, v, u, u), joules):
+        for (node, category), j in zip(payers, joules):
             if ledger.alive(node):
-                ledger.debit(node, "discovery", j)
+                ledger.debit(node, category, j)

@@ -9,15 +9,13 @@ import numpy as np
 
 from . import mobility as mob
 from .config import ConfigError, ScenarioConfig
-from .energy import (DeadNodeError, EnergyLedger, PowerModel, airtime,
-                     charge_beacon_round, charge_route_discovery,
-                     unicast_exchange)
+from .energy import (DATA_EXCHANGE, DeadNodeError, EnergyLedger, PowerModel,
+                     airtime, charge_beacon_round, charge_route_discovery,
+                     exchange_payers, unicast_exchange)
 from .protocols import select_route
 from .topology import snapshot
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
-# categories of a data hop's four debits, in unicast_exchange's order
-_DATA_CATEGORIES = ("data_tx", "mac", "data_rx", "mac")
 
 
 @dataclass
@@ -90,7 +88,7 @@ class _SessionState:
     session: Session
     route: object = None
     hop_ends: np.ndarray = None      # (2, hops) array: each hop's tail, head
-    debit_nodes: list = None         # node of each debit of a packet, in order
+    payers: list = None              # (node, category) of each debit of a packet
     buffer: deque = field(default_factory=deque)
     next_pkt_time: float = None
     next_retry_time: float = 0.0
@@ -103,7 +101,8 @@ class _SessionState:
         self.route = route
         tails, heads = route.nodes[:-1], route.nodes[1:]
         self.hop_ends = np.array((tails, heads))
-        self.debit_nodes = [n for u, v in zip(tails, heads) for n in (u, u, v, v)]
+        self.payers = list(chain.from_iterable(
+            exchange_payers(tails, heads, DATA_EXCHANGE)))
 
 
 class Simulation:
@@ -198,7 +197,7 @@ class Simulation:
             self.states[node].activity -= 1
         st.route = None
         st.hop_ends = None
-        st.debit_nodes = None
+        st.payers = None
         st.next_retry_time = t
 
     def _maintain_routes(self, snap, t):
@@ -299,23 +298,21 @@ class Simulation:
         near = snap.dist[ends.ravel()][:, tx].reshape(2, n_hops, len(tx)) \
             <= (hop_d[:, None] if self.model.tpc else snap.r)
         counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
-        hop_len = hop_d.tolist()
         m = self.model
-        debits = list(zip(
-            chain.from_iterable(st.debit_nodes for st in senders),
-            _DATA_CATEGORIES * n_hops,
-            chain.from_iterable(unicast_exchange(hop_len, m.data_bytes, m))))
+        joules = unicast_exchange(hop_d.tolist(), m.data_bytes, m)
+        debits = [(node, category, j) for (node, category), j in zip(
+            chain.from_iterable(st.payers for st in senders),
+            chain.from_iterable(joules))]
         service, charges = {}, {}
         off = 0
         for st in senders:
             h = st.route.hops
             end = off + h
-            # numpy sums fewer than 8 floats left to right, as sum() does;
-            # from 8 on it sums pairwise, so only its own sum matches
-            prop = sum(hop_len[off:end]) if h < 8 else float(hop_d[off:end].sum())
+            # numpy's own slice sum: builtin sum() rounds differently from
+            # 8 floats on, and from Python 3.12 on at every length
             service[st.session.id] = (self._exchange * h,
                                       self._exchange * float(sum(counts[off:end])),
-                                      prop / SPEED_OF_LIGHT)
+                                      float(hop_d[off:end].sum()) / SPEED_OF_LIGHT)
             charges[st.session.id] = debits[4 * off:4 * end]
             off = end
         return service, charges

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manetsim.energy import (CATEGORIES, DeadNodeError, EnergyLedger,
-                             PowerModel, airtime, broadcast_tx_power,
-                             charge_beacon_round, charge_broadcast,
-                             charge_route_discovery, flood_depths,
-                             rreq_bytes, tx_power, unicast_exchange)
+from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DISCOVERY_EXCHANGE,
+                             DeadNodeError, EnergyLedger, PowerModel, airtime,
+                             broadcast_tx_power, charge_beacon_round,
+                             charge_broadcast, charge_route_discovery,
+                             exchange_payers, flood_depths, rreq_bytes,
+                             tx_power, unicast_exchange)
 from manetsim.mobility import NodeState
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
@@ -186,8 +187,8 @@ class TestDebitAll:
 def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
     """Apply one hop's exchange table to a ledger, as the data path does."""
     [joules] = unicast_exchange([d], nbytes, model)
-    for node, category, j in zip((sender, sender, receiver, receiver),
-                                 ("data_tx", "mac", "data_rx", "mac"), joules):
+    [payers] = exchange_payers([sender], [receiver], DATA_EXCHANGE)
+    for (node, category), j in zip(payers, joules):
         ledger.debit(node, category, j)
 
 
@@ -226,6 +227,18 @@ class TestUnicastHop:
         assert unicast_exchange(lengths, 512, TPC) == \
             [hop for d in lengths for hop in unicast_exchange([d], 512, TPC)]
         assert unicast_exchange([], 512, TPC) == []
+
+    def test_payers_follow_the_exchange_order(self):
+        # a data hop: the sender pays the payload as data_tx, the receiver
+        # as data_rx, both their control frames as mac
+        assert exchange_payers([0, 1], [1, 2], DATA_EXCHANGE) == [
+            ((0, "data_tx"), (0, "mac"), (1, "data_rx"), (1, "mac")),
+            ((1, "data_tx"), (1, "mac"), (2, "data_rx"), (2, "mac"))]
+        # a reply hop runs from the route's head back to its tail
+        assert exchange_payers([2, 1], [1, 0], DISCOVERY_EXCHANGE) == [
+            ((2, "discovery"),) * 2 + ((1, "discovery"),) * 2,
+            ((1, "discovery"),) * 2 + ((0, "discovery"),) * 2]
+        assert exchange_payers([], [], DATA_EXCHANGE) == []
 
     def test_total_equals_sum_of_debits(self):
         ledger = EnergyLedger(2, 1500.0)

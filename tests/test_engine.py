@@ -2,6 +2,8 @@
 
 import math
 import random
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -241,7 +243,7 @@ class TestDelayModel:
             hops = list(zip(nodes[:-1], nodes[1:]))
             hop_d = snap.dist[nodes[:-1], nodes[1:]]
             if len(hops) >= 8:  # a left-to-right sum would round differently
-                assert sum(hop_d.tolist()) != float(np.sum(hop_d))
+                assert reduce(add, hop_d.tolist()) != float(np.sum(hop_d))
             assert prop == float(np.sum(hop_d)) / 3.0e8
             assert base == EXCHANGE * len(hops)
             counts = []
