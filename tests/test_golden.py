@@ -24,14 +24,20 @@ PROTOCOLS = ("FORP", "LBR", "MMBCR")
 
 
 def scenarios():
-    """set1 covers every protocol with TPC off and on; set2 (3 J, until the
-    first death) covers the death path under TPC."""
+    """set1 covers every protocol with TPC off and on, at 50 nodes and on a
+    200-node graph with sparse traffic; set2 (3 J, until the first death)
+    covers the death path under TPC."""
     out = {}
     for proto in PROTOCOLS:
         for tpc in (False, True):
             out[f"set1-{proto}-tpc{int(tpc)}"] = set1_config(
                 protocol=proto, tpc=tpc, node_count=50, v_max=20.0,
                 duration=200.0, start_window=(0.0, 5.0), seed=3)
+    for proto in PROTOCOLS:
+        for tpc in (False, True):
+            out[f"set1n200-{proto}-tpc{int(tpc)}"] = set1_config(
+                protocol=proto, tpc=tpc, node_count=200, session_count=4,
+                v_max=20.0, duration=40.0, start_window=(0.0, 2.0), seed=3)
     for proto in PROTOCOLS:
         out[f"set2-{proto}"] = set2_config(
             protocol=proto, tpc=True, initial_battery=3.0,
@@ -108,6 +114,54 @@ GOLDEN = {
             "c7305ff9cc554e6d5c837f4494f10a739bde9ca29b5c347a13dda78353ddd750",
         "packets.csv":
             "275caba83b0c58b1612942b75b91e31d04bcf2063e3e1f7ae26622b0a704b88d",
+    },
+    "set1n200-FORP-tpc0": {
+        "ledger.csv":
+            "5743cca74ffc4d005c2f950bd0fd9090d17a3ab63e1c62b2bdd3ea65d42f2ec4",
+        "routes.csv":
+            "516dd9fa36fe9d3fac7c6ca7f5de68a58d7da20d91dc0b7d19f7a343f0c95c57",
+        "packets.csv":
+            "77b2eac139e3147248bf3cef61852e160149f032aab35b83a362177aa4525536",
+    },
+    "set1n200-FORP-tpc1": {
+        "ledger.csv":
+            "a9fc8e24dcd833adfdde176560a0c0cea4e82bf566a2cea707fc2cb4e694e5ee",
+        "routes.csv":
+            "516dd9fa36fe9d3fac7c6ca7f5de68a58d7da20d91dc0b7d19f7a343f0c95c57",
+        "packets.csv":
+            "e31d7e0c9c437fd8bcc36b131f4e6fb16fc65d410f26cb4011a1a0bf0f0e517b",
+    },
+    "set1n200-LBR-tpc0": {
+        "ledger.csv":
+            "8b79ed4342391238a634b45ac2d7f7677918f7ad135ad009054687b0746b124b",
+        "routes.csv":
+            "cd8f7b5968e89646d5e31beb787d9aa610301082ba65dd16a81eefa2b313de15",
+        "packets.csv":
+            "e9e34e088cf0f3baea541870c7a59396a4d032ab9cf5a849c531b19bec15f77a",
+    },
+    "set1n200-LBR-tpc1": {
+        "ledger.csv":
+            "e21d9536496e20e52f042b929068c2ab4f39b7178f856597b89e40afc7a51280",
+        "routes.csv":
+            "cd8f7b5968e89646d5e31beb787d9aa610301082ba65dd16a81eefa2b313de15",
+        "packets.csv":
+            "12fa3a471143c40c873d352441b15d3931b61cefb1497616514fb7c90e042d32",
+    },
+    "set1n200-MMBCR-tpc0": {
+        "ledger.csv":
+            "ef48ece31b87d592aeb392291711e770de41fd78ef0f1e5b5d3e649d27eae12f",
+        "routes.csv":
+            "bea8c68a97463d7d8dc84dac1fef0b45c8224698c15c9fbe6cc3750b3c09e1a8",
+        "packets.csv":
+            "fe28ba40df2c11b58b976364c071a2d48deb5734fb15e35754f4076ab03fe0b2",
+    },
+    "set1n200-MMBCR-tpc1": {
+        "ledger.csv":
+            "80474664cfad68da1baffee810d3c1ebee9c2a0d35a6e685c607b1ff5c757367",
+        "routes.csv":
+            "08656cd4bcf9b29802c0883236586e2d9801c6fbcb443fbdef932d77d35ff37d",
+        "packets.csv":
+            "1dab81e7e60d2ce45bc89b2593a04b3ffcc9605a486e4c1b8e1c35462b91eee9",
     },
     "set2-FORP": {
         "ledger.csv":
