@@ -214,10 +214,9 @@ def charge_beacon_round(ledger, snap, model):
     t = airtime(model.beacon_bytes, model)
     tx_e = broadcast_tx_power(model) * t
     rx_e = model.rx_power * t
-    deg = snap.degrees()
-    for node in range(snap.n):
-        if ledger.alive(node):
-            ledger.debit(node, "beacon", tx_e + rx_e * float(deg[node]))
+    charges = (tx_e + rx_e * snap.degrees()).tolist()
+    ledger.debit_all([(node, "beacon", charges[node])
+                      for node in np.flatnonzero(ledger.alive_mask()).tolist()])
 
 
 def flood_depths(snap, source):
@@ -250,14 +249,14 @@ def charge_route_discovery(ledger, snap, source, route, model):
     rx_sum = snap.in_range @ (airtimes * alive)
     charges = (broadcast_tx_power(model) * airtimes
                + model.rx_power * rx_sum).tolist()
-    for node in np.flatnonzero(alive).tolist():
-        ledger.debit(node, "discovery", charges[node])
+    ledger.debit_all([(node, "discovery", charges[node])
+                      for node in np.flatnonzero(alive).tolist()])
     if route is None:
         return
     # the RREP travels back from the destination; a node its own reply
     # exhausts pays nothing more, and a hop with a dead endpoint is skipped
     tails, heads = route.nodes[:-1], route.nodes[1:]
-    lengths = snap.dist[list(tails), list(heads)].tolist()
+    lengths = snap.distance(list(tails), list(heads)).tolist()
     for payers, joules in zip(exchange_payers(heads, tails, DISCOVERY_EXCHANGE),
                               unicast_exchange(lengths, model.rrep_bytes, model)):
         if not all(ledger.alive(node) for node, _ in payers):

@@ -1,5 +1,6 @@
 """Tick-driven simulation loop: mobility, routing, traffic, energy, delay."""
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -76,6 +77,18 @@ def make_sessions(config, rng):
     return sessions
 
 
+def tick_count(horizon, tick):
+    """Ticks a run to `horizon` seconds executes: tick k happens at
+    k * tick, and the run stops before the first k >= 1 at which
+    k * tick >= horizon, to within 1 ns."""
+    k = max(1, math.ceil((horizon - 1e-9) / tick))
+    while k > 1 and (k - 1) * tick >= horizon - 1e-9:
+        k -= 1
+    while k * tick < horizon - 1e-9:
+        k += 1
+    return k
+
+
 def discovery_latency(hops, model, forwarding_overhead=1.0e-3):
     """Flood-out plus RREP-back latency for a freshly found route."""
     if hops < 1:
@@ -121,13 +134,11 @@ class Simulation:
         self.mob_rng = random.Random(f"mobility:{config.seed}")
         traffic_rng = random.Random(f"traffic:{config.seed}")
         self.states = mob.init_mobility(config, self.mob_rng)
+        self.horizon = (config.max_duration if config.until_first_failure
+                        else config.duration)
+        self.ticks = tick_count(self.horizon, config.tick)
         if trace is not None:
-            if trace.node_count != config.node_count:
-                raise ValueError("trace node count does not match config")
-            for k, t in enumerate(trace.times):
-                if abs(t - k * config.tick) > 1e-9:
-                    raise ConfigError(f"trace tick {k} is at t={t!r}, not at "
-                                      f"{k} * tick = {k * config.tick!r}")
+            self._check_trace(trace)
             trace.apply(0, self.states)
         self.sessions = [_SessionState(s) for s in make_sessions(config, traffic_rng)]
         for st in self.sessions:
@@ -138,10 +149,26 @@ class Simulation:
         self.first_failure_time = None
         self.t = 0.0
 
+    def _check_trace(self, trace):
+        cfg = self.config
+        if trace.node_count != cfg.node_count:
+            raise ConfigError(f"{trace.source}: {trace.node_count} nodes, but "
+                              f"the run has {cfg.node_count}")
+        for k, t in enumerate(trace.times):
+            if abs(t - k * cfg.tick) > 1e-9:
+                raise ConfigError(f"{trace.source}: tick {k} is at t={t!r}, "
+                                  f"not at {k} * tick = {k * cfg.tick!r}")
+        # a run until the first death may end before its horizon, so only
+        # a fixed-duration run knows at set-up how many ticks it needs
+        if not cfg.until_first_failure and len(trace.rows) < self.ticks:
+            raise ConfigError(f"{trace.source}: {len(trace.rows)} ticks, but "
+                              f"the run needs {self.ticks}")
+
     def run(self):
         cfg = self.config
         beacon_every = max(1, round(cfg.beacon_interval / cfg.tick))
         writer = mob.TraceWriter(self.trace_out) if self.trace_out else None
+        end = self.horizon
         k = 0
         try:
             while True:
@@ -150,7 +177,9 @@ class Simulation:
                 if k > 0:
                     if self.trace is not None:
                         if k >= len(self.trace.rows):
-                            raise ValueError("mobility trace shorter than the run")
+                            raise ConfigError(
+                                f"{self.trace.source}: trace ends at t={t!r}, "
+                                f"before any node died")
                         self.trace.apply(k, self.states)
                     else:
                         mob.advance(self.states, cfg.tick, cfg, self.mob_rng)
@@ -167,16 +196,10 @@ class Simulation:
                 if self.check_invariants:
                     self._check_invariants(snap)
                 k += 1
-                next_t = k * cfg.tick
-                if cfg.until_first_failure:
-                    if self.first_failure_time is not None:
-                        end = self.first_failure_time
-                        break
-                    if next_t >= cfg.max_duration - 1e-9:
-                        end = cfg.max_duration
-                        break
-                elif next_t >= cfg.duration - 1e-9:
-                    end = cfg.duration
+                if cfg.until_first_failure and self.first_failure_time is not None:
+                    end = self.first_failure_time
+                    break
+                if k == self.ticks:
                     break
         finally:
             if writer:
@@ -204,14 +227,19 @@ class Simulation:
         live = [st for st in self.sessions if st.route is not None]
         if not live:
             return
-        # one combined validity check; fall back to per-route only on breakage
-        tails, heads = ends = np.concatenate([st.hop_ends for st in live], axis=1)
-        if snap.in_range[tails, heads].all() and snap.alive[ends].all():
+        # a hop holds while both ends are alive and within range: in_range's
+        # rule for the pair, answered from the positions of the hop ends only
+        tails, heads = np.concatenate([st.hop_ends for st in live], axis=1)
+        holds = snap.alive[tails] & snap.alive[heads]
+        holds &= snap.distance(tails, heads) <= snap.r
+        if holds.all():
             return
+        off = 0
         for st in live:
-            tails, heads = ends = st.hop_ends
-            if not (snap.alive[ends].all() and snap.in_range[tails, heads].all()):
+            end = off + st.route.hops
+            if not holds[off:end].all():
                 self._teardown(st, t)
+            off = end
 
     def _discover_routes(self, snap, t):
         cfg = self.config
@@ -290,12 +318,11 @@ class Simulation:
         is_tx = np.zeros(snap.n, dtype=bool)
         is_tx[tails] = True
         tx = np.flatnonzero(is_tx)
-        hop_d = snap.dist[tails, heads]
+        hop_d = snap.distance(tails, heads)
         # distances from both ends of every hop to every transmitter; a
         # hop's tail is a transmitter at distance 0, and its head is one
         # only if it transmits too: neither counts against the hop
-        n_hops = len(tails)
-        near = snap.dist[ends.ravel()][:, tx].reshape(2, n_hops, len(tx)) \
+        near = snap.distance(ends[:, :, None], tx) \
             <= (hop_d[:, None] if self.model.tpc else snap.r)
         counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
         m = self.model

@@ -128,13 +128,16 @@ class TraceWriter:
 class Trace:
     """In-memory mobility trace: per-tick positions and velocities."""
 
-    def __init__(self, times, rows):
+    def __init__(self, times, rows, source="mobility trace"):
         self.times = times          # list of tick times
         self.rows = rows            # rows[k][i] = (x, y, speed, heading)
         self.node_count = len(rows[0]) if rows else 0
+        self.source = source        # named in the errors it causes
 
     @classmethod
     def load(cls, path):
+        """Read a trace CSV; a malformed, non-finite or ragged row raises
+        ConfigError naming path:line."""
         times, rows = [], []
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -142,16 +145,31 @@ class Trace:
             if tuple(header or ()) != TRACE_HEADER:
                 raise ConfigError(f"{path}: not a mobility trace file")
             current_t = None
-            for t_s, node_id, x, y, speed, heading in reader:
-                t = float(t_s)
+            for fields in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(fields) != len(TRACE_HEADER):
+                    raise ConfigError(f"{where}: expected {len(TRACE_HEADER)} "
+                                      f"fields, got {len(fields)}")
+                try:
+                    node_id = int(fields[1])
+                    t, x, y, speed, heading = map(float, fields[:1] + fields[2:])
+                except ValueError:
+                    raise ConfigError(f"{where}: not a number in {fields}") \
+                        from None
+                if not all(map(math.isfinite, (t, x, y, speed, heading))):
+                    raise ConfigError(f"{where}: non-finite value in {fields}")
                 if t != current_t:
                     times.append(t)
                     rows.append([])
                     current_t = t
-                if int(node_id) != len(rows[-1]):
-                    raise ConfigError(f"{path}: node rows out of order at t={t}")
-                rows[-1].append((float(x), float(y), float(speed), float(heading)))
-        return cls(times, rows)
+                if node_id != len(rows[-1]):
+                    raise ConfigError(f"{where}: node rows out of order at t={t}")
+                rows[-1].append((x, y, speed, heading))
+        for t, row in zip(times, rows):
+            if len(row) != len(rows[0]):
+                raise ConfigError(f"{path}: tick t={t} has {len(row)} node "
+                                  f"rows, not {len(rows[0])}")
+        return cls(times, rows, source=str(path))
 
     def apply(self, k, states):
         """Overwrite node kinematics from trace tick k."""

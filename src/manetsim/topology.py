@@ -10,9 +10,14 @@ class TopologySnapshot:
 
     Edges are pairs at Euclidean distance <= r (inclusive); dead nodes
     (battery exhausted) carry no edges. Each edge is annotated with its
-    distance and predicted link expiration time. The LET matrix and the
-    neighbour structures that route discovery reads are built lazily, at
-    most once per snapshot, because most ticks never look at them.
+    distance and predicted link expiration time.
+
+    Only positions, liveness and kinematics are captured eagerly. The n x n
+    matrices (`dist`, `in_range`, `let`) and the neighbour structures are
+    built lazily, at most once per snapshot, by the readers of the whole
+    graph: the beacon round, route discovery and selection. Most ticks only
+    ask about the hops of live routes, which `distance` answers from the
+    positions with the same formula and so the same bits as `dist`.
     """
 
     def __init__(self, states, r, t):
@@ -27,12 +32,33 @@ class TopologySnapshot:
         # plain lists: cheap to capture, promoted to arrays only if let is used
         self._speed = [s.speed for s in states]
         self._heading = [s.heading for s in states]
-        dx = self.x[:, None] - self.x[None, :]
-        dy = self.y[:, None] - self.y[None, :]
-        self.dist = np.sqrt(dx * dx + dy * dy)
-        self.in_range = (self.dist <= r) & self.alive[:, None] & self.alive[None, :]
-        np.fill_diagonal(self.in_range, False)
         self._let = None
+
+    def distance(self, a, b):
+        """Distances between nodes a and b, element-wise over broadcast
+        index arrays: the one distance formula, which `dist` shares."""
+        dx = self.x[a] - self.x[b]
+        dy = self.y[a] - self.y[b]
+        # in place: dx * dx + dy * dy without the temporaries
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.sqrt(dx, out=dx)
+
+    @cached_property
+    def dist(self):
+        """Pairwise distances, an n x n matrix."""
+        ids = np.arange(self.n)
+        return self.distance(ids[:, None], ids[None, :])
+
+    @cached_property
+    def in_range(self):
+        """Boolean n x n adjacency: distance <= r and both ends alive."""
+        near = self.dist <= self.r
+        near &= self.alive[:, None]
+        near &= self.alive[None, :]
+        np.fill_diagonal(near, False)
+        return near
 
     @property
     def let(self):

@@ -261,6 +261,68 @@ class TestCommandLine:
             traces.append(trace.read_bytes())
         assert traces[0] == traces[1] == traces[2]
 
+    # each bad trace fails with exit code 2 at set-up, naming the file and,
+    # for a bad row, its line; the line numbers below count the header as 1
+    TRACE_RUN = ("--nodes", "15", "--sessions", "3", "--duration", "8",
+                 "--seed", "2")
+
+    def replay_edited_trace(self, tmp_path, capsys, edit, *flags):
+        trace = tmp_path / "trace.csv"
+        assert self.run_cli("run", *self.TRACE_RUN,
+                            "--out-dir", str(tmp_path / "a"),
+                            "--trace-out", str(trace)) == 0
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(edit(lines)))
+        capsys.readouterr()
+        rerecorded = tmp_path / "again.csv"
+        code = self.run_cli("run", *self.TRACE_RUN, *flags,
+                            "--out-dir", str(tmp_path / "b"),
+                            "--trace-in", str(trace),
+                            "--trace-out", str(rerecorded))
+        assert code == 2
+        assert not rerecorded.exists()   # rejected before the first tick
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {trace}")
+        return err
+
+    @staticmethod
+    def edit_field(line_no, field, value):
+        def edit(lines):
+            fields = lines[line_no - 1].rstrip("\r\n").split(",")
+            if value is None:
+                del fields[field]
+            else:
+                fields[field] = value
+            lines[line_no - 1] = ",".join(fields) + "\r\n"
+            return lines
+        return edit
+
+    def test_trace_row_with_five_fields(self, tmp_path, capsys):
+        err = self.replay_edited_trace(tmp_path, capsys,
+                                       self.edit_field(5, 5, None))
+        assert ":5: expected 6 fields, got 5" in err
+
+    def test_trace_non_numeric_field(self, tmp_path, capsys):
+        err = self.replay_edited_trace(tmp_path, capsys,
+                                       self.edit_field(7, 3, "north"))
+        assert ":7: not a number" in err
+
+    def test_trace_nan_position(self, tmp_path, capsys):
+        err = self.replay_edited_trace(tmp_path, capsys,
+                                       self.edit_field(9, 2, "nan"))
+        assert ":9: non-finite value" in err
+
+    def test_trace_node_count_mismatch(self, tmp_path, capsys):
+        err = self.replay_edited_trace(tmp_path, capsys, lambda lines: lines,
+                                       "--nodes", "16")
+        assert "15 nodes, but the run has 16" in err
+
+    def test_trace_shorter_than_run(self, tmp_path, capsys):
+        # the header and the first 40 of the run's 80 ticks
+        err = self.replay_edited_trace(tmp_path, capsys,
+                                       lambda lines: lines[:1 + 40 * 15])
+        assert "40 ticks, but the run needs 80" in err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         for line in ("node_count = 1", "node_count = fifty"):

@@ -7,11 +7,14 @@ from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from manetsim import engine
 from manetsim.config import ConfigError, ScenarioConfig, set1_config, set2_config
 from manetsim.energy import PowerModel, airtime, unicast_exchange
 from manetsim.engine import (PacketRecord, Session, Simulation, _SessionState,
-                             discovery_latency, make_sessions, run,
+                             discovery_latency, make_sessions, run, tick_count,
                              write_packets_csv, write_routes_csv)
 from manetsim.mobility import NodeState, Trace
 from manetsim.protocols import Route
@@ -118,6 +121,15 @@ class TestStopConditions:
         with pytest.raises(ConfigError):
             run(small_config(node_count=1))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e4), st.floats(1e-3, 10.0))
+    def test_tick_count_is_the_first_tick_at_the_horizon(self, horizon, tick):
+        assume(horizon / tick < 1e5)
+        k = 1
+        while k * tick < horizon - 1e-9:
+            k += 1
+        assert tick_count(horizon, tick) == k
+
 
 class TestDeterminism:
     def test_bit_identical_outputs(self, tmp_path):
@@ -138,6 +150,70 @@ class TestDeterminism:
         a = run(small_config(seed=1))
         b = run(small_config(seed=2))
         assert a.ledger.grand_total() != b.ledger.grand_total()
+
+
+class TestLazySnapshot:
+    def test_only_beacon_and_discovery_ticks_build_the_matrices(
+            self, monkeypatch):
+        snaps, discovering = [], set()
+
+        def recording_snapshot(*args):
+            snaps.append(snapshot(*args))
+            return snaps[-1]
+        charge = engine.charge_route_discovery
+
+        def recording_charge(ledger, snap, *args):
+            discovering.add(id(snap))
+            return charge(ledger, snap, *args)
+        monkeypatch.setattr(engine, "snapshot", recording_snapshot)
+        monkeypatch.setattr(engine, "charge_route_discovery", recording_charge)
+        cfg = small_config(duration=20.0)
+        result = run(cfg)
+        assert sum(p.delivered for p in result.packets) > 0
+        beacon_every = round(cfg.beacon_interval / cfg.tick)
+        quiet = 0
+        for k, snap in enumerate(snaps):
+            built = {"dist", "in_range"} & set(vars(snap))
+            if k % beacon_every == 0 or id(snap) in discovering:
+                assert "in_range" in built
+            else:
+                assert not built
+                quiet += 1
+        assert quiet > len(snaps) // 2
+
+    # multiples of 50 m give exact 250 m hops (150-200-250 triangles and
+    # straight lines); a nudge puts a coordinate one ulp further out
+    COORD = st.builds(lambda k, nudge: float(np.nextafter(50.0 * k, 1e9))
+                      if nudge else 50.0 * k,
+                      st.integers(0, 10), st.booleans())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_maintenance_tears_down_exactly_the_broken_routes(self, data):
+        n = data.draw(st.integers(3, 10))
+        positions = data.draw(st.lists(st.tuples(self.COORD, self.COORD),
+                                       min_size=n, max_size=n))
+        alive = data.draw(st.lists(st.sampled_from((True,) * 4 + (False,)),
+                                   min_size=n, max_size=n))
+        routes = data.draw(st.lists(
+            st.tuples(st.permutations(range(n)), st.integers(2, n))
+            .map(lambda pk: tuple(pk[0][:pk[1]])), min_size=1, max_size=5))
+        sim = Simulation(ScenarioConfig(node_count=n,
+                                        session_count=len(routes), seed=1))
+        for state, nodes in zip(sim.sessions, routes):
+            state.follow(Route(session=state.session.id, nodes=nodes,
+                               protocol="LBR", metric_value=0.0,
+                               discovered_at=0.0))
+        snap = snapshot([NodeState(id=i, pos=p, speed=0.0, heading=0.0,
+                                   waypoint=p, battery=1.0 if a else 0.0)
+                         for i, (p, a) in enumerate(zip(positions, alive))],
+                        250.0, 0.0)
+        # the rule before the matrices went lazy, on the dense matrix
+        broken = [not (snap.alive[list(r)].all()
+                       and snap.in_range[list(r[:-1]), list(r[1:])].all())
+                  for r in routes]
+        sim._maintain_routes(snap, 1.0)
+        assert [state.route is None for state in sim.sessions] == broken
 
 
 class TestInvariantsDuringRun:
@@ -348,6 +424,18 @@ class TestTraceReplay:
             Simulation(cfg.replace(tick=0.2), trace=Trace.load(trace_path))
         # a trace longer than the run is fine at the same tick
         run(cfg.replace(duration=1.0), trace=Trace.load(trace_path))
+
+    def test_trace_ending_before_the_first_death(self):
+        # a run until the first death may end before its horizon, so set-up
+        # accepts the trace and the run fails where the trace runs out
+        rows = [[(0.0, 0.0, 0.0, 0.0), (100.0, 0.0, 0.0, 0.0)]] * 5
+        trace = Trace([k * 0.1 for k in range(5)], rows)
+        sim = Simulation(ScenarioConfig(node_count=2, session_count=1,
+                                        until_first_failure=True,
+                                        max_duration=10.0, seed=1),
+                         trace=trace)
+        with pytest.raises(ConfigError, match="trace ends at t=0.5"):
+            sim.run()
 
     def test_node_count_mismatch_rejected(self, tmp_path):
         cfg = small_config(duration=2.0)

@@ -33,7 +33,6 @@ class GraphSnap:
         self.alive = np.array([i not in dead for i in range(n)])
         self.in_range = np.zeros((n, n), dtype=bool)
         self.let = np.full((n, n), math.inf)
-        self.dist = np.zeros((n, n))
         for idx, (i, j) in enumerate(edges):
             self.in_range[i, j] = self.in_range[j, i] = True
             if lets is not None:

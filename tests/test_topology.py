@@ -137,6 +137,61 @@ class TestSharedNeighbourStructures:
         assert snap.let_adjacency is snap.let_adjacency
 
 
+class TestLazyMatrices:
+    R = 250.0
+
+    def edge_case_snapshot(self, rng):
+        """Random nodes, some dead, plus two coincident nodes, a pair at
+        exactly r and a pair one ulp beyond it."""
+        states = random_states(rng, n=rng.randint(8, 40), area=800.0)
+        for node in states[4:]:
+            if rng.random() < 0.2:
+                node.battery = 0.0
+        x, y = rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)
+        states[0].pos = (x, y)
+        states[1].pos = (x, y)
+        # a 150-200-250 right triangle: both legs and the hypotenuse are
+        # exact in binary
+        states[2].pos = (150.0, 200.0)
+        states[3].pos = (0.0, 0.0)
+        states[4].pos = (np.nextafter(150.0, 1e9), 200.0)
+        states[4].battery = 1500.0
+        return snapshot(states, self.R, 0.0)
+
+    def test_distance_equals_dist_exactly(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            snap = self.edge_case_snapshot(rng)
+            ids = np.arange(snap.n)
+            assert (snap.distance(ids[:, None], ids[None, :]) == snap.dist).all()
+            a = np.array([rng.randrange(snap.n) for _ in range(60)])
+            b = np.array([rng.randrange(snap.n) for _ in range(60)])
+            assert (snap.distance(a, b) == snap.dist[a, b]).all()
+            assert (snap.distance(a[:, None], b) == snap.dist[a[:, None], b]).all()
+            assert snap.dist[0, 1] == 0.0 and snap.in_range[0, 1]
+            assert snap.dist[2, 3] == self.R and snap.in_range[2, 3]
+            assert snap.dist[3, 4] > self.R and not snap.in_range[3, 4]
+
+    def test_in_range_is_the_hop_rule(self):
+        # the rule route maintenance applies to a hop, over every pair
+        rng = random.Random(32)
+        for _ in range(30):
+            snap = self.edge_case_snapshot(rng)
+            ids = np.arange(snap.n)
+            a, b = ids[:, None], ids[None, :]
+            rule = (snap.alive[a] & snap.alive[b]
+                    & (snap.distance(a, b) <= snap.r) & (a != b))
+            assert (rule == snap.in_range).all()
+
+    def test_matrices_built_once_and_only_when_read(self):
+        snap = self.edge_case_snapshot(random.Random(33))
+        snap.distance(np.array([0, 2]), np.array([1, 3]))
+        assert "dist" not in vars(snap) and "in_range" not in vars(snap)
+        assert snap.in_range is snap.in_range
+        assert snap.dist is snap.dist
+        assert snap.in_range.dtype == bool and snap.in_range.shape == (snap.n,) * 2
+
+
 class TestTrafficInterference:
     def test_isolated_node(self):
         snap = snapshot(make_states([(0.0, 0.0), (900.0, 900.0)]), 250.0, 0.0)
