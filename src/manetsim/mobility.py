@@ -144,26 +144,27 @@ class Trace:
             header = next(reader, None)
             if tuple(header or ()) != TRACE_HEADER:
                 raise ConfigError(f"{path}: not a mobility trace file")
+
+            def bad_row(problem):
+                return ConfigError(f"{path}:{reader.line_num}: {problem}")
             current_t = None
             for fields in reader:
-                where = f"{path}:{reader.line_num}"
                 if len(fields) != len(TRACE_HEADER):
-                    raise ConfigError(f"{where}: expected {len(TRACE_HEADER)} "
-                                      f"fields, got {len(fields)}")
+                    raise bad_row(f"expected {len(TRACE_HEADER)} fields, "
+                                  f"got {len(fields)}")
                 try:
                     node_id = int(fields[1])
                     t, x, y, speed, heading = map(float, fields[:1] + fields[2:])
                 except ValueError:
-                    raise ConfigError(f"{where}: not a number in {fields}") \
-                        from None
+                    raise bad_row(f"not a number in {fields}") from None
                 if not all(map(math.isfinite, (t, x, y, speed, heading))):
-                    raise ConfigError(f"{where}: non-finite value in {fields}")
+                    raise bad_row(f"non-finite value in {fields}")
                 if t != current_t:
                     times.append(t)
                     rows.append([])
                     current_t = t
                 if node_id != len(rows[-1]):
-                    raise ConfigError(f"{where}: node rows out of order at t={t}")
+                    raise bad_row(f"node rows out of order at t={t}")
                 rows[-1].append((x, y, speed, heading))
         for t, row in zip(times, rows):
             if len(row) != len(rows[0]):

@@ -286,3 +286,17 @@ class TestTraceFiles:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
             Trace.load(path)
+
+    def test_rejects_ticks_with_other_node_counts(self, tmp_path):
+        # a middle tick and the last tick each missing their last node row
+        cfg = ScenarioConfig(node_count=3)
+        states = init_mobility(cfg, random.Random(1))
+        for missing_at in (1, 2):
+            path = tmp_path / f"ragged{missing_at}.csv"
+            writer = TraceWriter(path)
+            for k in range(3):
+                writer.record(k * cfg.tick,
+                              states[:-1] if k == missing_at else states)
+            writer.close()
+            with pytest.raises(ConfigError, match="has 2 node rows, not 3"):
+                Trace.load(path)
