@@ -85,6 +85,12 @@ class ScenarioConfig:
             raise ConfigError("bitrate must be positive")
         if self.beacon_interval <= 0:
             raise ConfigError("beacon_interval must be positive")
+        # beacons go out on ticks only: 0.3 s is 3 ticks of 0.1 s although
+        # 0.3 / 0.1 == 2.9999999999999996, but 0.25 s is no whole number
+        ticks = self.beacon_interval / self.tick
+        if round(ticks) < 1 or abs(ticks - round(ticks)) > 1e-9:
+            raise ConfigError(f"beacon_interval {self.beacon_interval!r} is "
+                              f"not a whole number of ticks of {self.tick!r}")
         if not self.until_first_failure and self.duration <= 0:
             raise ConfigError("duration must be positive")
         if self.until_first_failure and self.max_duration <= 0:

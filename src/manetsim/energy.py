@@ -83,6 +83,10 @@ class EnergyLedger:
     def residual(self, node):
         return self._residual[node]
 
+    def residuals(self):
+        """A copy of every node's residual battery, as a list of floats."""
+        return list(self._residual)
+
     def alive_mask(self):
         """Boolean array: which nodes still have battery left."""
         return np.array(self._residual) > 0.0
@@ -192,24 +196,11 @@ def unicast_exchange(hop_lengths, nbytes, model):
     return hops
 
 
-def charge_broadcast(ledger, sender, neighbor_ids, nbytes, model,
-                     category="beacon"):
-    """Charge a local broadcast: sender at full-range power, neighbors receive."""
-    if not ledger.alive(sender):
-        raise DeadNodeError(f"broadcast from dead node {sender}")
-    t = airtime(nbytes, model)
-    ledger.debit(sender, category, broadcast_tx_power(model) * t)
-    rx_energy = model.rx_power * t
-    for j in neighbor_ids:
-        if ledger.alive(j):
-            ledger.debit(j, category, rx_energy)
-
-
 def charge_beacon_round(ledger, snap, model):
     """Charge one beacon from every live node in a single pass.
 
-    Equivalent to one charge_broadcast per node, folded into one debit per
-    node: own transmission plus reception of each live neighbor's beacon.
+    Each live node pays one debit: its own full-range transmission plus the
+    reception of each live neighbor's beacon.
     """
     t = airtime(model.beacon_bytes, model)
     tx_e = broadcast_tx_power(model) * t

@@ -144,6 +144,8 @@ class Simulation:
         for st in self.sessions:
             st.next_pkt_time = st.session.start
         self.ledger = EnergyLedger(config.node_count, config.initial_battery)
+        # per node, the live routes it forwards for as an intermediate
+        self.activity = [0] * config.node_count
         self.packets = []
         self.routes = []
         self.first_failure_time = None
@@ -166,7 +168,7 @@ class Simulation:
 
     def run(self):
         cfg = self.config
-        beacon_every = max(1, round(cfg.beacon_interval / cfg.tick))
+        beacon_every = round(cfg.beacon_interval / cfg.tick)
         writer = mob.TraceWriter(self.trace_out) if self.trace_out else None
         end = self.horizon
         k = 0
@@ -183,15 +185,15 @@ class Simulation:
                         self.trace.apply(k, self.states)
                     else:
                         mob.advance(self.states, cfg.tick, cfg, self.mob_rng)
-                snap = snapshot(self.states, cfg.tx_range, t)
+                snap = snapshot(self.states, self.ledger.residuals(),
+                                cfg.tx_range, t)
                 if writer:
                     writer.record(t, self.states)
                 if k % beacon_every == 0:
-                    self._emit_beacons(snap)
+                    charge_beacon_round(self.ledger, snap, self.model)
                 self._maintain_routes(snap, t)
                 self._discover_routes(snap, t)
                 self._send_traffic(snap, t)
-                self._sync_batteries()
                 self._note_failures(t)
                 if self.check_invariants:
                     self._check_invariants(snap)
@@ -211,13 +213,10 @@ class Simulation:
 
     # --- per-tick phases ---
 
-    def _emit_beacons(self, snap):
-        charge_beacon_round(self.ledger, snap, self.model)
-
     def _teardown(self, st, t):
         st.route.torn_down_at = t
         for node in st.route.intermediates:
-            self.states[node].activity -= 1
+            self.activity[node] -= 1
         st.route = None
         st.hop_ends = None
         st.payers = None
@@ -252,7 +251,7 @@ class Simulation:
                 continue
             route = None
             if self.ledger.alive(sess.destination):
-                route = select_route(cfg.protocol, snap, self.states,
+                route = select_route(cfg.protocol, snap, self.activity,
                                      sess.source, sess.destination, session=sess.id)
             charge_route_discovery(self.ledger, snap, sess.source, route, self.model)
             if route is None:
@@ -263,7 +262,7 @@ class Simulation:
                                                   cfg.forwarding_overhead)
             self.routes.append(route)
             for node in route.intermediates:
-                self.states[node].activity += 1
+                self.activity[node] += 1
 
     def _send_traffic(self, snap, t):
         cfg = self.config
@@ -357,10 +356,6 @@ class Simulation:
         pkt.hops_traversed = st.route.hops
         pkt.delivered_at = pkt.created_at + pkt.total_delay(self.config.kappa)
 
-    def _sync_batteries(self):
-        for node in self.states:
-            node.battery = self.ledger.residual(node.id)
-
     def _note_failures(self, t):
         while self.ledger.newly_dead:
             self.ledger.newly_dead.popleft()
@@ -369,9 +364,12 @@ class Simulation:
 
     def _check_invariants(self, snap):
         live = [st.route for st in self.sessions if st.route is not None]
-        expected = sum(r.hops - 1 for r in live)
-        actual = sum(n.activity for n in self.states)
-        assert actual == expected, f"activity ledger drift: {actual} != {expected}"
+        expected = [0] * self.config.node_count
+        for r in live:
+            for node in r.intermediates:
+                expected[node] += 1
+        assert self.activity == expected, \
+            f"activity drift: {self.activity} != {expected}"
         for r in live:
             for u, v in zip(r.nodes[:-1], r.nodes[1:]):
                 assert snap.in_range[u, v], f"stale route edge {u}-{v}"

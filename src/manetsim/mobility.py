@@ -1,4 +1,4 @@
-"""Random waypoint mobility and link expiration time prediction."""
+"""Random waypoint mobility and mobility trace files."""
 
 import csv
 import math
@@ -14,13 +14,6 @@ class NodeState:
     speed: float        # m/s
     heading: float      # radians in [0, 2*pi)
     waypoint: tuple     # (x, y) meters
-    battery: float      # residual Joules
-    activity: int = 0   # live routes using this node as intermediate forwarder
-
-    @property
-    def velocity(self):
-        return (self.speed * math.cos(self.heading),
-                self.speed * math.sin(self.heading))
 
 
 def _heading_to(pos, waypoint):
@@ -44,8 +37,7 @@ def init_mobility(config, rng):
     states = []
     for i in range(config.node_count):
         node = NodeState(id=i, pos=(rng.uniform(0.0, w), rng.uniform(0.0, h)),
-                         speed=0.0, heading=0.0, waypoint=(0.0, 0.0),
-                         battery=config.initial_battery)
+                         speed=0.0, heading=0.0, waypoint=(0.0, 0.0))
         _draw_leg(node, rng, config.area, config.min_speed, config.v_max)
         states.append(node)
     return states
@@ -75,31 +67,6 @@ def advance(states, dt, config, rng):
             remaining -= dist_wp / node.speed if node.speed > 0 else remaining
             _draw_leg(node, rng, config.area, config.min_speed, config.v_max)
     return states
-
-
-def link_expiration_time(i: NodeState, j: NodeState, r: float) -> float:
-    """Predicted time until nodes i and j move out of range r.
-
-    Assumes both keep their current velocity. Returns math.inf when the
-    relative velocity is zero. The pair must currently be within range.
-    """
-    b = i.pos[0] - j.pos[0]
-    d = i.pos[1] - j.pos[1]
-    if b * b + d * d > r * r * (1.0 + 1e-12):
-        raise ValueError(f"nodes {i.id} and {j.id} are not neighbors")
-    vxi, vyi = i.velocity
-    vxj, vyj = j.velocity
-    a = vxi - vxj
-    c = vyi - vyj
-    k = a * a + c * c
-    if k == 0.0:
-        return math.inf
-    radicand = k * r * r - (a * d - b * c) ** 2
-    if radicand < 0.0:
-        # cannot happen while dist <= r except for rounding noise
-        assert radicand > -1e-9, f"negative radicand {radicand}"
-        radicand = 0.0
-    return (-(a * b + c * d) + math.sqrt(radicand)) / k
 
 
 # --- mobility trace files -----------------------------------------------------

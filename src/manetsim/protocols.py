@@ -167,11 +167,11 @@ def select_forp(snap, s, d, session=-1):
                  metric_value=ret, discovered_at=snap.time)
 
 
-def select_mmbcr(snap, states, s, d, session=-1):
-    """Power-aware route: maximize the minimum intermediate residual battery."""
+def select_mmbcr(snap, s, d, session=-1):
+    """Power-aware route: maximize the minimum intermediate residual battery,
+    as it was at the start of the tick."""
     _check_endpoints(snap, s, d)
-    batteries = [n.battery for n in states]
-    found = widest_path(snap.neighbor_lists, s, d, node_weights=batteries)
+    found = widest_path(snap.neighbor_lists, s, d, node_weights=snap.residual)
     if found is None:
         return None
     path, bottleneck = found
@@ -179,11 +179,12 @@ def select_mmbcr(snap, states, s, d, session=-1):
                  metric_value=bottleneck, discovered_at=snap.time)
 
 
-def select_lbr(snap, states, s, d, session=-1):
+def select_lbr(snap, activity, s, d, session=-1):
     """Load-balancing route: minimize summed intermediate activity plus the
-    traffic interference of the intermediates' neighborhoods."""
+    traffic interference of the intermediates' neighborhoods. activity[v]
+    counts the live routes that v forwards for."""
     _check_endpoints(snap, s, d)
-    act = np.array([float(n.activity) for n in states])
+    act = np.array(activity, dtype=float)
     interference = snap.in_range @ act
     cost = (act + interference).tolist()
     found = _least_cost_path(snap.neighbor_lists, cost, s, d)
@@ -194,11 +195,11 @@ def select_lbr(snap, states, s, d, session=-1):
                  metric_value=float(total), discovered_at=snap.time)
 
 
-def select_route(protocol, snap, states, s, d, session=-1):
+def select_route(protocol, snap, activity, s, d, session=-1):
     if protocol == "FORP":
         return select_forp(snap, s, d, session)
     if protocol == "LBR":
-        return select_lbr(snap, states, s, d, session)
+        return select_lbr(snap, activity, s, d, session)
     if protocol == "MMBCR":
-        return select_mmbcr(snap, states, s, d, session)
+        return select_mmbcr(snap, s, d, session)
     raise ValueError(f"unknown protocol {protocol!r}")

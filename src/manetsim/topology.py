@@ -12,7 +12,11 @@ class TopologySnapshot:
     (battery exhausted) carry no edges. Each edge is annotated with its
     distance and predicted link expiration time.
 
-    Only positions, liveness and kinematics are captured eagerly. The n x n
+    `residual` holds every node's battery at the start of the tick, as
+    Python floats: MMBCR weighs it, and a node with none left is dead for
+    the whole tick, however the ledger moves on within it.
+
+    Only positions, residuals and kinematics are captured eagerly. The n x n
     matrices (`dist`, `in_range`, `let`) and the neighbour structures are
     built lazily, at most once per snapshot, by the readers of the whole
     graph: the beacon round, route discovery and selection. Most ticks only
@@ -20,7 +24,7 @@ class TopologySnapshot:
     positions with the same formula and so the same bits as `dist`.
     """
 
-    def __init__(self, states, r, t):
+    def __init__(self, states, residual, r, t):
         if not states:
             raise ValueError("snapshot needs a nonempty state list")
         self.time = t
@@ -28,7 +32,8 @@ class TopologySnapshot:
         self.n = len(states)
         self.x = np.array([s.pos[0] for s in states])
         self.y = np.array([s.pos[1] for s in states])
-        self.alive = np.array([s.battery > 0.0 for s in states])
+        self.residual = list(residual)
+        self.alive = np.array(self.residual) > 0.0
         # plain lists: cheap to capture, promoted to arrays only if let is used
         self._speed = [s.speed for s in states]
         self._heading = [s.heading for s in states]
@@ -98,21 +103,11 @@ class TopologySnapshot:
         return {i: dict(zip(nbrs, lets))
                 for i, nbrs in enumerate(self.neighbor_lists)}
 
-    def neighbors(self, i):
-        return list(self.neighbor_lists[i])
-
     def degrees(self):
         return self.in_range.sum(axis=1)
 
 
-def snapshot(states, r, t):
-    """Build the topology snapshot for the given node states."""
-    return TopologySnapshot(states, r, t)
-
-
-def traffic_interference(snap: TopologySnapshot, states, node):
-    """Sum of the activities of the node's current neighbors."""
-    if not 0 <= node < snap.n:
-        raise KeyError(f"unknown node id {node}")
-    return sum(states[j].activity for j in np.nonzero(snap.in_range[node])[0])
-
+def snapshot(states, residual, r, t):
+    """Build the topology snapshot of the given node states and residual
+    batteries."""
+    return TopologySnapshot(states, residual, r, t)

@@ -108,13 +108,12 @@ def test_criterion_02_path_selection_oracles():
     rng = random.Random(20240812)
     mismatches = []
     for trial in range(500):
-        snap, states, s, d = random_instance(rng)
+        snap, activity, s, d = random_instance(rng)
         pairs = (
             ("FORP", select_forp(snap, s, d), oracle_forp(snap, s, d)),
-            ("MMBCR", select_mmbcr(snap, states, s, d),
-             oracle_mmbcr(snap, states, s, d)),
-            ("LBR", select_lbr(snap, states, s, d),
-             oracle_lbr(snap, states, s, d)),
+            ("MMBCR", select_mmbcr(snap, s, d), oracle_mmbcr(snap, s, d)),
+            ("LBR", select_lbr(snap, activity, s, d),
+             oracle_lbr(snap, activity, s, d)),
         )
         for proto, route, expected in pairs:
             got = None if route is None else (route.nodes, route.metric_value)

@@ -86,6 +86,17 @@ def test_non_integer_values_rejected(name, bad):
         ScenarioConfig(**{name: bad}).validate()
 
 
+@pytest.mark.parametrize("interval, whole", [(0.25, False), (0.05, False),
+                                             (1.0, True), (0.3, True)])
+def test_beacon_interval_is_a_whole_number_of_ticks(interval, whole):
+    cfg = ScenarioConfig(beacon_interval=interval, tick=0.1)
+    if whole:  # 0.3 / 0.1 == 2.9999999999999996 is three ticks
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match="beacon_interval"):
+            cfg.validate()
+
+
 class TestMatrixCells:
     def test_full_matrix_size(self):
         # 3 protocols x 2 densities x 6 speeds x 2 loads x 2 tpc modes
@@ -325,7 +336,8 @@ class TestCommandLine:
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        for line in ("node_count = 1", "node_count = fifty"):
+        for line in ("node_count = 1", "node_count = fifty",
+                     "beacon_interval = 0.25"):
             bad.write_text(line + "\n")
             code = self.run_cli("run", "--config", str(bad), "--seed", "1",
                                 "--out-dir", str(tmp_path / "out"))

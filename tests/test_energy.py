@@ -12,18 +12,12 @@ from hypothesis import strategies as st
 from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DISCOVERY_EXCHANGE,
                              DeadNodeError, EnergyLedger, PowerModel, airtime,
                              broadcast_tx_power, charge_beacon_round,
-                             charge_broadcast, charge_route_discovery,
-                             exchange_payers, flood_depths, rreq_bytes,
-                             tx_power, unicast_exchange)
-from manetsim.mobility import NodeState
+                             charge_route_discovery, exchange_payers,
+                             flood_depths, rreq_bytes, tx_power,
+                             unicast_exchange)
 from manetsim.protocols import Route
-from manetsim.topology import snapshot
 
-
-def make_states(positions, battery=1500.0):
-    return [NodeState(id=i, pos=p, speed=0.0, heading=0.0, waypoint=p,
-                      battery=battery)
-            for i, p in enumerate(positions)]
+from test_topology import full_snapshot, make_states
 
 
 def random_states(rng, n=50, area=1000.0):
@@ -264,6 +258,20 @@ class TestUnicastHop:
             assert lt.grand_total() <= lf.grand_total()
 
 
+def charge_broadcast(ledger, sender, neighbor_ids, nbytes, model,
+                     category="beacon"):
+    """Charge one local broadcast: the sender at full-range power, each live
+    neighbor its reception. The per-node oracle for charge_beacon_round."""
+    if not ledger.alive(sender):
+        raise DeadNodeError(f"broadcast from dead node {sender}")
+    t = airtime(nbytes, model)
+    ledger.debit(sender, category, broadcast_tx_power(model) * t)
+    rx_energy = model.rx_power * t
+    for j in neighbor_ids:
+        if ledger.alive(j):
+            ledger.debit(j, category, rx_energy)
+
+
 class TestBroadcast:
     def test_neighbor_count_linearity(self):
         ledger = EnergyLedger(11, 1500.0)
@@ -286,12 +294,13 @@ class TestBroadcast:
     def test_beacon_round_equals_per_node_broadcasts(self):
         rng = random.Random(5)
         states = random_states(rng, n=30)
-        snap = snapshot(states, 250.0, 0.0)
+        snap = full_snapshot(states)
         batched = EnergyLedger(30, 1500.0)
         charge_beacon_round(batched, snap, FIXED)
         unbatched = EnergyLedger(30, 1500.0)
         for node in range(30):
-            charge_broadcast(unbatched, node, snap.neighbors(node), 32, FIXED)
+            charge_broadcast(unbatched, node, snap.neighbor_lists[node], 32,
+                             FIXED)
         for node in range(30):
             assert batched.total(node) == pytest.approx(
                 unbatched.total(node), rel=1e-12)
@@ -300,7 +309,7 @@ class TestBroadcast:
 class TestRouteDiscovery:
     def test_two_node_flood_and_reply(self):
         states = make_states([(0.0, 0.0), (100.0, 0.0)])
-        snap = snapshot(states, 250.0, 0.0)
+        snap = full_snapshot(states)
         route = Route(session=0, nodes=(0, 1), protocol="FORP",
                       metric_value=1.0, discovered_at=0.0)
         ledger = EnergyLedger(2, 1500.0)
@@ -320,7 +329,7 @@ class TestRouteDiscovery:
         # node 1 can pay its flood share and half its RREP payload: the
         # reply kills it, its control debit is skipped, node 0 still pays
         states = make_states([(0.0, 0.0), (100.0, 0.0)])
-        snap = snapshot(states, 250.0, 0.0)
+        snap = full_snapshot(states)
         route = Route(session=0, nodes=(0, 1), protocol="FORP",
                       metric_value=1.0, discovered_at=0.0)
         flood = EnergyLedger(2, 1500.0)
@@ -338,7 +347,7 @@ class TestRouteDiscovery:
 
     def test_no_route_charges_flood_only(self):
         states = make_states([(0.0, 0.0), (100.0, 0.0)])
-        snap = snapshot(states, 250.0, 0.0)
+        snap = full_snapshot(states)
         with_route = EnergyLedger(2, 1500.0)
         route = Route(session=0, nodes=(0, 1), protocol="FORP",
                       metric_value=1.0, discovered_at=0.0)
@@ -352,7 +361,7 @@ class TestRouteDiscovery:
         rng = random.Random(6)
         for trial in range(5):
             states = random_states(rng, n=50)
-            snap = snapshot(states, 250.0, 0.0)
+            snap = full_snapshot(states)
             source = rng.randrange(50)
             ledger = EnergyLedger(50, 1500.0)
             charge_route_discovery(ledger, snap, source, None, FIXED)
@@ -361,7 +370,7 @@ class TestRouteDiscovery:
                 tx = 1.4 * airtime(rreq_bytes(depths.get(node, 0), FIXED), FIXED)
                 rx = sum(0.967 * airtime(rreq_bytes(depths.get(j, 0), FIXED),
                                          FIXED)
-                         for j in snap.neighbors(node))
+                         for j in snap.neighbor_lists[node])
                 assert ledger.total(node) == pytest.approx(tx + rx, rel=1e-12)
 
     def test_flood_reception_scales_with_degree_sum(self):
@@ -370,7 +379,7 @@ class TestRouteDiscovery:
         model = PowerModel(tpc=False, rreq_hop_bytes=0)
         rng = random.Random(7)
         states = random_states(rng, n=40)
-        snap = snapshot(states, 250.0, 0.0)
+        snap = full_snapshot(states)
         ledger = EnergyLedger(40, 1500.0)
         charge_route_discovery(ledger, snap, 0, None, model)
         t = airtime(64, model)

@@ -20,6 +20,8 @@ from manetsim.mobility import NodeState, Trace
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
+from test_topology import full_snapshot
+
 
 def small_config(**overrides):
     base = dict(node_count=20, session_count=5, duration=30.0, seed=7,
@@ -28,9 +30,9 @@ def small_config(**overrides):
     return ScenarioConfig(**base)
 
 
-def line_states(xs, battery=1500.0):
+def line_states(xs):
     return [NodeState(id=i, pos=(x, 0.0), speed=0.0, heading=0.0,
-                      waypoint=(x, 0.0), battery=battery)
+                      waypoint=(x, 0.0))
             for i, x in enumerate(xs)]
 
 
@@ -39,7 +41,7 @@ def send_tables(xs, routes, tpc=False):
     sequence over static nodes at positions xs on a line) sends one packet.
     Returns per route its (base, contention, propagation) service components
     and its per-packet charges."""
-    return tick_tables(snapshot(line_states(xs), 250.0, 0.0), routes, tpc)
+    return tick_tables(full_snapshot(line_states(xs)), routes, tpc)
 
 
 def tick_tables(snap, routes, tpc=False):
@@ -205,9 +207,9 @@ class TestLazySnapshot:
                                protocol="LBR", metric_value=0.0,
                                discovered_at=0.0))
         snap = snapshot([NodeState(id=i, pos=p, speed=0.0, heading=0.0,
-                                   waypoint=p, battery=1.0 if a else 0.0)
-                         for i, (p, a) in enumerate(zip(positions, alive))],
-                        250.0, 0.0)
+                                   waypoint=p)
+                         for i, p in enumerate(positions)],
+                        [1.0 if a else 0.0 for a in alive], 250.0, 0.0)
         # the rule before the matrices went lazy, on the dense matrix
         broken = [not (snap.alive[list(r)].all()
                        and snap.in_range[list(r[:-1]), list(r[1:])].all())
@@ -221,6 +223,25 @@ class TestInvariantsDuringRun:
         for proto in ("FORP", "LBR", "MMBCR"):
             run(small_config(protocol=proto, duration=20.0),
                 check_invariants=True)
+            # fast nodes and early sessions: routes break and are found again
+            result = run(small_config(protocol=proto, duration=20.0,
+                                      v_max=50.0, start_window=(0.0, 2.0)),
+                         check_invariants=True)
+            assert any(r.torn_down_at is not None and r.hops > 1
+                       for r in result.routes)
+
+    def test_activity_is_checked_node_by_node(self):
+        sim = Simulation(small_config(node_count=4, session_count=1))
+        sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 2),
+                                     protocol="LBR", metric_value=0.0,
+                                     discovered_at=0.0))
+        snap = full_snapshot(line_states([0.0, 100.0, 200.0, 300.0]))
+        sim.activity[1] += 1
+        sim._check_invariants(snap)
+        # the same total on the wrong node
+        sim.activity[1], sim.activity[3] = 0, 1
+        with pytest.raises(AssertionError, match="activity drift"):
+            sim._check_invariants(snap)
 
     def test_packet_record_consistency(self):
         result = run(small_config(duration=40.0))
@@ -240,6 +261,54 @@ class TestInvariantsDuringRun:
         for n in range(cfg.node_count):
             assert cfg.initial_battery - result.ledger.residual(n) == \
                 result.ledger.total(n)
+
+
+class TestPerTickView:
+    """Two sessions discover in one tick. Session 0's only route is 0-2-1;
+    session 1 goes from 3 to 4 over relay 2 or relay 5, which are not
+    neighbours. Node 5 starts the tick a microjoule poorer than node 2, and
+    session 0's flood and reply cost node 2 more than that."""
+
+    POSITIONS = [(50.0, 300.0), (350.0, 300.0), (200.0, 140.0),
+                 (0.0, 0.0), (400.0, 0.0), (200.0, -140.0)]
+
+    def discover_two(self, protocol, monkeypatch):
+        """The snapshot of the tick, the simulation after it, and the live
+        residuals each selection ran beside."""
+        sim = Simulation(ScenarioConfig(node_count=6, session_count=2,
+                                        protocol=protocol, seed=1))
+        for st, (s, d) in zip(sim.sessions, ((0, 1), (3, 4))):
+            st.session.source, st.session.destination = s, d
+            st.session.start = 0.0
+        sim.ledger.debit(5, "mac", 1e-6)
+        live = []
+        select = engine.select_route
+
+        def spy(*args, **kwargs):
+            live.append(sim.ledger.residuals())
+            return select(*args, **kwargs)
+        monkeypatch.setattr(engine, "select_route", spy)
+        states = [NodeState(id=i, pos=p, speed=0.0, heading=0.0, waypoint=p)
+                  for i, p in enumerate(self.POSITIONS)]
+        snap = snapshot(states, sim.ledger.residuals(), 250.0, 0.0)
+        sim._discover_routes(snap, 0.0)
+        assert sim.sessions[0].route.nodes == (0, 2, 1)
+        return snap, sim, live
+
+    def test_mmbcr_weighs_the_residuals_of_the_tick_start(self, monkeypatch):
+        snap, sim, live = self.discover_two("MMBCR", monkeypatch)
+        assert snap.residual[2] > snap.residual[5]
+        # by the second selection the ledger ranks the relays the other way
+        assert live[1][2] < live[1][5]
+        route = sim.sessions[1].route
+        assert route.nodes == (3, 2, 4)
+        assert route.metric_value == snap.residual[2]
+
+    def test_lbr_counts_a_route_found_earlier_in_the_tick(self, monkeypatch):
+        _, sim, _ = self.discover_two("LBR", monkeypatch)
+        # relay 2 now forwards for session 0, so relay 5 is cheaper
+        assert sim.sessions[1].route.nodes == (3, 5, 4)
+        assert sim.activity == [0, 0, 1, 0, 0, 1]
 
 
 class TestDelayModel:
@@ -308,9 +377,9 @@ class TestDelayModel:
                 angle, step = rng.uniform(0.0, 2 * math.pi), rng.uniform(60.0, 240.0)
                 x, y = x + step * math.cos(angle), y + step * math.sin(angle)
         routes.append([routes[1][4], routes[1][3]])
-        states = [NodeState(id=i, pos=p, speed=0.0, heading=0.0, waypoint=p,
-                            battery=1500.0) for i, p in enumerate(points)]
-        snap = snapshot(states, 250.0, 0.0)
+        states = [NodeState(id=i, pos=p, speed=0.0, heading=0.0, waypoint=p)
+                  for i, p in enumerate(points)]
+        snap = full_snapshot(states)
         service, charges = tick_tables(snap, routes, tpc)
 
         model = PowerModel(tpc=tpc)

@@ -10,12 +10,43 @@ from hypothesis import strategies as st
 
 from manetsim.config import ConfigError, ScenarioConfig
 from manetsim.mobility import (NodeState, Trace, TraceWriter, advance,
-                               init_mobility, link_expiration_time)
+                               init_mobility)
 
 
-def make_node(nid, pos, speed, heading, battery=1500.0):
+def make_node(nid, pos, speed, heading):
     return NodeState(id=nid, pos=pos, speed=speed, heading=heading,
-                     waypoint=pos, battery=battery)
+                     waypoint=pos)
+
+
+def velocity(node):
+    return (node.speed * math.cos(node.heading),
+            node.speed * math.sin(node.heading))
+
+
+def link_expiration_time(i: NodeState, j: NodeState, r: float) -> float:
+    """Predicted time until nodes i and j move out of range r: the scalar
+    oracle for TopologySnapshot.let.
+
+    Assumes both keep their current velocity. Returns math.inf when the
+    relative velocity is zero. The pair must currently be within range.
+    """
+    b = i.pos[0] - j.pos[0]
+    d = i.pos[1] - j.pos[1]
+    if b * b + d * d > r * r * (1.0 + 1e-12):
+        raise ValueError(f"nodes {i.id} and {j.id} are not neighbors")
+    vxi, vyi = velocity(i)
+    vxj, vyj = velocity(j)
+    a = vxi - vxj
+    c = vyi - vyj
+    k = a * a + c * c
+    if k == 0.0:
+        return math.inf
+    radicand = k * r * r - (a * d - b * c) ** 2
+    if radicand < 0.0:
+        # cannot happen while dist <= r except for rounding noise
+        assert radicand > -1e-9, f"negative radicand {radicand}"
+        radicand = 0.0
+    return (-(a * b + c * d) + math.sqrt(radicand)) / k
 
 
 def stepping_let_oracle(i, j, r, step=1e-3, horizon=4000.0):
@@ -25,8 +56,8 @@ def stepping_let_oracle(i, j, r, step=1e-3, horizon=4000.0):
     Evaluated in chunks with numpy purely for speed; the check is still a
     plain step-by-step scan.
     """
-    vxi, vyi = i.velocity
-    vxj, vyj = j.velocity
+    vxi, vyi = velocity(i)
+    vxj, vyj = velocity(j)
     dx0 = i.pos[0] - j.pos[0]
     dy0 = i.pos[1] - j.pos[1]
     ax, ay = vxi - vxj, vyi - vyj
@@ -120,8 +151,8 @@ def _random_in_range_pair(rng, r):
 
 
 def _distance_at(i, j, t):
-    vxi, vyi = i.velocity
-    vxj, vyj = j.velocity
+    vxi, vyi = velocity(i)
+    vxj, vyj = velocity(j)
     dx = (i.pos[0] + vxi * t) - (j.pos[0] + vxj * t)
     dy = (i.pos[1] + vyi * t) - (j.pos[1] + vyj * t)
     return math.hypot(dx, dy)

@@ -10,11 +10,14 @@ from manetsim.energy import EnergyLedger, PowerModel, charge_route_discovery
 from manetsim.mobility import NodeState
 from manetsim.protocols import (Route, select_forp, select_lbr, select_mmbcr,
                                 select_route, widest_path)
-from manetsim.topology import TopologySnapshot, snapshot, traffic_interference
+from manetsim.topology import TopologySnapshot, snapshot
+
+from test_topology import traffic_interference
 
 
 class GraphSnap:
-    """Minimal snapshot stand-in: an explicit edge list with optional LETs.
+    """Minimal snapshot stand-in: an explicit edge list with optional LETs
+    and residual batteries (1500 J each by default, 0 for the dead).
 
     The neighbour lists and the LET adjacency the selectors read are the
     engine's own TopologySnapshot code, run on this edge list.
@@ -22,15 +25,17 @@ class GraphSnap:
 
     neighbor_lists = TopologySnapshot.neighbor_lists
     let_adjacency = TopologySnapshot.let_adjacency
-    neighbors = TopologySnapshot.neighbors
 
-    def __init__(self, n, edges, lets=None, time=0.0, dead=()):
+    def __init__(self, n, edges, lets=None, residual=None, time=0.0,
+                 dead=()):
         self.n = n
         self.time = time
         self.r = 250.0
         self.edges = list(edges)
         self.lets = lets
-        self.alive = np.array([i not in dead for i in range(n)])
+        self.residual = [0.0 if i in dead else b for i, b in
+                         enumerate(residual or [1500.0] * n)]
+        self.alive = np.array(self.residual) > 0.0
         self.in_range = np.zeros((n, n), dtype=bool)
         self.let = np.full((n, n), math.inf)
         for idx, (i, j) in enumerate(edges):
@@ -38,14 +43,6 @@ class GraphSnap:
             if lets is not None:
                 self.let[i, j] = self.let[j, i] = lets[idx]
         self.in_range &= self.alive[:, None] & self.alive[None, :]
-
-
-def make_states(n, batteries=None, activities=None):
-    return [NodeState(id=i, pos=(0.0, 0.0), speed=0.0, heading=0.0,
-                      waypoint=(0.0, 0.0),
-                      battery=batteries[i] if batteries else 1500.0,
-                      activity=activities[i] if activities else 0)
-            for i in range(n)]
 
 
 def all_simple_paths(snap, s, d):
@@ -56,7 +53,7 @@ def all_simple_paths(snap, s, d):
         if u == d:
             paths.append(tuple(path))
             return
-        for v in snap.neighbors(u):
+        for v in snap.neighbor_lists[u]:
             if v not in path:
                 path.append(v)
                 extend(path)
@@ -76,21 +73,21 @@ def oracle_forp(snap, s, d):
     return best[1], best[0]
 
 
-def oracle_mmbcr(snap, states, s, d):
+def oracle_mmbcr(snap, s, d):
     paths = all_simple_paths(snap, s, d)
     if not paths:
         return None
-    scored = [(min((states[m].battery for m in p[1:-1]), default=math.inf), p)
+    scored = [(min((snap.residual[m] for m in p[1:-1]), default=math.inf), p)
               for p in paths]
     best = min(scored, key=lambda sp: (-sp[0], len(sp[1]), sp[1]))
     return best[1], best[0]
 
 
-def oracle_lbr(snap, states, s, d):
+def oracle_lbr(snap, activity, s, d):
     paths = all_simple_paths(snap, s, d)
     if not paths:
         return None
-    scored = [(sum(states[m].activity + traffic_interference(snap, states, m)
+    scored = [(sum(activity[m] + traffic_interference(snap, activity, m)
                    for m in p[1:-1]), p)
               for p in paths]
     best = min(scored, key=lambda sp: (sp[0], len(sp[1]), sp[1]))
@@ -104,11 +101,10 @@ def random_instance(rng):
     # small integer weights on purpose: ties must be broken identically
     lets = [math.inf if rng.random() < 0.1 else float(rng.randint(1, 5))
             for _ in edges]
-    snap = GraphSnap(n, edges, lets)
-    states = make_states(n,
-                         batteries=[float(rng.randint(1, 5)) for _ in range(n)],
-                         activities=[rng.randint(0, 3) for _ in range(n)])
-    return snap, states, 0, n - 1
+    snap = GraphSnap(n, edges, lets,
+                     residual=[float(rng.randint(1, 5)) for _ in range(n)])
+    activity = [rng.randint(0, 3) for _ in range(n)]
+    return snap, activity, 0, n - 1
 
 
 class TestWidestPath:
@@ -165,39 +161,36 @@ class TestSelectForp:
 class TestSelectMmbcr:
     def test_max_min_battery(self):
         # intermediates {3, 5} J vs {4, 4} J: bottleneck 3 vs 4
-        snap = GraphSnap(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)])
-        states = make_states(6, batteries=[9.0, 3.0, 5.0, 4.0, 4.0, 9.0])
-        route = select_mmbcr(snap, states, 0, 5)
+        snap = GraphSnap(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)],
+                         residual=[9.0, 3.0, 5.0, 4.0, 4.0, 9.0])
+        route = select_mmbcr(snap, 0, 5)
         assert route.nodes == (0, 3, 4, 5)
         assert route.metric_value == 4.0
 
     def test_direct_edge_always_wins(self):
-        snap = GraphSnap(3, [(0, 2), (0, 1), (1, 2)])
-        states = make_states(3, batteries=[1.0, 1e9, 1.0])
-        route = select_mmbcr(snap, states, 0, 2)
+        snap = GraphSnap(3, [(0, 2), (0, 1), (1, 2)],
+                         residual=[1.0, 1e9, 1.0])
+        route = select_mmbcr(snap, 0, 2)
         assert route.nodes == (0, 2)
         assert route.metric_value == math.inf
 
     def test_endpoint_batteries_ignored(self):
-        snap = GraphSnap(3, [(0, 1), (1, 2)])
-        states = make_states(3, batteries=[0.5, 8.0, 0.5])
-        route = select_mmbcr(snap, states, 0, 2)
+        snap = GraphSnap(3, [(0, 1), (1, 2)], residual=[0.5, 8.0, 0.5])
+        route = select_mmbcr(snap, 0, 2)
         assert route.metric_value == 8.0
 
 
 class TestSelectLbr:
     def test_direct_edge_costs_zero(self):
         snap = GraphSnap(3, [(0, 2), (0, 1), (1, 2)])
-        states = make_states(3, activities=[5, 5, 5])
-        route = select_lbr(snap, states, 0, 2)
+        route = select_lbr(snap, [5, 5, 5], 0, 2)
         assert route.nodes == (0, 2)
         assert route.metric_value == 0.0
 
     def test_busy_relay_avoided(self):
         # 0-1-4 with busy relay 1 vs 0-2-3-4 with idle relays
         snap = GraphSnap(5, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
-        states = make_states(5, activities=[0, 6, 1, 0, 0])
-        route = select_lbr(snap, states, 0, 4)
+        route = select_lbr(snap, [0, 6, 1, 0, 0], 0, 4)
         assert route.nodes == (0, 2, 3, 4)
         # cost: node 2 = 1 + 0, node 3 = 0 + interference(act of 2) = 1
         assert route.metric_value == 2.0
@@ -205,15 +198,13 @@ class TestSelectLbr:
     def test_interference_from_off_path_neighbor(self):
         # relays 1 and 2 are both idle, but 2 neighbors a busy node 3
         snap = GraphSnap(5, [(0, 1), (1, 4), (0, 2), (2, 4), (2, 3)])
-        states = make_states(5, activities=[0, 0, 0, 7, 0])
-        route = select_lbr(snap, states, 0, 4)
+        route = select_lbr(snap, [0, 0, 0, 7, 0], 0, 4)
         assert route.nodes == (0, 1, 4)
         assert route.metric_value == 0.0
 
     def test_all_idle_reduces_to_min_hops_lex(self):
         snap = GraphSnap(5, [(0, 3), (3, 4), (0, 1), (1, 4), (0, 2), (2, 4)])
-        states = make_states(5)
-        route = select_lbr(snap, states, 0, 4)
+        route = select_lbr(snap, [0] * 5, 0, 4)
         assert route.nodes == (0, 1, 4)  # two hops, smallest relay id
 
 
@@ -221,7 +212,7 @@ class TestEnumerationOracles:
     def test_forp_matches_oracle_on_500_graphs(self):
         rng = random.Random(501)
         for _ in range(500):
-            snap, states, s, d = random_instance(rng)
+            snap, _, s, d = random_instance(rng)
             expected = oracle_forp(snap, s, d)
             route = select_forp(snap, s, d)
             if expected is None:
@@ -233,9 +224,9 @@ class TestEnumerationOracles:
     def test_mmbcr_matches_oracle_on_500_graphs(self):
         rng = random.Random(502)
         for _ in range(500):
-            snap, states, s, d = random_instance(rng)
-            expected = oracle_mmbcr(snap, states, s, d)
-            route = select_mmbcr(snap, states, s, d)
+            snap, _, s, d = random_instance(rng)
+            expected = oracle_mmbcr(snap, s, d)
+            route = select_mmbcr(snap, s, d)
             if expected is None:
                 assert route is None
             else:
@@ -245,9 +236,9 @@ class TestEnumerationOracles:
     def test_lbr_matches_oracle_on_500_graphs(self):
         rng = random.Random(503)
         for _ in range(500):
-            snap, states, s, d = random_instance(rng)
-            expected = oracle_lbr(snap, states, s, d)
-            route = select_lbr(snap, states, s, d)
+            snap, activity, s, d = random_instance(rng)
+            expected = oracle_lbr(snap, activity, s, d)
+            route = select_lbr(snap, activity, s, d)
             if expected is None:
                 assert route is None
             else:
@@ -259,7 +250,7 @@ class TestProperties:
     def test_monotone_transform_keeps_forp_choice(self):
         rng = random.Random(7)
         for _ in range(50):
-            snap, states, s, d = random_instance(rng)
+            snap, _, s, d = random_instance(rng)
             before = select_forp(snap, s, d)
             cubed = GraphSnap(snap.n, snap.edges,
                               [w ** 3 for w in snap.lets])
@@ -272,11 +263,10 @@ class TestProperties:
     def test_monotone_transform_keeps_mmbcr_choice(self):
         rng = random.Random(8)
         for _ in range(50):
-            snap, states, s, d = random_instance(rng)
-            before = select_mmbcr(snap, states, s, d)
-            for n in states:
-                n.battery = 2.0 * n.battery + 1.0
-            after = select_mmbcr(snap, states, s, d)
+            snap, _, s, d = random_instance(rng)
+            before = select_mmbcr(snap, s, d)
+            snap.residual = [2.0 * b + 1.0 for b in snap.residual]
+            after = select_mmbcr(snap, s, d)
             if before is None:
                 assert after is None
             else:
@@ -285,23 +275,24 @@ class TestProperties:
     def test_lbr_cost_nonnegative_and_zero_iff_idle_path(self):
         rng = random.Random(9)
         for _ in range(100):
-            snap, states, s, d = random_instance(rng)
-            route = select_lbr(snap, states, s, d)
+            snap, activity, s, d = random_instance(rng)
+            route = select_lbr(snap, activity, s, d)
             if route is None:
                 continue
             assert route.metric_value >= 0.0
-            idle = all(states[m].activity == 0
-                       and traffic_interference(snap, states, m) == 0
+            idle = all(activity[m] == 0
+                       and traffic_interference(snap, activity, m) == 0
                        for m in route.intermediates)
             assert (route.metric_value == 0.0) == idle
 
     def test_route_type_invariants(self):
         rng = random.Random(10)
         for _ in range(100):
-            snap, states, s, d = random_instance(rng)
-            for selector in (lambda: select_forp(snap, s, d, session=3),
-                             lambda: select_mmbcr(snap, states, s, d, session=3),
-                             lambda: select_lbr(snap, states, s, d, session=3)):
+            snap, activity, s, d = random_instance(rng)
+            for selector in (
+                    lambda: select_forp(snap, s, d, session=3),
+                    lambda: select_mmbcr(snap, s, d, session=3),
+                    lambda: select_lbr(snap, activity, s, d, session=3)):
                 route = selector()
                 if route is None:
                     continue
@@ -316,31 +307,32 @@ class TestProperties:
 
     def test_select_route_dispatch(self):
         snap = GraphSnap(2, [(0, 1)], [5.0])
-        states = make_states(2)
         for proto in ("FORP", "LBR", "MMBCR"):
-            route = select_route(proto, snap, states, 0, 1)
+            route = select_route(proto, snap, [0, 0], 0, 1)
             assert isinstance(route, Route)
             assert route.protocol == proto
         with pytest.raises(ValueError):
-            select_route("DSR", snap, states, 0, 1)
+            select_route("DSR", snap, [0, 0], 0, 1)
 
 
 class TestSharedSnapshotStructures:
     def fresh_snapshot(self, seed, n, area):
         rng = random.Random(seed)
-        states = [NodeState(id=i, pos=(rng.uniform(0, area), rng.uniform(0, area)),
-                            speed=rng.uniform(1.0, 20.0),
-                            heading=rng.uniform(0, 2 * math.pi),
-                            waypoint=(0.0, 0.0), battery=rng.uniform(1.0, 9.0),
-                            activity=rng.randint(0, 2))
-                  for i in range(n)]
-        return snapshot(states, 250.0, 0.0), states
+        states, residual, activity = [], [], []
+        for i in range(n):
+            states.append(NodeState(
+                id=i, pos=(rng.uniform(0, area), rng.uniform(0, area)),
+                speed=rng.uniform(1.0, 20.0),
+                heading=rng.uniform(0, 2 * math.pi), waypoint=(0.0, 0.0)))
+            residual.append(rng.uniform(1.0, 9.0))
+            activity.append(rng.randint(0, 2))
+        return snapshot(states, residual, 250.0, 0.0), activity
 
     def test_only_forp_builds_the_let_matrix(self):
         for seed in range(5):
-            snap, states = self.fresh_snapshot(seed, 30, 600.0)
-            select_mmbcr(snap, states, 0, 29)
-            select_lbr(snap, states, 0, 29)
+            snap, activity = self.fresh_snapshot(seed, 30, 600.0)
+            select_mmbcr(snap, 0, 29)
+            select_lbr(snap, activity, 0, 29)
             charge_route_discovery(EnergyLedger(30, 1500.0), snap, 0, None,
                                    PowerModel())
             assert snap._let is None
@@ -349,13 +341,12 @@ class TestSharedSnapshotStructures:
 
     def test_selectors_on_real_snapshots_match_oracles(self):
         for seed in range(20):
-            snap, states = self.fresh_snapshot(seed, 8, 500.0)
+            snap, activity = self.fresh_snapshot(seed, 8, 500.0)
             for route, expected in (
                     (select_forp(snap, 0, 7), oracle_forp(snap, 0, 7)),
-                    (select_mmbcr(snap, states, 0, 7),
-                     oracle_mmbcr(snap, states, 0, 7)),
-                    (select_lbr(snap, states, 0, 7),
-                     oracle_lbr(snap, states, 0, 7))):
+                    (select_mmbcr(snap, 0, 7), oracle_mmbcr(snap, 0, 7)),
+                    (select_lbr(snap, activity, 0, 7),
+                     oracle_lbr(snap, activity, 0, 7))):
                 if expected is None:
                     assert route is None
                 else:

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from manetsim.config import ScenarioConfig
-from manetsim.mobility import NodeState, init_mobility, link_expiration_time
-from manetsim.topology import snapshot, traffic_interference
+from manetsim.mobility import NodeState, init_mobility
+from manetsim.topology import snapshot
+
+from test_mobility import link_expiration_time
 
 
-def make_states(positions, battery=1500.0, speed=0.0, heading=0.0):
-    return [NodeState(id=i, pos=p, speed=speed, heading=heading,
-                      waypoint=p, battery=battery)
+def make_states(positions, speed=0.0, heading=0.0):
+    return [NodeState(id=i, pos=p, speed=speed, heading=heading, waypoint=p)
             for i, p in enumerate(positions)]
 
 
@@ -22,40 +23,62 @@ def random_states(rng, n=50, area=1000.0, v_max=20.0):
                       pos=(rng.uniform(0, area), rng.uniform(0, area)),
                       speed=rng.uniform(0.01, v_max),
                       heading=rng.uniform(0, 2 * math.pi),
-                      waypoint=(0.0, 0.0), battery=1500.0)
+                      waypoint=(0.0, 0.0))
             for i in range(n)]
+
+
+def full_snapshot(states, dead=()):
+    """Snapshot at r = 250 m and t = 0 with 1500 J left on every node but
+    the dead ones."""
+    residual = [0.0 if i in dead else 1500.0 for i in range(len(states))]
+    return snapshot(states, residual, 250.0, 0.0)
+
+
+def traffic_interference(snap, activity, node):
+    """Sum of the activities of the node's current neighbors: the scalar
+    oracle for LBR's `in_range @ act`."""
+    if not 0 <= node < snap.n:
+        raise KeyError(f"unknown node id {node}")
+    return sum(activity[j] for j in np.nonzero(snap.in_range[node])[0])
 
 
 class TestSnapshotEdges:
     def test_boundary_distance_inclusive(self):
-        snap = snapshot(make_states([(0.0, 0.0), (0.0, 250.0)]), 250.0, 0.0)
+        snap = full_snapshot(make_states([(0.0, 0.0), (0.0, 250.0)]))
         assert snap.in_range[0, 1]
         assert snap.dist[0, 1] == pytest.approx(250.0)
 
     def test_boundary_distance_exclusive(self):
-        snap = snapshot(make_states([(0.0, 0.0), (0.0, 250.01)]), 250.0, 0.0)
+        snap = full_snapshot(make_states([(0.0, 0.0), (0.0, 250.01)]))
         assert not snap.in_range[0, 1]
 
     def test_no_self_loops(self):
-        snap = snapshot(make_states([(0.0, 0.0), (10.0, 0.0)]), 250.0, 0.0)
+        snap = full_snapshot(make_states([(0.0, 0.0), (10.0, 0.0)]))
         assert not snap.in_range[0, 0]
-        assert 0 not in snap.neighbors(0)
+        assert 0 not in snap.neighbor_lists[0]
 
     def test_dead_nodes_carry_no_edges(self):
         states = make_states([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
-        states[1].battery = 0.0
-        snap = snapshot(states, 250.0, 0.0)
-        assert snap.neighbors(1) == []
-        assert snap.neighbors(0) == [2]
+        snap = full_snapshot(states, dead={1})
+        assert snap.neighbor_lists[1] == []
+        assert snap.neighbor_lists[0] == [2]
 
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
-            snapshot([], 250.0, 0.0)
+            snapshot([], [], 250.0, 0.0)
+
+    def test_residuals_are_copied_as_given(self):
+        residual = [1.5, 0.0, 2.0]
+        snap = snapshot(make_states([(0.0, 0.0)] * 3), residual, 250.0, 0.0)
+        residual[0] = 0.0
+        assert snap.residual == [1.5, 0.0, 2.0]
+        assert [type(b) for b in snap.residual] == [float] * 3
+        assert snap.alive.tolist() == [True, False, True]
 
     def test_symmetry_random(self):
         rng = random.Random(8)
         for _ in range(10):
-            snap = snapshot(random_states(rng), 250.0, 0.0)
+            snap = full_snapshot(random_states(rng))
             assert (snap.in_range == snap.in_range.T).all()
             i, j = np.nonzero(snap.in_range)
             assert (snap.dist[i, j] <= 250.0).all()
@@ -65,9 +88,9 @@ class TestSnapshotEdges:
     def test_let_matrix_matches_scalar_formula(self):
         rng = random.Random(9)
         states = random_states(rng)
-        snap = snapshot(states, 250.0, 0.0)
+        snap = full_snapshot(states)
         for i in range(snap.n):
-            for j in snap.neighbors(i):
+            for j in snap.neighbor_lists[i]:
                 expected = link_expiration_time(states[i], states[j], 250.0)
                 got = snap.let[i, j]
                 if math.isinf(expected):
@@ -81,7 +104,7 @@ class TestSnapshotEdges:
         for seed in range(20):
             cfg = ScenarioConfig(node_count=50)
             states = init_mobility(cfg, random.Random(seed))
-            snap = snapshot(states, 250.0, 0.0)
+            snap = full_snapshot(states)
             degrees.append(snap.degrees().mean())
         assert abs(sum(degrees) / len(degrees) - 10.0) <= 3.0
 
@@ -91,7 +114,7 @@ class TestSnapshotEdges:
             for seed in range(10):
                 states = init_mobility(ScenarioConfig(node_count=n),
                                        random.Random(seed))
-                vals.append(snapshot(states, 250.0, 0.0).degrees().mean())
+                vals.append(full_snapshot(states).degrees().mean())
             return sum(vals) / len(vals)
 
         assert mean_degree(100) >= mean_degree(50)
@@ -101,12 +124,13 @@ class TestSharedNeighbourStructures:
     def random_snapshot(self, rng):
         # some dead nodes, and a few far out so that they are isolated
         states = random_states(rng, n=rng.randint(2, 40), area=800.0)
+        dead = set()
         for node in states:
             if rng.random() < 0.15:
-                node.battery = 0.0
+                dead.add(node.id)
             elif rng.random() < 0.1:
                 node.pos = (5000.0 + 1000.0 * node.id, 5000.0)
-        return snapshot(states, 250.0, 0.0)
+        return full_snapshot(states, dead)
 
     def test_neighbor_lists_match_in_range_rows(self):
         rng = random.Random(21)
@@ -116,7 +140,6 @@ class TestSharedNeighbourStructures:
             for i in range(snap.n):
                 expected = np.nonzero(snap.in_range[i])[0].tolist()
                 assert snap.neighbor_lists[i] == expected
-                assert snap.neighbors(i) == expected
                 if not snap.alive[i]:
                     assert expected == []
 
@@ -144,9 +167,8 @@ class TestLazyMatrices:
         """Random nodes, some dead, plus two coincident nodes, a pair at
         exactly r and a pair one ulp beyond it."""
         states = random_states(rng, n=rng.randint(8, 40), area=800.0)
-        for node in states[4:]:
-            if rng.random() < 0.2:
-                node.battery = 0.0
+        # node 4 stays alive: it sits one ulp beyond the r-pair
+        dead = {node.id for node in states[4:] if rng.random() < 0.2} - {4}
         x, y = rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)
         states[0].pos = (x, y)
         states[1].pos = (x, y)
@@ -155,8 +177,7 @@ class TestLazyMatrices:
         states[2].pos = (150.0, 200.0)
         states[3].pos = (0.0, 0.0)
         states[4].pos = (np.nextafter(150.0, 1e9), 200.0)
-        states[4].battery = 1500.0
-        return snapshot(states, self.R, 0.0)
+        return full_snapshot(states, dead)
 
     def test_distance_equals_dist_exactly(self):
         rng = random.Random(31)
@@ -194,38 +215,34 @@ class TestLazyMatrices:
 
 class TestTrafficInterference:
     def test_isolated_node(self):
-        snap = snapshot(make_states([(0.0, 0.0), (900.0, 900.0)]), 250.0, 0.0)
-        states = make_states([(0.0, 0.0), (900.0, 900.0)])
-        assert traffic_interference(snap, states, 0) == 0
+        snap = full_snapshot(make_states([(0.0, 0.0), (900.0, 900.0)]))
+        assert traffic_interference(snap, [0, 0], 0) == 0
 
     def test_direct_sum(self):
         states = make_states([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0),
                               (-100.0, 0.0), (900.0, 900.0)])
-        for node, act in zip(states[1:4], (2, 0, 3)):
-            node.activity = act
-        snap = snapshot(states, 250.0, 0.0)
-        assert traffic_interference(snap, states, 0) == 5
+        snap = full_snapshot(states)
+        assert traffic_interference(snap, [0, 2, 0, 3, 0], 0) == 5
 
     def test_unknown_node_rejected(self):
-        states = make_states([(0.0, 0.0), (10.0, 0.0)])
-        snap = snapshot(states, 250.0, 0.0)
+        snap = full_snapshot(make_states([(0.0, 0.0), (10.0, 0.0)]))
         with pytest.raises(KeyError):
-            traffic_interference(snap, states, 7)
+            traffic_interference(snap, [0, 0], 7)
 
     def test_matches_recount_from_route_table(self):
         # activities derived from a random live-route list, then interference
         # cross-checked against a brute-force recount over that list
         rng = random.Random(13)
         states = random_states(rng, n=8, area=400.0)
-        routes = []
+        routes, activity = [], [0] * 8
         for _ in range(6):
             nodes = rng.sample(range(8), rng.randint(2, 5))
             routes.append(nodes)
             for m in nodes[1:-1]:
-                states[m].activity += 1
-        snap = snapshot(states, 250.0, 0.0)
+                activity[m] += 1
+        snap = full_snapshot(states)
         for node in range(8):
             expected = sum(sum(1 for r in routes if m in r[1:-1])
-                           for m in snap.neighbors(node))
-            assert traffic_interference(snap, states, node) == expected
+                           for m in snap.neighbor_lists[node])
+            assert traffic_interference(snap, activity, node) == expected
 
