@@ -25,14 +25,19 @@ PROTOCOLS = ("FORP", "LBR", "MMBCR")
 
 def scenarios():
     """set1 covers every protocol with TPC off and on, at 50 nodes and on a
-    200-node graph with sparse traffic; set2 (3 J, until the first death)
-    covers the death path under TPC."""
+    200-node graph with sparse traffic, and at v_max 50, where nodes reach
+    their waypoints often and mobility redraws legs every few seconds; set2
+    (3 J, until the first death) covers the death path under TPC."""
     out = {}
     for proto in PROTOCOLS:
         for tpc in (False, True):
             out[f"set1-{proto}-tpc{int(tpc)}"] = set1_config(
                 protocol=proto, tpc=tpc, node_count=50, v_max=20.0,
                 duration=200.0, start_window=(0.0, 5.0), seed=3)
+    for proto in PROTOCOLS:
+        out[f"set1v50-{proto}-tpc0"] = set1_config(
+            protocol=proto, tpc=False, node_count=50, v_max=50.0,
+            duration=60.0, start_window=(0.0, 2.0), seed=3)
     for proto in PROTOCOLS:
         for tpc in (False, True):
             out[f"set1n200-{proto}-tpc{int(tpc)}"] = set1_config(
@@ -114,6 +119,30 @@ GOLDEN = {
             "c7305ff9cc554e6d5c837f4494f10a739bde9ca29b5c347a13dda78353ddd750",
         "packets.csv":
             "275caba83b0c58b1612942b75b91e31d04bcf2063e3e1f7ae26622b0a704b88d",
+    },
+    "set1v50-FORP-tpc0": {
+        "ledger.csv":
+            "5e0a27c3ca5e92676900cd9a36ca4af731f3176e1ce2bd8926e9b7e5edaa2631",
+        "routes.csv":
+            "371e5d38a7f18aaa5f1661c2169e7ec3180bc716a9b07301dec37be084b516c9",
+        "packets.csv":
+            "a549a38329a0fb9478175715e1f7a0e259cc6a83e9d6bd3c900a3a540458485c",
+    },
+    "set1v50-LBR-tpc0": {
+        "ledger.csv":
+            "e5680d23c9d1c5997b781c3300c297833d415c96481474b7cadd108ce2e3e0c8",
+        "routes.csv":
+            "035696b9649acd2e0f51cd40207871583c796e93c2394b19816acb6e780dfd8d",
+        "packets.csv":
+            "7a1f6b06011fdd99405ea2c5c81b8e1373bbef0155d97e3cb1a76213c1410645",
+    },
+    "set1v50-MMBCR-tpc0": {
+        "ledger.csv":
+            "a74da3e0a14160615daec55324814cce2eb6f1b23eec8f1dd2129435e0033fd5",
+        "routes.csv":
+            "49fb8e04d1f82efbfae4813ba13ef228f765bd03a8dcde6b4ac9e35c0daa8bf6",
+        "packets.csv":
+            "9cef50fd00c5fd1de6ef1ecdd4e458d8693e92b35703d41e432fe4ab2a23a756",
     },
     "set1n200-FORP-tpc0": {
         "ledger.csv":
