@@ -133,13 +133,13 @@ class Simulation:
         self.check_invariants = check_invariants
         self.mob_rng = random.Random(f"mobility:{config.seed}")
         traffic_rng = random.Random(f"traffic:{config.seed}")
-        self.states = mob.init_mobility(config, self.mob_rng)
+        self.nodes = mob.init_mobility(config, self.mob_rng)
         self.horizon = (config.max_duration if config.until_first_failure
                         else config.duration)
         self.ticks = tick_count(self.horizon, config.tick)
         if trace is not None:
             self._check_trace(trace)
-            trace.apply(0, self.states)
+            trace.apply(0, self.nodes)
         self.sessions = [_SessionState(s) for s in make_sessions(config, traffic_rng)]
         for st in self.sessions:
             st.next_pkt_time = st.session.start
@@ -149,7 +149,6 @@ class Simulation:
         self.packets = []
         self.routes = []
         self.first_failure_time = None
-        self.t = 0.0
 
     def _check_trace(self, trace):
         cfg = self.config
@@ -175,20 +174,19 @@ class Simulation:
         try:
             while True:
                 t = k * cfg.tick
-                self.t = t
                 if k > 0:
                     if self.trace is not None:
                         if k >= len(self.trace.rows):
                             raise ConfigError(
                                 f"{self.trace.source}: trace ends at t={t!r}, "
                                 f"before any node died")
-                        self.trace.apply(k, self.states)
+                        self.trace.apply(k, self.nodes)
                     else:
-                        mob.advance(self.states, cfg.tick, cfg, self.mob_rng)
-                snap = snapshot(self.states, self.ledger.residuals(),
+                        mob.advance(self.nodes, cfg.tick, cfg, self.mob_rng)
+                snap = snapshot(self.nodes, self.ledger.residuals(),
                                 cfg.tx_range, t)
                 if writer:
-                    writer.record(t, self.states)
+                    writer.record(t, self.nodes)
                 if k % beacon_every == 0:
                     charge_beacon_round(self.ledger, snap, self.model)
                 self._maintain_routes(snap, t)

@@ -4,69 +4,76 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import ConfigError
 
 
-@dataclass
-class NodeState:
-    id: int
-    pos: tuple          # (x, y) meters
-    speed: float        # m/s
-    heading: float      # radians in [0, 2*pi)
-    waypoint: tuple     # (x, y) meters
+@dataclass(eq=False)
+class Nodes:
+    """Kinematics of every node, one float array per field, indexed by id."""
+    x: np.ndarray           # meters
+    y: np.ndarray
+    speed: np.ndarray       # m/s
+    heading: np.ndarray     # radians in [0, 2*pi)
+    wx: np.ndarray          # waypoint of the current leg, meters
+    wy: np.ndarray
 
 
-def _heading_to(pos, waypoint):
-    theta = math.atan2(waypoint[1] - pos[1], waypoint[0] - pos[0])
-    return theta % (2.0 * math.pi)
-
-
-def _draw_leg(node, rng, area, min_speed, v_max):
-    """Assign a fresh waypoint and speed, recomputing heading from geometry."""
+def _draw_leg(nodes, i, rng, area, min_speed, v_max):
+    """Give node i a fresh waypoint and speed, and head it there."""
     w, h = area
-    node.waypoint = (rng.uniform(0.0, w), rng.uniform(0.0, h))
+    wx = nodes.wx[i] = rng.uniform(0.0, w)
+    wy = nodes.wy[i] = rng.uniform(0.0, h)
     # uniform in (min_speed, v_max]; zero speed would strand the node forever
-    node.speed = v_max - rng.uniform(0.0, v_max - min_speed)
-    node.heading = _heading_to(node.pos, node.waypoint)
+    nodes.speed[i] = v_max - rng.uniform(0.0, v_max - min_speed)
+    theta = math.atan2(wy - nodes.y[i], wx - nodes.x[i])
+    nodes.heading[i] = theta % (2.0 * math.pi)
 
 
 def init_mobility(config, rng):
     """Place nodes uniformly in the area, each with a waypoint and speed."""
     config.validate()
     w, h = config.area
-    states = []
+    nodes = Nodes(*np.zeros((6, config.node_count)))
     for i in range(config.node_count):
-        node = NodeState(id=i, pos=(rng.uniform(0.0, w), rng.uniform(0.0, h)),
-                         speed=0.0, heading=0.0, waypoint=(0.0, 0.0))
-        _draw_leg(node, rng, config.area, config.min_speed, config.v_max)
-        states.append(node)
-    return states
+        nodes.x[i] = rng.uniform(0.0, w)
+        nodes.y[i] = rng.uniform(0.0, h)
+        _draw_leg(nodes, i, rng, config.area, config.min_speed, config.v_max)
+    return nodes
 
 
-def advance(states, dt, config, rng):
-    """Move every node speed*dt toward its waypoint.
+def advance(nodes, dt, config, rng):
+    """Move every node speed*dt toward its waypoint, in place.
 
-    A node reaching its waypoint within the step immediately draws a new
-    waypoint and speed (zero pause) and spends the leftover time on the new
-    heading. Mutates the states in place and returns them.
+    Nodes short of their waypoints move in one array step. The others, in
+    ascending id order as the rng stream requires, draw a new waypoint and
+    speed on arrival (zero pause) and spend the leftover time on that leg.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    for node in states:
+    x, y, wx, wy, speed = nodes.x, nodes.y, nodes.wx, nodes.wy, nodes.speed
+    dx, dy = wx - x, wy - y
+    # math.hypot per node: np.hypot rounds differently on some inputs
+    dist = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    step = speed * dt
+    short = step < dist
+    frac = step[short] / dist[short]
+    x[short] += dx[short] * frac
+    y[short] += dy[short] * frac
+    for i in np.flatnonzero(~short).tolist():
         remaining = dt
         while remaining > 0.0:
-            x, y = node.pos
-            wx, wy = node.waypoint
-            dist_wp = math.hypot(wx - x, wy - y)
-            step = node.speed * remaining
-            if step < dist_wp:
-                frac = step / dist_wp
-                node.pos = (x + (wx - x) * frac, y + (wy - y) * frac)
+            dist_wp = math.hypot(wx[i] - x[i], wy[i] - y[i])
+            step_i = speed[i] * remaining
+            if step_i < dist_wp:
+                frac_i = step_i / dist_wp
+                x[i] += (wx[i] - x[i]) * frac_i
+                y[i] += (wy[i] - y[i]) * frac_i
                 break
-            node.pos = node.waypoint
-            remaining -= dist_wp / node.speed if node.speed > 0 else remaining
-            _draw_leg(node, rng, config.area, config.min_speed, config.v_max)
-    return states
+            x[i], y[i] = wx[i], wy[i]
+            remaining -= dist_wp / speed[i] if speed[i] > 0 else remaining
+            _draw_leg(nodes, i, rng, config.area, config.min_speed, config.v_max)
 
 
 # --- mobility trace files -----------------------------------------------------
@@ -82,11 +89,11 @@ class TraceWriter:
         self._writer = csv.writer(self._file)
         self._writer.writerow(TRACE_HEADER)
 
-    def record(self, t, states):
-        for node in states:
-            self._writer.writerow((repr(t), node.id, repr(node.pos[0]),
-                                   repr(node.pos[1]), repr(node.speed),
-                                   repr(node.heading)))
+    def record(self, t, nodes):
+        # as Python floats: under numpy 2, repr(np.float64(1.0)) differs
+        columns = (nodes.x, nodes.y, nodes.speed, nodes.heading)
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+            self._writer.writerow((repr(t), i, *map(repr, row)))
 
     def close(self):
         self._file.close()
@@ -139,10 +146,7 @@ class Trace:
                                   f"rows, not {len(rows[0])}")
         return cls(times, rows, source=str(path))
 
-    def apply(self, k, states):
+    def apply(self, k, nodes):
         """Overwrite node kinematics from trace tick k."""
-        for node, (x, y, speed, heading) in zip(states, self.rows[k]):
-            node.pos = (x, y)
-            node.speed = speed
-            node.heading = heading
-        return states
+        (nodes.x[:], nodes.y[:], nodes.speed[:],
+         nodes.heading[:]) = np.array(self.rows[k]).T

@@ -24,19 +24,18 @@ class TopologySnapshot:
     positions with the same formula and so the same bits as `dist`.
     """
 
-    def __init__(self, states, residual, r, t):
-        if not states:
-            raise ValueError("snapshot needs a nonempty state list")
+    def __init__(self, nodes, residual, r, t):
+        self.n = len(nodes.x)
+        if not self.n:
+            raise ValueError("snapshot needs at least one node")
         self.time = t
         self.r = r
-        self.n = len(states)
-        self.x = np.array([s.pos[0] for s in states])
-        self.y = np.array([s.pos[1] for s in states])
+        self.x = nodes.x.copy()
+        self.y = nodes.y.copy()
+        self.speed = nodes.speed.copy()
+        self.heading = nodes.heading.copy()
         self.residual = list(residual)
         self.alive = np.array(self.residual) > 0.0
-        # plain lists: cheap to capture, promoted to arrays only if let is used
-        self._speed = [s.speed for s in states]
-        self._heading = [s.heading for s in states]
         self._let = None
 
     def distance(self, a, b):
@@ -69,10 +68,8 @@ class TopologySnapshot:
     def let(self):
         """Pairwise link expiration times; only in-range entries are meaningful."""
         if self._let is None:
-            speed = np.array(self._speed)
-            heading = np.array(self._heading)
-            vx = speed * np.cos(heading)
-            vy = speed * np.sin(heading)
+            vx = self.speed * np.cos(self.heading)
+            vy = self.speed * np.sin(self.heading)
             a = vx[:, None] - vx[None, :]
             c = vy[:, None] - vy[None, :]
             b = self.x[:, None] - self.x[None, :]
@@ -107,7 +104,7 @@ class TopologySnapshot:
         return self.in_range.sum(axis=1)
 
 
-def snapshot(states, residual, r, t):
-    """Build the topology snapshot of the given node states and residual
+def snapshot(nodes, residual, r, t):
+    """Build the topology snapshot of the given node kinematics and residual
     batteries."""
-    return TopologySnapshot(states, residual, r, t)
+    return TopologySnapshot(nodes, residual, r, t)

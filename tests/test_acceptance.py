@@ -93,9 +93,9 @@ def test_criterion_01_let_stepping_oracle():
     horizon = 4000.0
     worst = 0.0
     for _ in range(1000):
-        i, j = _random_in_range_pair(rng, r=250.0)
-        predicted = link_expiration_time(i, j, 250.0)
-        observed = stepping_let_oracle(i, j, 250.0, horizon=horizon)
+        pair = _random_in_range_pair(rng, r=250.0)
+        predicted = link_expiration_time(pair, 0, 1, 250.0)
+        observed = stepping_let_oracle(pair, 0, 1, 250.0, horizon=horizon)
         if predicted >= horizon:
             assert observed == horizon
         else:

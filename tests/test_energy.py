@@ -17,12 +17,13 @@ from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DISCOVERY_EXCHANGE,
                              unicast_exchange)
 from manetsim.protocols import Route
 
-from test_topology import full_snapshot, make_states
+from test_mobility import make_nodes
+from test_topology import full_snapshot
 
 
-def random_states(rng, n=50, area=1000.0):
-    return make_states([(rng.uniform(0, area), rng.uniform(0, area))
-                        for _ in range(n)])
+def random_nodes(rng, n=50, area=1000.0):
+    return make_nodes([(rng.uniform(0, area), rng.uniform(0, area))
+                       for _ in range(n)])
 
 TPC = PowerModel(tpc=True)
 FIXED = PowerModel(tpc=False)
@@ -293,8 +294,8 @@ class TestBroadcast:
 
     def test_beacon_round_equals_per_node_broadcasts(self):
         rng = random.Random(5)
-        states = random_states(rng, n=30)
-        snap = full_snapshot(states)
+        nodes = random_nodes(rng, n=30)
+        snap = full_snapshot(nodes)
         batched = EnergyLedger(30, 1500.0)
         charge_beacon_round(batched, snap, FIXED)
         unbatched = EnergyLedger(30, 1500.0)
@@ -308,8 +309,8 @@ class TestBroadcast:
 
 class TestRouteDiscovery:
     def test_two_node_flood_and_reply(self):
-        states = make_states([(0.0, 0.0), (100.0, 0.0)])
-        snap = full_snapshot(states)
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
+        snap = full_snapshot(nodes)
         route = Route(session=0, nodes=(0, 1), protocol="FORP",
                       metric_value=1.0, discovered_at=0.0)
         ledger = EnergyLedger(2, 1500.0)
@@ -328,8 +329,8 @@ class TestRouteDiscovery:
     def test_replier_exhausted_by_its_own_reply(self):
         # node 1 can pay its flood share and half its RREP payload: the
         # reply kills it, its control debit is skipped, node 0 still pays
-        states = make_states([(0.0, 0.0), (100.0, 0.0)])
-        snap = full_snapshot(states)
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
+        snap = full_snapshot(nodes)
         route = Route(session=0, nodes=(0, 1), protocol="FORP",
                       metric_value=1.0, discovered_at=0.0)
         flood = EnergyLedger(2, 1500.0)
@@ -346,8 +347,8 @@ class TestRouteDiscovery:
         assert ledger.total(0) == pytest.approx(flood.total(0) + received)
 
     def test_no_route_charges_flood_only(self):
-        states = make_states([(0.0, 0.0), (100.0, 0.0)])
-        snap = full_snapshot(states)
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
+        snap = full_snapshot(nodes)
         with_route = EnergyLedger(2, 1500.0)
         route = Route(session=0, nodes=(0, 1), protocol="FORP",
                       metric_value=1.0, discovered_at=0.0)
@@ -360,8 +361,8 @@ class TestRouteDiscovery:
         # independent recount from BFS depths and the degree sequence
         rng = random.Random(6)
         for trial in range(5):
-            states = random_states(rng, n=50)
-            snap = full_snapshot(states)
+            nodes = random_nodes(rng, n=50)
+            snap = full_snapshot(nodes)
             source = rng.randrange(50)
             ledger = EnergyLedger(50, 1500.0)
             charge_route_discovery(ledger, snap, source, None, FIXED)
@@ -378,8 +379,8 @@ class TestRouteDiscovery:
         # rx_power * airtime * sum of degrees
         model = PowerModel(tpc=False, rreq_hop_bytes=0)
         rng = random.Random(7)
-        states = random_states(rng, n=40)
-        snap = full_snapshot(states)
+        nodes = random_nodes(rng, n=40)
+        snap = full_snapshot(nodes)
         ledger = EnergyLedger(40, 1500.0)
         charge_route_discovery(ledger, snap, 0, None, model)
         t = airtime(64, model)

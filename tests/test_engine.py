@@ -16,10 +16,11 @@ from manetsim.energy import PowerModel, airtime, unicast_exchange
 from manetsim.engine import (PacketRecord, Session, Simulation, _SessionState,
                              discovery_latency, make_sessions, run, tick_count,
                              write_packets_csv, write_routes_csv)
-from manetsim.mobility import NodeState, Trace
+from manetsim.mobility import Trace
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
+from test_mobility import make_nodes
 from test_topology import full_snapshot
 
 
@@ -30,10 +31,8 @@ def small_config(**overrides):
     return ScenarioConfig(**base)
 
 
-def line_states(xs):
-    return [NodeState(id=i, pos=(x, 0.0), speed=0.0, heading=0.0,
-                      waypoint=(x, 0.0))
-            for i, x in enumerate(xs)]
+def line_nodes(xs):
+    return make_nodes([(x, 0.0) for x in xs])
 
 
 def send_tables(xs, routes, tpc=False):
@@ -41,7 +40,7 @@ def send_tables(xs, routes, tpc=False):
     sequence over static nodes at positions xs on a line) sends one packet.
     Returns per route its (base, contention, propagation) service components
     and its per-packet charges."""
-    return tick_tables(full_snapshot(line_states(xs)), routes, tpc)
+    return tick_tables(full_snapshot(line_nodes(xs)), routes, tpc)
 
 
 def tick_tables(snap, routes, tpc=False):
@@ -206,9 +205,7 @@ class TestLazySnapshot:
             state.follow(Route(session=state.session.id, nodes=nodes,
                                protocol="LBR", metric_value=0.0,
                                discovered_at=0.0))
-        snap = snapshot([NodeState(id=i, pos=p, speed=0.0, heading=0.0,
-                                   waypoint=p)
-                         for i, p in enumerate(positions)],
+        snap = snapshot(make_nodes(positions),
                         [1.0 if a else 0.0 for a in alive], 250.0, 0.0)
         # the rule before the matrices went lazy, on the dense matrix
         broken = [not (snap.alive[list(r)].all()
@@ -235,7 +232,7 @@ class TestInvariantsDuringRun:
         sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 2),
                                      protocol="LBR", metric_value=0.0,
                                      discovered_at=0.0))
-        snap = full_snapshot(line_states([0.0, 100.0, 200.0, 300.0]))
+        snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 300.0]))
         sim.activity[1] += 1
         sim._check_invariants(snap)
         # the same total on the wrong node
@@ -288,9 +285,8 @@ class TestPerTickView:
             live.append(sim.ledger.residuals())
             return select(*args, **kwargs)
         monkeypatch.setattr(engine, "select_route", spy)
-        states = [NodeState(id=i, pos=p, speed=0.0, heading=0.0, waypoint=p)
-                  for i, p in enumerate(self.POSITIONS)]
-        snap = snapshot(states, sim.ledger.residuals(), 250.0, 0.0)
+        snap = snapshot(make_nodes(self.POSITIONS), sim.ledger.residuals(),
+                        250.0, 0.0)
         sim._discover_routes(snap, 0.0)
         assert sim.sessions[0].route.nodes == (0, 2, 1)
         return snap, sim, live
@@ -377,9 +373,7 @@ class TestDelayModel:
                 angle, step = rng.uniform(0.0, 2 * math.pi), rng.uniform(60.0, 240.0)
                 x, y = x + step * math.cos(angle), y + step * math.sin(angle)
         routes.append([routes[1][4], routes[1][3]])
-        states = [NodeState(id=i, pos=p, speed=0.0, heading=0.0, waypoint=p)
-                  for i, p in enumerate(points)]
-        snap = full_snapshot(states)
+        snap = full_snapshot(make_nodes(points))
         service, charges = tick_tables(snap, routes, tpc)
 
         model = PowerModel(tpc=tpc)
@@ -435,7 +429,8 @@ class TestBufferingAndPartitions:
                              area=(20000.0, 20000.0), v_max=1.0, seed=5,
                              buffer_cap=8)
         sim = Simulation(cfg)
-        d0 = math.dist(sim.states[0].pos, sim.states[1].pos)
+        d0 = math.hypot(sim.nodes.x[0] - sim.nodes.x[1],
+                        sim.nodes.y[0] - sim.nodes.y[1])
         assert d0 > 250.0 + cfg.v_max * 2 * cfg.duration  # stays partitioned
         result = sim.run()
         assert all(not p.delivered for p in result.packets)

@@ -1,5 +1,6 @@
 """Random waypoint motion and link expiration time prediction."""
 
+import dataclasses
 import math
 import random
 
@@ -9,33 +10,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manetsim.config import ConfigError, ScenarioConfig
-from manetsim.mobility import (NodeState, Trace, TraceWriter, advance,
+from manetsim.mobility import (Nodes, Trace, TraceWriter, advance,
                                init_mobility)
 
 
-def make_node(nid, pos, speed, heading):
-    return NodeState(id=nid, pos=pos, speed=speed, heading=heading,
-                     waypoint=pos)
+def make_nodes(positions, speed=0.0, heading=0.0, waypoints=None):
+    """The node state of a test: nodes at the given (x, y) positions, with
+    one speed and heading for all or one each, and each waypoint at its
+    node's position unless given."""
+    n = len(positions)
+
+    def pairs(points):
+        return np.array(points, dtype=float).reshape(n, 2).T.copy()
+
+    def column(values):
+        return np.broadcast_to(np.asarray(values, dtype=float), n).copy()
+    x, y = pairs(positions)
+    wx, wy = pairs(positions if waypoints is None else waypoints)
+    return Nodes(x, y, column(speed), column(heading), wx, wy)
 
 
-def velocity(node):
-    return (node.speed * math.cos(node.heading),
-            node.speed * math.sin(node.heading))
+def copy_nodes(nodes):
+    return Nodes(*dataclasses.astuple(nodes))
 
 
-def link_expiration_time(i: NodeState, j: NodeState, r: float) -> float:
+def bits(nodes):
+    """Every field of every node, exactly: a float's hex tells -0.0 from
+    0.0 and differs in any bit."""
+    return [[v.hex() for v in a.tolist()] for a in dataclasses.astuple(nodes)]
+
+
+def velocity(nodes, i):
+    return (nodes.speed[i] * math.cos(nodes.heading[i]),
+            nodes.speed[i] * math.sin(nodes.heading[i]))
+
+
+def link_expiration_time(nodes, i, j, r):
     """Predicted time until nodes i and j move out of range r: the scalar
     oracle for TopologySnapshot.let.
 
     Assumes both keep their current velocity. Returns math.inf when the
     relative velocity is zero. The pair must currently be within range.
     """
-    b = i.pos[0] - j.pos[0]
-    d = i.pos[1] - j.pos[1]
+    b = nodes.x[i] - nodes.x[j]
+    d = nodes.y[i] - nodes.y[j]
     if b * b + d * d > r * r * (1.0 + 1e-12):
-        raise ValueError(f"nodes {i.id} and {j.id} are not neighbors")
-    vxi, vyi = velocity(i)
-    vxj, vyj = velocity(j)
+        raise ValueError(f"nodes {i} and {j} are not neighbors")
+    vxi, vyi = velocity(nodes, i)
+    vxj, vyj = velocity(nodes, j)
     a = vxi - vxj
     c = vyi - vyj
     k = a * a + c * c
@@ -49,17 +71,17 @@ def link_expiration_time(i: NodeState, j: NodeState, r: float) -> float:
     return (-(a * b + c * d) + math.sqrt(radicand)) / k
 
 
-def stepping_let_oracle(i, j, r, step=1e-3, horizon=4000.0):
+def stepping_let_oracle(nodes, i, j, r, step=1e-3, horizon=4000.0):
     """Advance both nodes at constant velocity in 1 ms steps; return the
     first time their distance exceeds r, or horizon if they stay in range.
 
     Evaluated in chunks with numpy purely for speed; the check is still a
     plain step-by-step scan.
     """
-    vxi, vyi = velocity(i)
-    vxj, vyj = velocity(j)
-    dx0 = i.pos[0] - j.pos[0]
-    dy0 = i.pos[1] - j.pos[1]
+    vxi, vyi = velocity(nodes, i)
+    vxj, vyj = velocity(nodes, j)
+    dx0 = nodes.x[i] - nodes.x[j]
+    dy0 = nodes.y[i] - nodes.y[j]
     ax, ay = vxi - vxj, vyi - vyj
     chunk = 65_536
     start = 0
@@ -78,47 +100,42 @@ def stepping_let_oracle(i, j, r, step=1e-3, horizon=4000.0):
 class TestLinkExpirationTime:
     def test_moving_towards_then_past(self):
         # closing at 10 m/s from 100 m apart: |10t - 100| = 250 at t = 35
-        i = make_node(0, (0.0, 0.0), 10.0, 0.0)
-        j = make_node(1, (100.0, 0.0), 0.0, 0.0)
-        assert link_expiration_time(i, j, 250.0) == pytest.approx(35.0)
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)], speed=[10.0, 0.0])
+        assert link_expiration_time(nodes, 0, 1, 250.0) == pytest.approx(35.0)
 
     def test_receding_neighbor(self):
         # gap grows from 100 m at 10 m/s: 100 + 10t = 250 at t = 15
-        i = make_node(0, (0.0, 0.0), 0.0, 0.0)
-        j = make_node(1, (100.0, 0.0), 10.0, 0.0)
-        assert link_expiration_time(i, j, 250.0) == pytest.approx(15.0)
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)], speed=[0.0, 10.0])
+        assert link_expiration_time(nodes, 0, 1, 250.0) == pytest.approx(15.0)
 
     def test_zero_relative_velocity_is_infinite(self):
-        i = make_node(0, (0.0, 0.0), 7.0, 1.0)
-        j = make_node(1, (100.0, 0.0), 7.0, 1.0)
-        assert link_expiration_time(i, j, 250.0) == math.inf
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)], speed=7.0, heading=1.0)
+        assert link_expiration_time(nodes, 0, 1, 250.0) == math.inf
 
     def test_both_stationary_is_infinite(self):
-        i = make_node(0, (0.0, 0.0), 0.0, 0.0)
-        j = make_node(1, (10.0, 10.0), 0.0, 0.0)
-        assert link_expiration_time(i, j, 250.0) == math.inf
+        nodes = make_nodes([(0.0, 0.0), (10.0, 10.0)])
+        assert link_expiration_time(nodes, 0, 1, 250.0) == math.inf
 
     def test_out_of_range_pair_rejected(self):
-        i = make_node(0, (0.0, 0.0), 1.0, 0.0)
-        j = make_node(1, (0.0, 250.02), 1.0, 0.0)
+        nodes = make_nodes([(0.0, 0.0), (0.0, 250.02)], speed=1.0)
         with pytest.raises(ValueError):
-            link_expiration_time(i, j, 250.0)
+            link_expiration_time(nodes, 0, 1, 250.0)
 
     def test_symmetric_in_arguments(self):
         rng = random.Random(7)
         for _ in range(50):
-            i, j = _random_in_range_pair(rng, r=250.0)
-            assert link_expiration_time(i, j, 250.0) == pytest.approx(
-                link_expiration_time(j, i, 250.0))
+            pair = _random_in_range_pair(rng, r=250.0)
+            assert link_expiration_time(pair, 0, 1, 250.0) == pytest.approx(
+                link_expiration_time(pair, 1, 0, 250.0))
 
     def test_stepping_oracle_agreement(self):
         # 1000 random in-range pairs vs a 1 ms brute-force stepper
         rng = random.Random(20240811)
         horizon = 4000.0
         for _ in range(1000):
-            i, j = _random_in_range_pair(rng, r=250.0)
-            predicted = link_expiration_time(i, j, 250.0)
-            observed = stepping_let_oracle(i, j, 250.0, horizon=horizon)
+            pair = _random_in_range_pair(rng, r=250.0)
+            predicted = link_expiration_time(pair, 0, 1, 250.0)
+            observed = stepping_let_oracle(pair, 0, 1, 250.0, horizon=horizon)
             if predicted >= horizon:
                 assert observed == horizon
             else:
@@ -130,51 +147,49 @@ class TestLinkExpirationTime:
         delta = 0.01
         checked = 0
         while checked < 200:
-            i, j = _random_in_range_pair(rng, r=250.0)
-            let = link_expiration_time(i, j, 250.0)
+            pair = _random_in_range_pair(rng, r=250.0)
+            let = link_expiration_time(pair, 0, 1, 250.0)
             if not delta < let < 1e6:
                 continue
             checked += 1
-            assert _distance_at(i, j, let - delta) <= 250.0
-            assert _distance_at(i, j, let + delta) > 250.0
+            assert _distance_at(pair, 0, 1, let - delta) <= 250.0
+            assert _distance_at(pair, 0, 1, let + delta) > 250.0
 
 
 def _random_in_range_pair(rng, r):
+    """Two nodes within range r of each other, with random velocities."""
     x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
     angle = rng.uniform(0, 2 * math.pi)
     dist = rng.uniform(0, r)
-    i = make_node(0, (x, y), rng.uniform(0, 50),
-                  rng.uniform(0, 2 * math.pi))
-    j = make_node(1, (x + dist * math.cos(angle), y + dist * math.sin(angle)),
-                  rng.uniform(0, 50), rng.uniform(0, 2 * math.pi))
-    return i, j
+    speed_i, heading_i = rng.uniform(0, 50), rng.uniform(0, 2 * math.pi)
+    speed_j, heading_j = rng.uniform(0, 50), rng.uniform(0, 2 * math.pi)
+    return make_nodes([(x, y), (x + dist * math.cos(angle),
+                                y + dist * math.sin(angle))],
+                      speed=[speed_i, speed_j], heading=[heading_i, heading_j])
 
 
-def _distance_at(i, j, t):
-    vxi, vyi = velocity(i)
-    vxj, vyj = velocity(j)
-    dx = (i.pos[0] + vxi * t) - (j.pos[0] + vxj * t)
-    dy = (i.pos[1] + vyi * t) - (j.pos[1] + vyj * t)
+def _distance_at(nodes, i, j, t):
+    vxi, vyi = velocity(nodes, i)
+    vxj, vyj = velocity(nodes, j)
+    dx = (nodes.x[i] + vxi * t) - (nodes.x[j] + vxj * t)
+    dy = (nodes.y[i] + vyi * t) - (nodes.y[j] + vyj * t)
     return math.hypot(dx, dy)
 
 
 class TestInitMobility:
     def test_positions_within_area(self):
         cfg = ScenarioConfig(node_count=50, area=(1000.0, 1000.0))
-        states = init_mobility(cfg, random.Random(1))
-        assert len(states) == 50
-        for s in states:
-            assert 0.0 <= s.pos[0] <= 1000.0
-            assert 0.0 <= s.pos[1] <= 1000.0
-            assert 0.0 <= s.waypoint[0] <= 1000.0
-            assert 0.0 <= s.waypoint[1] <= 1000.0
+        nodes = init_mobility(cfg, random.Random(1))
+        assert len(nodes.x) == 50
+        for a in (nodes.x, nodes.y, nodes.wx, nodes.wy):
+            assert len(a) == 50
+            assert ((0.0 <= a) & (a <= 1000.0)).all()
 
     def test_speeds_and_headings_in_range(self):
         cfg = ScenarioConfig(v_max=20.0)
-        states = init_mobility(cfg, random.Random(2))
-        for s in states:
-            assert cfg.min_speed < s.speed <= cfg.v_max
-            assert 0.0 <= s.heading < 2 * math.pi
+        nodes = init_mobility(cfg, random.Random(2))
+        assert ((cfg.min_speed < nodes.speed) & (nodes.speed <= cfg.v_max)).all()
+        assert ((0.0 <= nodes.heading) & (nodes.heading < 2 * math.pi)).all()
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ConfigError):
@@ -190,7 +205,7 @@ class TestInitMobility:
         cfg = ScenarioConfig()
         a = init_mobility(cfg, random.Random(42))
         b = init_mobility(cfg, random.Random(42))
-        assert a == b
+        assert bits(a) == bits(b)
 
 
 class _ZeroRng:
@@ -200,59 +215,102 @@ class _ZeroRng:
         return lo
 
 
+class _CountingRandom(random.Random):
+    """random.Random that counts its uniform draws."""
+
+    draws = 0
+
+    def uniform(self, lo, hi):
+        self.draws += 1
+        return super().uniform(lo, hi)
+
+
+def draw_leg(x, y, config, rng):
+    """A fresh leg for a node at (x, y), on Python floats: its waypoint,
+    speed and heading, drawn as the random waypoint model does."""
+    w, h = config.area
+    wx, wy = rng.uniform(0.0, w), rng.uniform(0.0, h)
+    speed = config.v_max - rng.uniform(0.0, config.v_max - config.min_speed)
+    heading = math.atan2(wy - y, wx - x) % (2.0 * math.pi)
+    return wx, wy, speed, heading
+
+
+def advance_oracle(nodes, dt, config, rng):
+    """The per-node loop that `advance` replaced, on Python floats: node by
+    node in id order, each walking leg after leg until dt is spent. The
+    reference `advance` must match bit for bit, rng draws included."""
+    for i in range(len(nodes.x)):
+        x, y, speed, heading, wx, wy = (float(a[i])
+                                        for a in dataclasses.astuple(nodes))
+        remaining = dt
+        while remaining > 0.0:
+            dist_wp = math.hypot(wx - x, wy - y)
+            step = speed * remaining
+            if step < dist_wp:
+                frac = step / dist_wp
+                x, y = x + (wx - x) * frac, y + (wy - y) * frac
+                break
+            x, y = wx, wy
+            remaining -= dist_wp / speed if speed > 0 else remaining
+            wx, wy, speed, heading = draw_leg(x, y, config, rng)
+        (nodes.x[i], nodes.y[i], nodes.speed[i], nodes.heading[i],
+         nodes.wx[i], nodes.wy[i]) = x, y, speed, heading, wx, wy
+
+
+def _bounded(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
 class TestAdvance:
     def test_straight_line_step(self):
         cfg = ScenarioConfig()
-        node = make_node(0, (0.0, 0.0), 10.0, 0.0)
-        node.waypoint = (100.0, 0.0)
-        advance([node], 1.0, cfg, random.Random(1))
-        assert node.pos == pytest.approx((10.0, 0.0))
+        nodes = make_nodes([(0.0, 0.0)], speed=10.0, waypoints=[(100.0, 0.0)])
+        advance(nodes, 1.0, cfg, random.Random(1))
+        assert (nodes.x[0], nodes.y[0]) == pytest.approx((10.0, 0.0))
 
     def test_waypoint_arrival_splits_the_step(self):
         # reaches (5, 0) at t=0.5; _ZeroRng redraws waypoint (0,0) and speed
         # v_max, so the remaining 0.5 s covers 5 m back: two 5 m segments.
         cfg = ScenarioConfig(v_max=10.0)
-        node = make_node(0, (0.0, 0.0), 10.0, 0.0)
-        node.waypoint = (5.0, 0.0)
-        advance([node], 1.0, cfg, _ZeroRng())
-        assert node.speed == pytest.approx(10.0)
-        assert node.pos == pytest.approx((0.0, 0.0), abs=1e-9)
+        nodes = make_nodes([(0.0, 0.0)], speed=10.0, waypoints=[(5.0, 0.0)])
+        advance(nodes, 1.0, cfg, _ZeroRng())
+        assert nodes.speed[0] == pytest.approx(10.0)
+        assert (nodes.x[0], nodes.y[0]) == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_step_splitting_equivalence(self):
         # four 0.25 s steps equal one 1.0 s step when no waypoint is reached
         cfg = ScenarioConfig()
-        a = make_node(0, (0.0, 0.0), 10.0, 0.0)
-        a.waypoint = (1000.0, 0.0)
-        b = make_node(0, (0.0, 0.0), 10.0, 0.0)
-        b.waypoint = (1000.0, 0.0)
-        advance([a], 1.0, cfg, random.Random(1))
+        a = make_nodes([(0.0, 0.0)], speed=10.0, waypoints=[(1000.0, 0.0)])
+        b = copy_nodes(a)
+        advance(a, 1.0, cfg, random.Random(1))
         for _ in range(4):
-            advance([b], 0.25, cfg, random.Random(1))
-        assert a.pos[0] == pytest.approx(b.pos[0], abs=1e-9)
-        assert a.pos[1] == pytest.approx(b.pos[1], abs=1e-9)
+            advance(b, 0.25, cfg, random.Random(1))
+        assert a.x[0] == pytest.approx(b.x[0], abs=1e-9)
+        assert a.y[0] == pytest.approx(b.y[0], abs=1e-9)
 
     def test_nonpositive_dt_rejected(self):
         cfg = ScenarioConfig()
-        states = init_mobility(cfg, random.Random(1))
+        nodes = init_mobility(cfg, random.Random(1))
         with pytest.raises(ValueError):
-            advance(states, 0.0, cfg, random.Random(1))
+            advance(nodes, 0.0, cfg, random.Random(1))
         with pytest.raises(ValueError):
-            advance(states, -0.1, cfg, random.Random(1))
+            advance(nodes, -0.1, cfg, random.Random(1))
 
     def test_kinematic_bound_and_area_containment(self):
         cfg = ScenarioConfig(v_max=50.0, node_count=20)
         rng = random.Random(5)
-        states = init_mobility(cfg, rng)
+        nodes = init_mobility(cfg, rng)
         for _ in range(500):
-            before = [s.pos for s in states]
-            advance(states, cfg.tick, cfg, rng)
-            for s, old in zip(states, before):
-                moved = math.hypot(s.pos[0] - old[0], s.pos[1] - old[1])
-                assert moved <= cfg.v_max * cfg.tick + 1e-9
-                assert 0.0 <= s.pos[0] <= 1000.0
-                assert 0.0 <= s.pos[1] <= 1000.0
-                assert cfg.min_speed < s.speed <= cfg.v_max
-                assert 0.0 <= s.heading < 2 * math.pi
+            x0, y0 = nodes.x.copy(), nodes.y.copy()
+            advance(nodes, cfg.tick, cfg, rng)
+            moved = np.array(list(map(math.hypot, nodes.x - x0, nodes.y - y0)))
+            assert (moved <= cfg.v_max * cfg.tick + 1e-9).all()
+            assert ((0.0 <= nodes.x) & (nodes.x <= 1000.0)).all()
+            assert ((0.0 <= nodes.y) & (nodes.y <= 1000.0)).all()
+            assert ((cfg.min_speed < nodes.speed)
+                    & (nodes.speed <= cfg.v_max)).all()
+            assert ((0.0 <= nodes.heading)
+                    & (nodes.heading < 2 * math.pi)).all()
 
     def test_deterministic_trajectories(self):
         cfg = ScenarioConfig(node_count=10)
@@ -262,34 +320,83 @@ class TestAdvance:
         for _ in range(100):
             advance(a, cfg.tick, cfg, rng_a)
             advance(b, cfg.tick, cfg, rng_b)
-        assert a == b
+        assert bits(a) == bits(b)
 
     @given(speed=st.floats(0.02, 50.0), dt=st.floats(0.001, 2.0),
            heading=st.floats(0.0, 2 * math.pi - 1e-9))
     @settings(max_examples=100, deadline=None)
     def test_displacement_never_exceeds_path_budget(self, speed, dt, heading):
         cfg = ScenarioConfig(v_max=50.0)
-        node = make_node(0, (500.0, 500.0), speed, heading)
-        node.waypoint = (500.0 + 400.0 * math.cos(heading),
-                         500.0 + 400.0 * math.sin(heading))
-        advance([node], dt, cfg, random.Random(0))
-        moved = math.hypot(node.pos[0] - 500.0, node.pos[1] - 500.0)
+        nodes = make_nodes([(500.0, 500.0)], speed, heading,
+                           [(500.0 + 400.0 * math.cos(heading),
+                             500.0 + 400.0 * math.sin(heading))])
+        advance(nodes, dt, cfg, random.Random(0))
+        moved = math.hypot(nodes.x[0] - 500.0, nodes.y[0] - 500.0)
         assert moved <= cfg.v_max * dt * (1 + 1e-9)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_node_loop(self, data):
+        # a 1 m square makes nodes reach their waypoints often, several
+        # times in one step at high speed; node 0 sits on its waypoint
+        side = data.draw(st.sampled_from((1.0, 30.0, 1000.0)))
+        v_max = data.draw(_bounded(0.5, 60.0))
+        min_speed = data.draw(_bounded(0.01, v_max))
+        cfg = ScenarioConfig(area=(side, side), v_max=v_max,
+                             min_speed=min_speed)
+        n = data.draw(st.integers(1, 12))
+        point = st.tuples(_bounded(0.0, side), _bounded(0.0, side))
+        positions = data.draw(st.lists(point, min_size=n, max_size=n))
+        waypoints = data.draw(st.lists(point, min_size=n, max_size=n))
+        waypoints[0] = positions[0]
+        speeds = data.draw(st.lists(_bounded(min_speed, v_max),
+                                    min_size=n, max_size=n))
+        headings = data.draw(st.lists(_bounded(0.0, 6.28), min_size=n,
+                                      max_size=n))
+        dt = data.draw(_bounded(0.001, 3.0))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        nodes = make_nodes(positions, speeds, headings, waypoints)
+        expected = copy_nodes(nodes)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        advance(nodes, dt, cfg, rng)
+        advance_oracle(expected, dt, cfg, oracle_rng)
+        assert bits(nodes) == bits(expected)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_double_arrival_and_node_on_its_waypoint(self):
+        # every leg in a 1 m square is shorter than 1.5 m, and a step of
+        # 0.1 s at 40 m/s or more covers 4 m: both nodes arrive at least
+        # twice, node 0 first of all at distance 0
+        cfg = ScenarioConfig(area=(1.0, 1.0), v_max=50.0, min_speed=40.0)
+        nodes = make_nodes([(0.5, 0.5), (0.2, 0.7)], speed=45.0,
+                           waypoints=[(0.5, 0.5), (0.9, 0.1)])
+        expected = copy_nodes(nodes)
+        rng, oracle_rng = _CountingRandom(9), _CountingRandom(9)
+        advance(nodes, 0.1, cfg, rng)
+        advance_oracle(expected, 0.1, cfg, oracle_rng)
+        assert rng.draws >= 2 * 2 * 3
+        assert bits(nodes) == bits(expected)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def kinematics(nodes):
+    """Per node, the (x, y, speed, heading) a trace row holds."""
+    return list(zip(nodes.x.tolist(), nodes.y.tolist(), nodes.speed.tolist(),
+                    nodes.heading.tolist()))
 
 
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         cfg = ScenarioConfig(node_count=5)
         rng = random.Random(11)
-        states = init_mobility(cfg, rng)
+        nodes = init_mobility(cfg, rng)
         path = tmp_path / "trace.csv"
         writer = TraceWriter(path)
         recorded = []
         for k in range(10):
-            writer.record(k * cfg.tick, states)
-            recorded.append([(s.pos[0], s.pos[1], s.speed, s.heading)
-                             for s in states])
-            advance(states, cfg.tick, cfg, rng)
+            writer.record(k * cfg.tick, nodes)
+            recorded.append(kinematics(nodes))
+            advance(nodes, cfg.tick, cfg, rng)
         writer.close()
 
         trace = Trace.load(path)
@@ -300,17 +407,17 @@ class TestTraceFiles:
 
     def test_apply_overwrites_kinematics(self, tmp_path):
         cfg = ScenarioConfig(node_count=3)
-        states = init_mobility(cfg, random.Random(1))
+        nodes = init_mobility(cfg, random.Random(1))
         path = tmp_path / "trace.csv"
         writer = TraceWriter(path)
-        writer.record(0.0, states)
+        writer.record(0.0, nodes)
         writer.close()
         other = init_mobility(cfg, random.Random(2))
+        waypoints = other.wx.copy(), other.wy.copy()
         Trace.load(path).apply(0, other)
-        for a, b in zip(states, other):
-            assert a.pos == b.pos
-            assert a.speed == b.speed
-            assert a.heading == b.heading
+        assert kinematics(other) == kinematics(nodes)
+        assert (other.wx == waypoints[0]).all()
+        assert (other.wy == waypoints[1]).all()
 
     def test_rejects_non_trace_file(self, tmp_path):
         path = tmp_path / "bogus.csv"
@@ -321,13 +428,14 @@ class TestTraceFiles:
     def test_rejects_ticks_with_other_node_counts(self, tmp_path):
         # a middle tick and the last tick each missing their last node row
         cfg = ScenarioConfig(node_count=3)
-        states = init_mobility(cfg, random.Random(1))
+        nodes = init_mobility(cfg, random.Random(1))
+        fewer = Nodes(*(a[:-1] for a in dataclasses.astuple(nodes)))
         for missing_at in (1, 2):
             path = tmp_path / f"ragged{missing_at}.csv"
             writer = TraceWriter(path)
             for k in range(3):
                 writer.record(k * cfg.tick,
-                              states[:-1] if k == missing_at else states)
+                              fewer if k == missing_at else nodes)
             writer.close()
             with pytest.raises(ConfigError, match="has 2 node rows, not 3"):
                 Trace.load(path)

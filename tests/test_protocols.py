@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from manetsim.energy import EnergyLedger, PowerModel, charge_route_discovery
-from manetsim.mobility import NodeState
 from manetsim.protocols import (Route, select_forp, select_lbr, select_mmbcr,
                                 select_route, widest_path)
 from manetsim.topology import TopologySnapshot, snapshot
 
+from test_mobility import make_nodes
 from test_topology import traffic_interference
 
 
@@ -318,15 +318,15 @@ class TestProperties:
 class TestSharedSnapshotStructures:
     def fresh_snapshot(self, seed, n, area):
         rng = random.Random(seed)
-        states, residual, activity = [], [], []
-        for i in range(n):
-            states.append(NodeState(
-                id=i, pos=(rng.uniform(0, area), rng.uniform(0, area)),
-                speed=rng.uniform(1.0, 20.0),
-                heading=rng.uniform(0, 2 * math.pi), waypoint=(0.0, 0.0)))
+        positions, speeds, headings, residual, activity = [], [], [], [], []
+        for _ in range(n):
+            positions.append((rng.uniform(0, area), rng.uniform(0, area)))
+            speeds.append(rng.uniform(1.0, 20.0))
+            headings.append(rng.uniform(0, 2 * math.pi))
             residual.append(rng.uniform(1.0, 9.0))
             activity.append(rng.randint(0, 2))
-        return snapshot(states, residual, 250.0, 0.0), activity
+        nodes = make_nodes(positions, speeds, headings)
+        return snapshot(nodes, residual, 250.0, 0.0), activity
 
     def test_only_forp_builds_the_let_matrix(self):
         for seed in range(5):

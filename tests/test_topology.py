@@ -7,31 +7,26 @@ import numpy as np
 import pytest
 
 from manetsim.config import ScenarioConfig
-from manetsim.mobility import NodeState, init_mobility
+from manetsim.mobility import init_mobility
 from manetsim.topology import snapshot
 
-from test_mobility import link_expiration_time
+from test_mobility import link_expiration_time, make_nodes
 
 
-def make_states(positions, speed=0.0, heading=0.0):
-    return [NodeState(id=i, pos=p, speed=speed, heading=heading, waypoint=p)
-            for i, p in enumerate(positions)]
+def random_nodes(rng, n=50, area=1000.0, v_max=20.0):
+    positions, speeds, headings = [], [], []
+    for _ in range(n):
+        positions.append((rng.uniform(0, area), rng.uniform(0, area)))
+        speeds.append(rng.uniform(0.01, v_max))
+        headings.append(rng.uniform(0, 2 * math.pi))
+    return make_nodes(positions, speeds, headings)
 
 
-def random_states(rng, n=50, area=1000.0, v_max=20.0):
-    return [NodeState(id=i,
-                      pos=(rng.uniform(0, area), rng.uniform(0, area)),
-                      speed=rng.uniform(0.01, v_max),
-                      heading=rng.uniform(0, 2 * math.pi),
-                      waypoint=(0.0, 0.0))
-            for i in range(n)]
-
-
-def full_snapshot(states, dead=()):
+def full_snapshot(nodes, dead=()):
     """Snapshot at r = 250 m and t = 0 with 1500 J left on every node but
     the dead ones."""
-    residual = [0.0 if i in dead else 1500.0 for i in range(len(states))]
-    return snapshot(states, residual, 250.0, 0.0)
+    residual = [0.0 if i in dead else 1500.0 for i in range(len(nodes.x))]
+    return snapshot(nodes, residual, 250.0, 0.0)
 
 
 def traffic_interference(snap, activity, node):
@@ -44,32 +39,32 @@ def traffic_interference(snap, activity, node):
 
 class TestSnapshotEdges:
     def test_boundary_distance_inclusive(self):
-        snap = full_snapshot(make_states([(0.0, 0.0), (0.0, 250.0)]))
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (0.0, 250.0)]))
         assert snap.in_range[0, 1]
         assert snap.dist[0, 1] == pytest.approx(250.0)
 
     def test_boundary_distance_exclusive(self):
-        snap = full_snapshot(make_states([(0.0, 0.0), (0.0, 250.01)]))
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (0.0, 250.01)]))
         assert not snap.in_range[0, 1]
 
     def test_no_self_loops(self):
-        snap = full_snapshot(make_states([(0.0, 0.0), (10.0, 0.0)]))
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (10.0, 0.0)]))
         assert not snap.in_range[0, 0]
         assert 0 not in snap.neighbor_lists[0]
 
     def test_dead_nodes_carry_no_edges(self):
-        states = make_states([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
-        snap = full_snapshot(states, dead={1})
+        nodes = make_nodes([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)])
+        snap = full_snapshot(nodes, dead={1})
         assert snap.neighbor_lists[1] == []
         assert snap.neighbor_lists[0] == [2]
 
     def test_empty_states_rejected(self):
         with pytest.raises(ValueError):
-            snapshot([], [], 250.0, 0.0)
+            snapshot(make_nodes([]), [], 250.0, 0.0)
 
     def test_residuals_are_copied_as_given(self):
         residual = [1.5, 0.0, 2.0]
-        snap = snapshot(make_states([(0.0, 0.0)] * 3), residual, 250.0, 0.0)
+        snap = snapshot(make_nodes([(0.0, 0.0)] * 3), residual, 250.0, 0.0)
         residual[0] = 0.0
         assert snap.residual == [1.5, 0.0, 2.0]
         assert [type(b) for b in snap.residual] == [float] * 3
@@ -78,7 +73,7 @@ class TestSnapshotEdges:
     def test_symmetry_random(self):
         rng = random.Random(8)
         for _ in range(10):
-            snap = full_snapshot(random_states(rng))
+            snap = full_snapshot(random_nodes(rng))
             assert (snap.in_range == snap.in_range.T).all()
             i, j = np.nonzero(snap.in_range)
             assert (snap.dist[i, j] <= 250.0).all()
@@ -87,11 +82,11 @@ class TestSnapshotEdges:
 
     def test_let_matrix_matches_scalar_formula(self):
         rng = random.Random(9)
-        states = random_states(rng)
-        snap = full_snapshot(states)
+        nodes = random_nodes(rng)
+        snap = full_snapshot(nodes)
         for i in range(snap.n):
             for j in snap.neighbor_lists[i]:
-                expected = link_expiration_time(states[i], states[j], 250.0)
+                expected = link_expiration_time(nodes, i, j, 250.0)
                 got = snap.let[i, j]
                 if math.isinf(expected):
                     assert math.isinf(got)
@@ -103,8 +98,7 @@ class TestSnapshotEdges:
         degrees = []
         for seed in range(20):
             cfg = ScenarioConfig(node_count=50)
-            states = init_mobility(cfg, random.Random(seed))
-            snap = full_snapshot(states)
+            snap = full_snapshot(init_mobility(cfg, random.Random(seed)))
             degrees.append(snap.degrees().mean())
         assert abs(sum(degrees) / len(degrees) - 10.0) <= 3.0
 
@@ -112,9 +106,9 @@ class TestSnapshotEdges:
         def mean_degree(n):
             vals = []
             for seed in range(10):
-                states = init_mobility(ScenarioConfig(node_count=n),
-                                       random.Random(seed))
-                vals.append(full_snapshot(states).degrees().mean())
+                nodes = init_mobility(ScenarioConfig(node_count=n),
+                                      random.Random(seed))
+                vals.append(full_snapshot(nodes).degrees().mean())
             return sum(vals) / len(vals)
 
         assert mean_degree(100) >= mean_degree(50)
@@ -123,14 +117,14 @@ class TestSnapshotEdges:
 class TestSharedNeighbourStructures:
     def random_snapshot(self, rng):
         # some dead nodes, and a few far out so that they are isolated
-        states = random_states(rng, n=rng.randint(2, 40), area=800.0)
+        nodes = random_nodes(rng, n=rng.randint(2, 40), area=800.0)
         dead = set()
-        for node in states:
+        for i in range(len(nodes.x)):
             if rng.random() < 0.15:
-                dead.add(node.id)
+                dead.add(i)
             elif rng.random() < 0.1:
-                node.pos = (5000.0 + 1000.0 * node.id, 5000.0)
-        return full_snapshot(states, dead)
+                nodes.x[i], nodes.y[i] = 5000.0 + 1000.0 * i, 5000.0
+        return full_snapshot(nodes, dead)
 
     def test_neighbor_lists_match_in_range_rows(self):
         rng = random.Random(21)
@@ -166,18 +160,18 @@ class TestLazyMatrices:
     def edge_case_snapshot(self, rng):
         """Random nodes, some dead, plus two coincident nodes, a pair at
         exactly r and a pair one ulp beyond it."""
-        states = random_states(rng, n=rng.randint(8, 40), area=800.0)
+        nodes = random_nodes(rng, n=rng.randint(8, 40), area=800.0)
         # node 4 stays alive: it sits one ulp beyond the r-pair
-        dead = {node.id for node in states[4:] if rng.random() < 0.2} - {4}
+        dead = {i for i in range(4, len(nodes.x)) if rng.random() < 0.2} - {4}
         x, y = rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)
-        states[0].pos = (x, y)
-        states[1].pos = (x, y)
+        nodes.x[0], nodes.y[0] = x, y
+        nodes.x[1], nodes.y[1] = x, y
         # a 150-200-250 right triangle: both legs and the hypotenuse are
         # exact in binary
-        states[2].pos = (150.0, 200.0)
-        states[3].pos = (0.0, 0.0)
-        states[4].pos = (np.nextafter(150.0, 1e9), 200.0)
-        return full_snapshot(states, dead)
+        nodes.x[2], nodes.y[2] = 150.0, 200.0
+        nodes.x[3], nodes.y[3] = 0.0, 0.0
+        nodes.x[4], nodes.y[4] = np.nextafter(150.0, 1e9), 200.0
+        return full_snapshot(nodes, dead)
 
     def test_distance_equals_dist_exactly(self):
         rng = random.Random(31)
@@ -215,17 +209,17 @@ class TestLazyMatrices:
 
 class TestTrafficInterference:
     def test_isolated_node(self):
-        snap = full_snapshot(make_states([(0.0, 0.0), (900.0, 900.0)]))
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (900.0, 900.0)]))
         assert traffic_interference(snap, [0, 0], 0) == 0
 
     def test_direct_sum(self):
-        states = make_states([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0),
-                              (-100.0, 0.0), (900.0, 900.0)])
-        snap = full_snapshot(states)
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0),
+                            (-100.0, 0.0), (900.0, 900.0)])
+        snap = full_snapshot(nodes)
         assert traffic_interference(snap, [0, 2, 0, 3, 0], 0) == 5
 
     def test_unknown_node_rejected(self):
-        snap = full_snapshot(make_states([(0.0, 0.0), (10.0, 0.0)]))
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (10.0, 0.0)]))
         with pytest.raises(KeyError):
             traffic_interference(snap, [0, 0], 7)
 
@@ -233,14 +227,14 @@ class TestTrafficInterference:
         # activities derived from a random live-route list, then interference
         # cross-checked against a brute-force recount over that list
         rng = random.Random(13)
-        states = random_states(rng, n=8, area=400.0)
+        nodes = random_nodes(rng, n=8, area=400.0)
         routes, activity = [], [0] * 8
         for _ in range(6):
-            nodes = rng.sample(range(8), rng.randint(2, 5))
-            routes.append(nodes)
-            for m in nodes[1:-1]:
+            route = rng.sample(range(8), rng.randint(2, 5))
+            routes.append(route)
+            for m in route[1:-1]:
                 activity[m] += 1
-        snap = full_snapshot(states)
+        snap = full_snapshot(nodes)
         for node in range(8):
             expected = sum(sum(1 for r in routes if m in r[1:-1])
                            for m in snap.neighbor_lists[node])
