@@ -62,6 +62,11 @@ def run_matrix(preset, replications, out_dir, cells=None, base_seed=1,
     TPC variants of a cell replay the same mobility and the same sessions.
     Returns the list of (cell, seed, report) rows in deterministic order.
     """
+    if replications < 1:
+        raise ConfigError(f"replications must be at least 1, "
+                          f"got {replications!r}")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers!r}")
     if cells is None:
         cells = matrix_cells()
     os.makedirs(out_dir, exist_ok=True)

@@ -55,9 +55,22 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be True or False, got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            parts = value if name in _TUPLE_FIELDS else (value,)
+            if name in _TUPLE_FIELDS:
+                parts = value
+                if not (isinstance(value, (tuple, list)) and len(value) == 2
+                        and all(map(_is_number, value))):
+                    raise ConfigError(f"{name} must be two numbers, "
+                                      f"got {value!r}")
+            elif _is_number(value):
+                parts = (value,)
+            else:
+                raise ConfigError(f"{name} must be a number, got {value!r}")
             if not all(map(math.isfinite, parts)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
         w, h = self.area
@@ -108,10 +121,20 @@ class ScenarioConfig:
         return dataclasses.replace(self, **kw)
 
 
-_REAL_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
-                     if f.type in (float, tuple))
-_INT_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
-                    if f.type is int)
+def _fields_of(*types):
+    return tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                 if f.type in types)
+
+
+_REAL_FIELDS = _fields_of(float, tuple)
+_INT_FIELDS = _fields_of(int)
+_TUPLE_FIELDS = _fields_of(tuple)
+_BOOL_FIELDS = _fields_of(bool)
+_STR_FIELDS = _fields_of(str)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def set1_config(**overrides):
@@ -128,10 +151,6 @@ def set2_config(**overrides):
 
 
 # --- key = value config files -------------------------------------------------
-
-_TUPLE_FIELDS = {"area", "start_window"}
-_BOOL_FIELDS = {"tpc", "until_first_failure"}
-_STR_FIELDS = {"protocol"}
 
 
 def save_config(cfg: ScenarioConfig, path):

@@ -86,6 +86,29 @@ def test_non_integer_values_rejected(name, bad):
         ScenarioConfig(**{name: bad}).validate()
 
 
+@pytest.mark.parametrize("bad", ["off", "False", 1, 0, None])
+@pytest.mark.parametrize("name", ["tpc", "until_first_failure"])
+def test_non_boolean_values_rejected(name, bad):
+    # a truthy string must not switch TPC on
+    with pytest.raises(ConfigError, match=name):
+        ScenarioConfig(**{name: bad}).validate()
+
+
+@pytest.mark.parametrize("bad", [(1000.0,), (1.0, 2.0, 3.0), (), 5.0, "ab",
+                                 (0.0, "1"), (True, 5.0)])
+@pytest.mark.parametrize("name", ["area", "start_window"])
+def test_pair_values_need_exactly_two_numbers(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be two numbers"):
+        ScenarioConfig(**{name: bad}).validate()
+
+
+@pytest.mark.parametrize("bad", ["10", True, None])
+@pytest.mark.parametrize("name", ["v_max", "tick", "kappa"])
+def test_non_numeric_real_values_rejected(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be a number"):
+        ScenarioConfig(**{name: bad}).validate()
+
+
 @pytest.mark.parametrize("interval, whole", [(0.25, False), (0.05, False),
                                              (1.0, True), (0.3, True)])
 def test_beacon_interval_is_a_whole_number_of_ticks(interval, whole):
@@ -375,3 +398,18 @@ class TestCommandLine:
         assert code == 0
         assert (out / "runs.csv").exists()
         assert (out / "comparison.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--reps", "-1"),
+                                             ("--workers", "0"),
+                                             ("--workers", "-2")])
+    def test_matrix_rejects_fewer_than_one_rep_or_worker(self, tmp_path, flag,
+                                                          value):
+        # before, --reps 0 wrote header-only tables and exited 0, and
+        # --workers 0 ran serially
+        out = tmp_path / "matrix"
+        code = self.run_cli("matrix", "--preset", "set1", "--seed", "1",
+                            "--out-dir", str(out), "--protocol", "FORP",
+                            "--nodes", "15", "--vmax", "10", "--sessions", "2",
+                            "--tpc", "off", flag, value)
+        assert code == 2
+        assert not out.exists()
