@@ -52,10 +52,6 @@ def airtime(nbytes, model: PowerModel):
     return 8.0 * nbytes / model.bitrate
 
 
-def rreq_bytes(recorded_hops, model: PowerModel):
-    return model.rreq_base_bytes + model.rreq_hop_bytes * recorded_hops
-
-
 CATEGORIES = ("data_tx", "data_rx", "mac", "beacon", "discovery")
 
 
@@ -140,9 +136,6 @@ class EnergyLedger:
 
     def node_totals(self):
         return [self.total(i) for i in range(self.node_count)]
-
-    def grand_total(self):
-        return sum(self.node_totals())
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -232,7 +225,7 @@ def charge_route_discovery(ledger, snap, source, route, model):
     depths = flood_depths(snap, source)
     hops = np.zeros(snap.n, dtype=np.int64)
     hops[list(depths)] = list(depths.values())
-    # airtime(rreq_bytes(h)) for every node at once
+    # airtime of every node's RREQ, which has recorded h hops
     airtimes = 8.0 * (model.rreq_base_bytes + model.rreq_hop_bytes * hops) \
         / model.bitrate
     alive = ledger.alive_mask()

@@ -50,7 +50,7 @@ def summarize(result):
         for n in range(cfg.node_count))
     return RunSummary(reports={k: compute_report(result, kappa=k)
                                for k in KAPPAS},
-                      total_energy=ledger.grand_total(),
+                      total_energy=sum(ledger.node_totals()),
                       conservation_ok=conservation_ok,
                       first_failure_time=result.first_failure_time)
 

@@ -20,6 +20,7 @@ from manetsim.mobility import Trace
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
+from test_energy import grand_total
 from test_mobility import make_nodes
 from test_topology import full_snapshot
 
@@ -150,7 +151,7 @@ class TestDeterminism:
     def test_seed_changes_outcome(self):
         a = run(small_config(seed=1))
         b = run(small_config(seed=2))
-        assert a.ledger.grand_total() != b.ledger.grand_total()
+        assert grand_total(a.ledger) != grand_total(b.ledger)
 
 
 class TestLazySnapshot:
@@ -461,7 +462,7 @@ class TestTraceReplay:
         write_packets_csv(first, out_a)
         write_packets_csv(replayed, out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
-        assert first.ledger.grand_total() == replayed.ledger.grand_total()
+        assert grand_total(first.ledger) == grand_total(replayed.ledger)
 
     def test_mobility_stream_shared_across_protocols(self, tmp_path):
         # same seed, different protocol: identical recorded mobility
