@@ -55,12 +55,13 @@ def advance(nodes, dt, config, rng):
     x, y, wx, wy, speed = nodes.x, nodes.y, nodes.wx, nodes.wy, nodes.speed
     dx, dy = wx - x, wy - y
     # math.hypot per node: np.hypot rounds differently on some inputs
-    dist = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
+    dist = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float)
     step = speed * dt
     short = step < dist
-    frac = step[short] / dist[short]
-    x[short] += dx[short] * frac
-    y[short] += dy[short] * frac
+    # a node that arrives keeps a fraction of 0 here: the loop moves it
+    frac = np.divide(step, dist, out=np.zeros_like(dist), where=short)
+    x += dx * frac
+    y += dy * frac
     for i in np.flatnonzero(~short).tolist():
         remaining = dt
         while remaining > 0.0:
