@@ -58,7 +58,8 @@ class ScenarioConfig:
         for name in _BOOL_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be True or False, got {value!r}")
+                raise ConfigError(f"{name} must be True or False, "
+                                  f"got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             if name in _TUPLE_FIELDS:
