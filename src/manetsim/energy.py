@@ -105,9 +105,10 @@ class EnergyLedger:
         self.entries[category][node] += joules
         return False
 
-    def debit_all(self, debits):
-        """Apply (node, category, joules) debits in order; exactly
-        `for d in debits: self.debit(*d)`.
+    def debit_all(self, nodes, categories, joules):
+        """Apply the debits nodes[i], categories[i], joules[i] in order;
+        exactly `for d in zip(nodes, categories, joules): self.debit(*d)`,
+        so the three sequences must be equally long.
 
         Debits that leave their node alive are applied in a local loop; from
         the first one that is negative, hits a dead node or would exhaust a
@@ -115,15 +116,17 @@ class EnergyLedger:
         records the death and raises as usual.
         """
         residual, entries = self._residual, self.entries
-        for i, (node, category, joules) in enumerate(debits):
-            joules = float(joules)
+        debits = zip(nodes, categories, joules)
+        for node, category, j in debits:
+            j = float(j)
             remaining = residual[node]
-            if not 0.0 <= joules < remaining:
-                for d in debits[i:]:
+            if not 0.0 <= j < remaining:
+                self.debit(node, category, j)
+                for d in debits:
                     self.debit(*d)
                 return
-            residual[node] = remaining - joules
-            entries[category][node] += joules
+            residual[node] = remaining - j
+            entries[category][node] += j
 
     def total(self, node):
         # derived from the residual accumulator, so that
@@ -154,39 +157,49 @@ DISCOVERY_EXCHANGE = ("discovery",) * 4
 
 
 def exchange_payers(senders, receivers, categories):
-    """Who pays each of unicast_exchange's four joules per hop, and under
-    which category: one ((node, category),) * 4 tuple per hop, the hop sent
-    by senders[i] to receivers[i], in unicast_exchange's order.
+    """Who pays each of unicast_exchange's joules, and under which category,
+    for the hops sent by senders[i] to receivers[i]: two parallel lists,
+    payer nodes and their categories, four entries per hop in
+    unicast_exchange's order.
     """
-    sp, sc, rp, rc = categories
-    return [((s, sp), (s, sc), (r, rp), (r, rc))
-            for s, r in zip(senders, receivers)]
+    nodes = []
+    for s, r in zip(senders, receivers, strict=True):
+        nodes += (s, s, r, r)
+    return nodes, list(categories) * len(senders)
 
 
 def unicast_exchange(hop_lengths, nbytes, model):
     """Joules of one RTS/CTS/payload/ACK exchange over each hop of the given
-    lengths, as one (sender payload, sender control, receiver payload,
-    receiver control) tuple per hop.
+    lengths, as a (hops, 4) array: per hop (sender payload, sender control,
+    receiver payload, receiver control).
 
     The sender transmits RTS and the payload and receives CTS and ACK; the
     receiver mirrors that. exchange_payers names the node and category of
     each joule; callers apply the debits under their own policy for dead
-    nodes.
+    nodes. Every value equals the scalar arithmetic on tx_power(d, model).
     """
+    d = np.asarray(hop_lengths, dtype=float)
+    ok = (d >= 0.0) & (d <= model.max_range * (1.0 + 1e-12))
+    if not ok.all():
+        # tx_power's check, which raises its ValueError for the first hop
+        tx_power(float(d[np.argmin(ok)]), model)
+    if model.tpc:
+        # Python's pow, as tx_power takes it: numpy's power rounds some
+        # fourth powers differently
+        p_tx = model.circuit_power + model.distance_coeff * np.array(
+            [x ** 4 for x in d.tolist()])
+    else:
+        p_tx = np.full(len(d), model.fixed_tx_power)
     p_rx = model.rx_power
     bitrate = model.bitrate
     t_payload = 8.0 * nbytes / bitrate
     t_rts = 8.0 * model.rts_bytes / bitrate
     t_cts_ack = 8.0 * model.cts_bytes / bitrate + 8.0 * model.ack_bytes / bitrate
-    rx_payload = p_rx * t_payload
-    rx_rts = p_rx * t_rts
-    rx_cts_ack = p_rx * t_cts_ack
-    hops = []
-    for d in hop_lengths:
-        p_tx = tx_power(d, model)
-        hops.append((p_tx * t_payload, p_tx * t_rts + rx_cts_ack,
-                     rx_payload, rx_rts + p_tx * t_cts_ack))
-    return hops
+    # p_tx * scale + offset per column: a zero term adds exactly nothing to
+    # the finite, positive p_tx, so each joule rounds as the scalar formula
+    scale = np.array((t_payload, t_rts, 0.0, t_cts_ack))
+    offset = np.array((0.0, p_rx * t_cts_ack, p_rx * t_payload, p_rx * t_rts))
+    return p_tx[:, None] * scale + offset
 
 
 def charge_beacon_round(ledger, snap, model):
@@ -198,9 +211,10 @@ def charge_beacon_round(ledger, snap, model):
     t = airtime(model.beacon_bytes, model)
     tx_e = broadcast_tx_power(model) * t
     rx_e = model.rx_power * t
-    charges = (tx_e + rx_e * snap.degrees()).tolist()
-    ledger.debit_all([(node, "beacon", charges[node])
-                      for node in np.flatnonzero(ledger.alive_mask()).tolist()])
+    charges = tx_e + rx_e * snap.degrees()
+    alive = np.flatnonzero(ledger.alive_mask())
+    ledger.debit_all(alive.tolist(), ("beacon",) * len(alive),
+                     charges[alive].tolist())
 
 
 def flood_depths(snap, source):
@@ -231,20 +245,22 @@ def charge_route_discovery(ledger, snap, source, route, model):
     alive = ledger.alive_mask()
     # reception energy from every live neighbor's rebroadcast, one debit each
     rx_sum = snap.in_range @ (airtimes * alive)
-    charges = (broadcast_tx_power(model) * airtimes
-               + model.rx_power * rx_sum).tolist()
-    ledger.debit_all([(node, "discovery", charges[node])
-                      for node in np.flatnonzero(alive).tolist()])
+    charges = broadcast_tx_power(model) * airtimes + model.rx_power * rx_sum
+    payers = np.flatnonzero(alive)
+    ledger.debit_all(payers.tolist(), ("discovery",) * len(payers),
+                     charges[payers].tolist())
     if route is None:
         return
     # the RREP travels back from the destination; a node its own reply
     # exhausts pays nothing more, and a hop with a dead endpoint is skipped
     tails, heads = route.nodes[:-1], route.nodes[1:]
-    lengths = snap.distance(list(tails), list(heads)).tolist()
-    for payers, joules in zip(exchange_payers(heads, tails, DISCOVERY_EXCHANGE),
-                              unicast_exchange(lengths, model.rrep_bytes, model)):
-        if not all(ledger.alive(node) for node, _ in payers):
+    lengths = snap.distance(list(tails), list(heads))
+    nodes, categories = exchange_payers(heads, tails, DISCOVERY_EXCHANGE)
+    joules = unicast_exchange(lengths, model.rrep_bytes, model).ravel().tolist()
+    for k in range(0, len(nodes), 4):  # one hop's four debits at a time
+        hop = slice(k, k + 4)
+        if not all(map(ledger.alive, nodes[hop])):
             continue
-        for (node, category), j in zip(payers, joules):
+        for node, category, j in zip(nodes[hop], categories[hop], joules[hop]):
             if ledger.alive(node):
                 ledger.debit(node, category, j)

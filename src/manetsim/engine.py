@@ -4,7 +4,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -101,7 +102,8 @@ class _SessionState:
     session: Session
     route: object = None
     hop_ends: np.ndarray = None      # (2, hops) array: each hop's tail, head
-    payers: list = None              # (node, category) of each debit of a packet
+    payer_nodes: list = None         # node and category of each debit of a
+    payer_categories: list = None    # packet, as exchange_payers lays them out
     buffer: deque = field(default_factory=deque)
     next_pkt_time: float = None
     next_retry_time: float = 0.0
@@ -114,8 +116,8 @@ class _SessionState:
         self.route = route
         tails, heads = route.nodes[:-1], route.nodes[1:]
         self.hop_ends = np.array((tails, heads))
-        self.payers = list(chain.from_iterable(
-            exchange_payers(tails, heads, DATA_EXCHANGE)))
+        self.payer_nodes, self.payer_categories = exchange_payers(
+            tails, heads, DATA_EXCHANGE)
 
 
 class Simulation:
@@ -217,7 +219,7 @@ class Simulation:
             self.activity[node] -= 1
         st.route = None
         st.hop_ends = None
-        st.payers = None
+        st.payer_nodes = st.payer_categories = None
         st.next_retry_time = t
 
     def _maintain_routes(self, snap, t):
@@ -287,7 +289,7 @@ class Simulation:
                 st.buffer.clear()
         if not to_send:
             return
-        service, charges = self._tick_send_tables(snap, to_send)
+        tables = self._tick_send_tables(snap, to_send)
         for st, pkt, wait in to_send:
             route = st.route
             if route is None or (self.ledger.newly_dead
@@ -295,19 +297,22 @@ class Simulation:
                                              for n in route.nodes)):
                 st.buffer.append(pkt)  # mid-tick death; retried after teardown
                 continue
-            self._deliver(st, pkt, wait, service[st.session.id],
-                          charges[st.session.id])
+            self._deliver(st, pkt, wait, tables[st.session.id])
 
     def _tick_send_tables(self, snap, to_send):
-        """Per-session service components and per-packet charge vectors for
-        this tick; every packet of a session reuses them.
+        """Per-session send tables for this tick; every packet of a session
+        reuses its table.
 
-        The service components of a route are (sum of per-hop exchange
-        airtimes, the same weighted by each hop's contention count,
-        propagation time). A hop's contention count is the number of this
-        tick's transmitters, other than the hop's own endpoints, within the
-        contention radius of either endpoint: the hop length with TPC, the
-        transmission range without.
+        A session's table is (hops, base, contention, propagation, service,
+        joules): its route's hop count, the sum of the per-hop exchange
+        airtimes, the same weighted by each hop's contention count, the
+        propagation time, base + kappa * contention, and the joules of one
+        packet's debits in the order of the session's payer lists.
+
+        A hop's contention count is the number of this tick's transmitters,
+        other than the hop's own endpoints, within the contention radius of
+        either endpoint: the hop length with TPC, the transmission range
+        without.
         """
         senders = list({st.session.id: st for st, _, _ in to_send}.values())
         tails, heads = ends = np.concatenate([st.hop_ends for st in senders],
@@ -323,36 +328,38 @@ class Simulation:
             <= (hop_d[:, None] if self.model.tpc else snap.r)
         counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
         m = self.model
-        joules = unicast_exchange(hop_d.tolist(), m.data_bytes, m)
-        debits = [(node, category, j) for (node, category), j in zip(
-            chain.from_iterable(st.payers for st in senders),
-            chain.from_iterable(joules))]
-        service, charges = {}, {}
+        joules = unicast_exchange(hop_d, m.data_bytes, m).ravel().tolist()
+        lengths = hop_d.tolist()
+        exchange, kappa = self._exchange, self.config.kappa
+        tables = {}
         off = 0
         for st in senders:
             h = st.route.hops
             end = off + h
-            # numpy's own slice sum: builtin sum() rounds differently from
-            # 8 floats on, and from Python 3.12 on at every length
-            service[st.session.id] = (self._exchange * h,
-                                      self._exchange * float(sum(counts[off:end])),
-                                      float(hop_d[off:end].sum()) / SPEED_OF_LIGHT)
-            charges[st.session.id] = debits[4 * off:4 * end]
+            # numpy sums a slice of under 8 floats left to right, and from 8
+            # on in another order; builtin sum() compensates from Python 3.12
+            prop = (reduce(add, lengths[off:end]) if h < 8
+                    else float(hop_d[off:end].sum())) / SPEED_OF_LIGHT
+            base = exchange * h
+            cont = exchange * float(sum(counts[off:end]))
+            tables[st.session.id] = (h, base, cont, prop, base + kappa * cont,
+                                     joules[4 * off:4 * end])
             off = end
-        return service, charges
+        return tables
 
-    def _deliver(self, st, pkt, wait, service, charges):
+    def _deliver(self, st, pkt, wait, table):
+        hops, base, cont, prop, service, joules = table
         try:
-            self.ledger.debit_all(charges)
+            self.ledger.debit_all(st.payer_nodes, st.payer_categories, joules)
         except DeadNodeError:
             return  # forwarder died mid-path; packet lost
-        base, cont, prop = service
         pkt.buffering = wait
         pkt.base_service = base
         pkt.contention_service = cont
         pkt.propagation = prop
-        pkt.hops_traversed = st.route.hops
-        pkt.delivered_at = pkt.created_at + pkt.total_delay(self.config.kappa)
+        pkt.hops_traversed = hops
+        # total_delay's association: (buffering + service) + propagation
+        pkt.delivered_at = pkt.created_at + ((wait + service) + prop)
 
     def _note_failures(self, t):
         while self.ledger.newly_dead:

@@ -125,6 +125,14 @@ def _least_cost_path(nbrs, cost, s, d):
         if u in done:
             continue
         done.add(u)
+        if u == s:
+            # s's label is final, and so is every label below it: those
+            # nodes were settled first. The walk below reads no other: with
+            # non-negative costs, a neighbour v passes its test only if
+            # label[v] < label[u] <= label[s] (no more cost, one hop fewer),
+            # and every label still tentative is at least s's. The costs
+            # are integer-valued floats, so these sums are exact.
+            break
         step = cost[u] if u != d else 0.0
         for v in nbrs[u]:
             if v in done:

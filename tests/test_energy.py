@@ -158,6 +158,11 @@ def _outcome(apply, dead, debits):
     return ledger, error
 
 
+def columns(debits):
+    """(node, category, joules) debits as debit_all's three parallel lists."""
+    return [list(col) for col in zip(*debits)] or [[], [], []]
+
+
 class TestDebitAll:
     @settings(max_examples=300, deadline=None)
     @given(debits=_debits, dead=st.one_of(st.none(), st.integers(0, 2)))
@@ -166,7 +171,9 @@ class TestDebitAll:
             for d in debits:
                 ledger.debit(*d)
 
-        batched, error = _outcome(EnergyLedger.debit_all, dead, debits)
+        batched, error = _outcome(
+            lambda ledger, debits: ledger.debit_all(*columns(debits)),
+            dead, debits)
         sequential, expected_error = _outcome(one_by_one, dead, debits)
         # the same exception, raised by the same debit (its message names the
         # node), after the same debits were applied
@@ -181,9 +188,9 @@ class TestDebitAll:
     def test_exhaustion_mid_list_then_dead_node(self):
         ledger = EnergyLedger(2, 1.0)
         with pytest.raises(DeadNodeError, match="node 0"):
-            ledger.debit_all([(1, "mac", 0.25), (0, "data_tx", 0.75),
-                              (0, "mac", 0.5), (0, "data_rx", 0.1),
-                              (1, "mac", 0.25)])
+            ledger.debit_all(*columns([(1, "mac", 0.25), (0, "data_tx", 0.75),
+                                       (0, "mac", 0.5), (0, "data_rx", 0.1),
+                                       (1, "mac", 0.25)]))
         assert ledger.entries["mac"] == [0.25, 0.25]
         assert ledger.entries["data_tx"] == [0.75, 0.0]
         assert ledger.residual(0) == 0.0 and ledger.residual(1) == 0.75
@@ -192,10 +199,41 @@ class TestDebitAll:
 
 def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
     """Apply one hop's exchange table to a ledger, as the data path does."""
-    [joules] = unicast_exchange([d], nbytes, model)
-    [payers] = exchange_payers([sender], [receiver], DATA_EXCHANGE)
-    for (node, category), j in zip(payers, joules):
+    [joules] = unicast_exchange([d], nbytes, model).tolist()
+    nodes, categories = exchange_payers([sender], [receiver], DATA_EXCHANGE)
+    for node, category, j in zip(nodes, categories, joules):
         ledger.debit(node, category, j)
+
+
+def unicast_exchange_oracle(hop_lengths, nbytes, model):
+    """The per-hop scalar loop over tx_power: the oracle for
+    unicast_exchange's array arithmetic, one 4-tuple per hop."""
+    p_rx = model.rx_power
+    bitrate = model.bitrate
+    t_payload = 8.0 * nbytes / bitrate
+    t_rts = 8.0 * model.rts_bytes / bitrate
+    t_cts_ack = 8.0 * model.cts_bytes / bitrate + 8.0 * model.ack_bytes / bitrate
+    rx_payload = p_rx * t_payload
+    rx_rts = p_rx * t_rts
+    rx_cts_ack = p_rx * t_cts_ack
+    hops = []
+    for d in hop_lengths:
+        p_tx = tx_power(d, model)
+        hops.append((p_tx * t_payload, p_tx * t_rts + rx_cts_ack,
+                     rx_payload, rx_rts + p_tx * t_cts_ack))
+    return hops
+
+
+def assert_matches_oracle(lengths, nbytes, model):
+    got = unicast_exchange(lengths, nbytes, model)
+    assert got.shape == (len(lengths), 4)
+    assert [tuple(row) for row in got.tolist()] == \
+        unicast_exchange_oracle(lengths, nbytes, model)
+
+
+# the largest hop length tx_power accepts, and the next float above it
+RANGE_LIMIT = 250.0 * (1.0 + 1e-12)
+PAST_LIMIT = math.nextafter(RANGE_LIMIT, math.inf)
 
 
 class TestUnicastHop:
@@ -224,27 +262,65 @@ class TestUnicastHop:
         # receiver control
         t_pay, t_rts = airtime(64, FIXED), airtime(20, FIXED)
         t_cts_ack = airtime(14, FIXED) + airtime(14, FIXED)
-        [hop] = unicast_exchange([100.0], 64, FIXED)
-        assert hop == pytest.approx((1.4 * t_pay, 1.4 * t_rts + 0.967 * t_cts_ack,
-                                     0.967 * t_pay, 0.967 * t_rts + 1.4 * t_cts_ack),
+        [hop] = unicast_exchange([100.0], 64, FIXED).tolist()
+        assert hop == pytest.approx([1.4 * t_pay, 1.4 * t_rts + 0.967 * t_cts_ack,
+                                     0.967 * t_pay, 0.967 * t_rts + 1.4 * t_cts_ack],
                                     rel=1e-15)
         # one call over many hops is the per-hop calls, value for value
         lengths = [0.0, 37.5, 100.0, 249.9, 250.0]
-        assert unicast_exchange(lengths, 512, TPC) == \
-            [hop for d in lengths for hop in unicast_exchange([d], 512, TPC)]
-        assert unicast_exchange([], 512, TPC) == []
+        assert unicast_exchange(lengths, 512, TPC).tolist() == \
+            [hop for d in lengths
+             for hop in unicast_exchange([d], 512, TPC).tolist()]
+        assert unicast_exchange([], 512, TPC).tolist() == []
+
+    @pytest.mark.parametrize("model", [TPC, FIXED], ids=["tpc", "fixed"])
+    def test_equals_the_scalar_loop_at_the_range_ends(self, model):
+        edges = [0.0, 250.0, math.nextafter(250.0, math.inf), RANGE_LIMIT]
+        assert_matches_oracle(edges, 512, model)
+        assert_matches_oracle(edges[::-1] + [100.0] * 9, 64, model)
+
+    @pytest.mark.parametrize("model", [TPC, FIXED], ids=["tpc", "fixed"])
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.floats(0.0, RANGE_LIMIT), max_size=40),
+           nbytes=st.integers(1, 2048))
+    def test_equals_the_scalar_loop(self, model, lengths, nbytes):
+        assert_matches_oracle(lengths, nbytes, model)
+
+    @pytest.mark.parametrize("model", [TPC, FIXED], ids=["tpc", "fixed"])
+    @pytest.mark.parametrize("bad", [PAST_LIMIT, 251.0, -1e-300, math.nan])
+    def test_out_of_range_hop_raises_as_the_scalar_loop_does(self, model, bad):
+        lengths = [10.0, RANGE_LIMIT, bad, 0.0, 300.0]
+        with pytest.raises(ValueError) as expected:
+            unicast_exchange_oracle(lengths, 512, model)
+        with pytest.raises(ValueError) as got:
+            unicast_exchange(lengths, 512, model)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"hop distance {bad} ")
+
+    def test_fourth_power_is_pythons_not_numpys(self):
+        # numpy's power rounds this fourth power one ulp lower, which moves
+        # the transmit power to 1.1683224048049932
+        d = 162.4332189408099
+        assert tx_power(d, TPC) == 1.1683224048049934
+        lengths = [100.0] * 10 + [d] + [200.0] * 10
+        assert_matches_oracle(lengths, 512, TPC)
+        assert unicast_exchange(lengths, 512, TPC)[10, 0] == \
+            1.1683224048049934 * airtime(512, TPC)
 
     def test_payers_follow_the_exchange_order(self):
         # a data hop: the sender pays the payload as data_tx, the receiver
         # as data_rx, both their control frames as mac
-        assert exchange_payers([0, 1], [1, 2], DATA_EXCHANGE) == [
-            ((0, "data_tx"), (0, "mac"), (1, "data_rx"), (1, "mac")),
-            ((1, "data_tx"), (1, "mac"), (2, "data_rx"), (2, "mac"))]
+        def pairs(*args):
+            return list(zip(*exchange_payers(*args)))
+
+        assert pairs([0, 1], [1, 2], DATA_EXCHANGE) == [
+            *((0, "data_tx"), (0, "mac"), (1, "data_rx"), (1, "mac")),
+            *((1, "data_tx"), (1, "mac"), (2, "data_rx"), (2, "mac"))]
         # a reply hop runs from the route's head back to its tail
-        assert exchange_payers([2, 1], [1, 0], DISCOVERY_EXCHANGE) == [
-            ((2, "discovery"),) * 2 + ((1, "discovery"),) * 2,
-            ((1, "discovery"),) * 2 + ((0, "discovery"),) * 2]
-        assert exchange_payers([], [], DATA_EXCHANGE) == []
+        assert pairs([2, 1], [1, 0], DISCOVERY_EXCHANGE) == [
+            *((2, "discovery"),) * 2 + ((1, "discovery"),) * 2,
+            *((1, "discovery"),) * 2 + ((0, "discovery"),) * 2]
+        assert exchange_payers([], [], DATA_EXCHANGE) == ([], [])
 
     def test_total_equals_sum_of_debits(self):
         ledger = EnergyLedger(2, 1500.0)

@@ -55,9 +55,15 @@ def tick_tables(snap, routes, tpc=False):
                         metric_value=0.0, discovered_at=0.0))
         to_send.append((st, PacketRecord(session=sid, seq=0, created_at=0.0),
                         0.0))
-    service, charges = sim._tick_send_tables(snap, to_send)
-    return ([service[sid] for sid in range(len(routes))],
-            [charges[sid] for sid in range(len(routes))])
+    tables = sim._tick_send_tables(snap, to_send)
+    service, charges = [], []
+    for st, _, _ in to_send:
+        hops, base, cont, prop, total, joules = tables[st.session.id]
+        assert hops == st.route.hops
+        assert total == base + sim.config.kappa * cont
+        service.append((base, cont, prop))
+        charges.append(list(zip(st.payer_nodes, st.payer_categories, joules)))
+    return service, charges
 
 
 def delay(components, kappa=0.5):
@@ -340,7 +346,7 @@ class TestDelayModel:
         assert two[2] == pytest.approx(2 * one[2])
         assert two[1] == EXCHANGE * 1
         (a, b, c, d), (e, f, g, h) = unicast_exchange([100.0, 100.0], 512,
-                                                      PowerModel())
+                                                      PowerModel()).tolist()
         assert charges == [(0, "data_tx", a), (0, "mac", b),
                            (1, "data_rx", c), (1, "mac", d),
                            (1, "data_tx", e), (1, "mac", f),
@@ -395,11 +401,41 @@ class TestDelayModel:
             assert cont == EXCHANGE * float(sum(counts))
             expected = []
             for (u, v), d in zip(hops, hop_d.tolist()):
-                [(a, b, c, e)] = unicast_exchange([d], 512, model)
+                [(a, b, c, e)] = unicast_exchange([d], 512, model).tolist()
                 expected += [(u, "data_tx", a), (u, "mac", b),
                              (v, "data_rx", c), (v, "mac", e)]
             assert got == expected
         assert any(service[i][1] > 0.0 for i in range(4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(walks=st.lists(st.lists(st.tuples(st.floats(0.0, 250.0),
+                                             st.floats(0.0, 2 * math.pi)),
+                                   min_size=1, max_size=12),
+                          min_size=1, max_size=4),
+           tpc=st.booleans())
+    def test_propagation_is_numpys_slice_sum(self, walks, tpc):
+        # routes of 1-12 hops, one walk each from a common start: the
+        # propagation of each is numpy's sum of its slice of the tick's hop
+        # lengths, which the send table takes left to right under 8 hops
+        points, routes = [], []
+        for steps in walks:
+            x = y = 500.0
+            routes.append(list(range(len(points), len(points) + len(steps) + 1)))
+            points.append((x, y))
+            for step, angle in steps:
+                x, y = x + step * math.cos(angle), y + step * math.sin(angle)
+                points.append((x, y))
+        snap = full_snapshot(make_nodes(points))
+        tails = [u for nodes in routes for u in nodes[:-1]]
+        heads = [v for nodes in routes for v in nodes[1:]]
+        hop_d = snap.distance(tails, heads)
+        assume(hop_d.max() <= 250.0)  # cos and sin may round a step past it
+        service, _ = tick_tables(snap, routes, tpc)
+        off = 0
+        for nodes, (_, _, prop) in zip(routes, service):
+            end = off + len(nodes) - 1
+            assert prop == float(hop_d[off:end].sum()) / 3.0e8
+            off = end
 
     def test_tpc_strictly_reduces_contention_delay(self):
         xs = [0.0, 100.0, -150.0, -50.0]

@@ -1,14 +1,18 @@
 """Route selection disciplines versus exhaustive path enumeration."""
 
+import heapq
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manetsim.energy import EnergyLedger, PowerModel, charge_route_discovery
-from manetsim.protocols import (Route, select_forp, select_lbr, select_mmbcr,
-                                select_route, widest_path)
+from manetsim.protocols import (Route, _least_cost_path, select_forp,
+                                select_lbr, select_mmbcr, select_route,
+                                widest_path)
 from manetsim.topology import TopologySnapshot, snapshot
 
 from test_mobility import make_nodes
@@ -244,6 +248,59 @@ class TestEnumerationOracles:
             else:
                 assert route.nodes == expected[0]
                 assert route.metric_value == expected[1]
+
+
+def least_cost_path_full(nbrs, cost, s, d):
+    """_least_cost_path labelling d's whole component before the walk from
+    s: the oracle for its stop once s is settled."""
+    label = {d: (0.0, 0)}
+    heap = [(0.0, 0, d)]
+    done = set()
+    while heap:
+        cu, hu, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        step = cost[u] if u != d else 0.0
+        for v in nbrs[u]:
+            if v in done:
+                continue
+            cand = (cu + step, hu + 1)
+            if cand < label.get(v, (math.inf, 0)):
+                label[v] = cand
+                heapq.heappush(heap, (cand[0], cand[1], v))
+    if s not in label:
+        return None
+    path = [s]
+    u = s
+    while u != d:
+        cu, hu = label[u]
+        u = min(v for v in nbrs[u]
+                if label.get(v) is not None
+                and label[v][0] + (cost[v] if v != d else 0.0) == cu
+                and label[v][1] + 1 == hu)
+        path.append(u)
+    return tuple(path), label[s][0]
+
+
+class TestLeastCostEarlyStop:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           area=st.sampled_from([300.0, 600.0, 1000.0]),
+           max_activity=st.integers(0, 4))
+    def test_same_path_and_total_as_the_full_search(self, seed, n, area,
+                                                    max_activity):
+        rng = random.Random(seed)
+        nodes = make_nodes([(rng.uniform(0, area), rng.uniform(0, area))
+                            for _ in range(n)])
+        residual = [0.0 if rng.random() < 0.1 else 1500.0 for _ in range(n)]
+        snap = snapshot(nodes, residual, 250.0, 0.0)
+        activity = [rng.randint(0, max_activity) for _ in range(n)]
+        act = np.array(activity, dtype=float)
+        cost = (act + snap.in_range @ act).tolist()  # as select_lbr weighs
+        s, d = rng.sample(range(n), 2)
+        assert _least_cost_path(snap.neighbor_lists, cost, s, d) == \
+            least_cost_path_full(snap.neighbor_lists, cost, s, d)
 
 
 class TestProperties:
