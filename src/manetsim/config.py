@@ -164,7 +164,7 @@ def save_config(cfg: ScenarioConfig, path):
 
 
 def load_config(path) -> ScenarioConfig:
-    values = {}
+    values, set_at = {}, {}
     field_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
@@ -177,6 +177,10 @@ def load_config(path) -> ScenarioConfig:
             key, text = key.strip(), text.strip()
             if key not in field_names:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in set_at:
+                raise ConfigError(f"{path}:{lineno}: {key} repeated; first set "
+                                  f"at {path}:{set_at[key]}")
+            set_at[key] = lineno
             try:
                 values[key] = _parse_value(key, text)
             except ValueError as exc:

@@ -1,6 +1,7 @@
 """Per-hop power, packet airtime, and battery accounting."""
 
 import csv
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -89,42 +90,29 @@ class EnergyLedger:
 
     def debit(self, node, category, joules):
         """Charge a node; returns True if this debit exhausted its battery."""
-        joules = float(joules)  # keep numpy scalars out of the ledger
-        if joules < 0.0:
-            raise ValueError("negative debit")
-        remaining = self._residual[node]
-        if remaining <= 0.0:
-            raise DeadNodeError(f"node {node} is dead")
-        if joules >= remaining:
-            joules = remaining
-            self._residual[node] = 0.0
-            self.entries[category][node] += joules
-            self.newly_dead.append(node)
-            return True
-        self._residual[node] = remaining - joules
-        self.entries[category][node] += joules
-        return False
+        self.debit_all((node,), (category,), (joules,))
+        return not self.alive(node)
 
     def debit_all(self, nodes, categories, joules):
-        """Apply the debits nodes[i], categories[i], joules[i] in order;
-        exactly `for d in zip(nodes, categories, joules): self.debit(*d)`,
-        so the three sequences must be equally long.
+        """Apply the debits nodes[i], categories[i], joules[i] in order; the
+        three sequences must be equally long.
 
-        Debits that leave their node alive are applied in a local loop; from
-        the first one that is negative, hits a dead node or would exhaust a
-        battery, the rest of the list goes through debit, which truncates,
-        records the death and raises as usual.
+        A debit of at least its node's remaining battery is truncated to
+        what remains, so the battery reaches exactly zero, and the node joins
+        newly_dead. A negative debit raises ValueError, a debit against a
+        dead node DeadNodeError; the debits before it stay applied.
         """
         residual, entries = self._residual, self.entries
-        debits = zip(nodes, categories, joules)
-        for node, category, j in debits:
-            j = float(j)
+        for node, category, j in zip(nodes, categories, joules):
+            j = float(j)  # keep numpy scalars out of the ledger
+            if j < 0.0:
+                raise ValueError("negative debit")
             remaining = residual[node]
-            if not 0.0 <= j < remaining:
-                self.debit(node, category, j)
-                for d in debits:
-                    self.debit(*d)
-                return
+            if remaining <= 0.0:
+                raise DeadNodeError(f"node {node} is dead")
+            if j >= remaining:
+                j = remaining
+                self.newly_dead.append(node)
             residual[node] = remaining - j
             entries[category][node] += j
 
@@ -135,7 +123,7 @@ class EnergyLedger:
         return self.initial_battery - self._residual[node]
 
     def category_total(self, category):
-        return sum(self.entries[category])
+        return math.fsum(self.entries[category])
 
     def node_totals(self):
         return [self.total(i) for i in range(self.node_count)]
@@ -170,36 +158,26 @@ def exchange_payers(senders, receivers, categories):
 
 def unicast_exchange(hop_lengths, nbytes, model):
     """Joules of one RTS/CTS/payload/ACK exchange over each hop of the given
-    lengths, as a (hops, 4) array: per hop (sender payload, sender control,
-    receiver payload, receiver control).
+    lengths, as one flat list of four per hop: (sender payload, sender
+    control, receiver payload, receiver control).
 
     The sender transmits RTS and the payload and receives CTS and ACK; the
     receiver mirrors that. exchange_payers names the node and category of
     each joule; callers apply the debits under their own policy for dead
-    nodes. Every value equals the scalar arithmetic on tx_power(d, model).
+    nodes.
     """
-    d = np.asarray(hop_lengths, dtype=float)
-    ok = (d >= 0.0) & (d <= model.max_range * (1.0 + 1e-12))
-    if not ok.all():
-        # tx_power's check, which raises its ValueError for the first hop
-        tx_power(float(d[np.argmin(ok)]), model)
-    if model.tpc:
-        # Python's pow, as tx_power takes it: numpy's power rounds some
-        # fourth powers differently
-        p_tx = model.circuit_power + model.distance_coeff * np.array(
-            [x ** 4 for x in d.tolist()])
-    else:
-        p_tx = np.full(len(d), model.fixed_tx_power)
+    t_payload = airtime(nbytes, model)
+    t_rts = airtime(model.rts_bytes, model)
+    t_cts_ack = airtime(model.cts_bytes, model) + airtime(model.ack_bytes, model)
     p_rx = model.rx_power
-    bitrate = model.bitrate
-    t_payload = 8.0 * nbytes / bitrate
-    t_rts = 8.0 * model.rts_bytes / bitrate
-    t_cts_ack = 8.0 * model.cts_bytes / bitrate + 8.0 * model.ack_bytes / bitrate
-    # p_tx * scale + offset per column: a zero term adds exactly nothing to
-    # the finite, positive p_tx, so each joule rounds as the scalar formula
-    scale = np.array((t_payload, t_rts, 0.0, t_cts_ack))
-    offset = np.array((0.0, p_rx * t_cts_ack, p_rx * t_payload, p_rx * t_rts))
-    return p_tx[:, None] * scale + offset
+    rx_payload, rx_rts, rx_cts_ack = (p_rx * t_payload, p_rx * t_rts,
+                                      p_rx * t_cts_ack)
+    joules = []
+    for d in hop_lengths:
+        p_tx = tx_power(d, model)
+        joules += (p_tx * t_payload, p_tx * t_rts + rx_cts_ack,
+                   rx_payload, rx_rts + p_tx * t_cts_ack)
+    return joules
 
 
 def charge_beacon_round(ledger, snap, model):
@@ -254,9 +232,9 @@ def charge_route_discovery(ledger, snap, source, route, model):
     # the RREP travels back from the destination; a node its own reply
     # exhausts pays nothing more, and a hop with a dead endpoint is skipped
     tails, heads = route.nodes[:-1], route.nodes[1:]
-    lengths = snap.distance(list(tails), list(heads))
+    lengths = snap.distance(list(tails), list(heads)).tolist()
     nodes, categories = exchange_payers(heads, tails, DISCOVERY_EXCHANGE)
-    joules = unicast_exchange(lengths, model.rrep_bytes, model).ravel().tolist()
+    joules = unicast_exchange(lengths, model.rrep_bytes, model)
     for k in range(0, len(nodes), 4):  # one hop's four debits at a time
         hop = slice(k, k + 4)
         if not all(map(ledger.alive, nodes[hop])):

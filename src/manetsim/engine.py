@@ -327,9 +327,8 @@ class Simulation:
         near = snap.distance(ends[:, :, None], tx) \
             <= (hop_d[:, None] if self.model.tpc else snap.r)
         counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
-        m = self.model
-        joules = unicast_exchange(hop_d, m.data_bytes, m).ravel().tolist()
         lengths = hop_d.tolist()
+        joules = unicast_exchange(lengths, self.model.data_bytes, self.model)
         exchange, kappa = self._exchange, self.config.kappa
         tables = {}
         off = 0

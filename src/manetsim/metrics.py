@@ -43,14 +43,14 @@ def time_averaged_hop_count(routes, sessions, end_time):
                    for sid in sorted(lifetime) if lifetime[sid] > 0.0]
     if not per_session:
         return 0.0
-    return sum(per_session) / len(per_session)
+    return statistics.fmean(per_session)
 
 
 def delay_per_packet(packets, kappa):
     delays = [p.total_delay(kappa) for p in packets if p.delivered]
     if not delays:
         return None
-    return sum(delays) / len(delays)
+    return statistics.fmean(delays)
 
 
 def energy_per_packet(ledger, delivered_count):
@@ -58,8 +58,8 @@ def energy_per_packet(ledger, delivered_count):
     (they are identical across protocols)."""
     if delivered_count == 0:
         return None
-    consumed = sum(ledger.category_total(cat)
-                   for cat in ("data_tx", "data_rx", "mac", "discovery"))
+    consumed = math.fsum(ledger.category_total(cat)
+                         for cat in ("data_tx", "data_rx", "mac", "discovery"))
     return consumed / delivered_count
 
 
@@ -98,7 +98,7 @@ def aggregate(reports):
         if not values:
             means[fld.name] = stds[fld.name] = None
         else:
-            means[fld.name] = sum(values) / len(values)
+            means[fld.name] = statistics.fmean(values)
             stds[fld.name] = statistics.stdev(values) if len(values) > 1 else 0.0
     return MetricsReport(**means), MetricsReport(**stds)
 
@@ -129,12 +129,12 @@ def recompute_from_csv(packets_path, routes_path, ledger_path, end_time):
             life = torn - float(row["discovered_s"])
             weighted[sid] += int(row["hops"]) * life
             lifetime[sid] += life
-    totals, metered = [], 0.0
+    totals, metered = [], []
     with open(ledger_path, newline="") as f:
         for row in csv.DictReader(f):
             totals.append(float(row["total_J"]))
-            metered += (float(row["data_tx_J"]) + float(row["data_rx_J"])
-                        + float(row["mac_J"]) + float(row["discovery_J"]))
+            metered += (float(row[name]) for name in
+                        ("data_tx_J", "data_rx_J", "mac_J", "discovery_J"))
             if float(row["residual_J"]) == 0.0 and first_failure is None:
                 first_failure = True
     per_session = [weighted[sid] / lifetime[sid]
@@ -142,9 +142,9 @@ def recompute_from_csv(packets_path, routes_path, ledger_path, end_time):
     n_sessions = len(sessions) if sessions else 1
     return MetricsReport(
         route_transitions=sum(counts.values()) / n_sessions,
-        hop_count=(sum(per_session) / len(per_session)) if per_session else 0.0,
-        delay_per_packet=(sum(delays) / len(delays)) if delays else None,
-        energy_per_packet=(metered / delivered) if delivered else None,
+        hop_count=statistics.fmean(per_session) if per_session else 0.0,
+        delay_per_packet=statistics.fmean(delays) if delays else None,
+        energy_per_packet=(math.fsum(metered) / delivered) if delivered else None,
         fairness_stddev=statistics.pstdev(totals),
         first_failure_time=first_failure,
     )

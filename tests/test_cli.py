@@ -46,6 +46,14 @@ class TestConfigFiles:
             with pytest.raises(ConfigError, match=re.escape(f"{path}:2: ")):
                 load_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # a repeated key is an error, not a silent override of the first
+        path = tmp_path / "scenario.cfg"
+        path.write_text("tpc = on\nseed = 4\n# later\ntpc = off\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:4: tpc repeated; first set at {path}:1")):
+            load_config(path)
+
     def test_bad_boolean_rejected(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         path.write_text("tpc = maybe\n")
@@ -360,7 +368,7 @@ class TestCommandLine:
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         for line in ("node_count = 1", "node_count = fifty",
-                     "beacon_interval = 0.25"):
+                     "beacon_interval = 0.25", "tpc = on\ntpc = off"):
             bad.write_text(line + "\n")
             code = self.run_cli("run", "--config", str(bad), "--seed", "1",
                                 "--out-dir", str(tmp_path / "out"))

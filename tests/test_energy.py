@@ -139,23 +139,49 @@ class TestLedger:
 
 # debits against a 3-node ledger of 1 J per node, one node possibly dead
 # from the start: amounts up to half a battery exhaust nodes part-way through
-# a list; a few are negative, exactly zero, or numpy scalars
-_amounts = st.one_of(st.floats(0.0, 0.5), st.just(0.0), st.floats(-1.0, -1e-9),
+# a list; a few are negative, exactly zero, exactly half (two of them empty a
+# battery to the last joule), or numpy scalars
+_amounts = st.one_of(st.floats(0.0, 0.5), st.just(0.0), st.just(0.5),
+                     st.floats(-1.0, -1e-9),
                      st.floats(0.0, 0.5).map(np.float64))
 _debits = st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CATEGORIES),
                              _amounts), max_size=25)
 
 
+def debit_oracle(ledger, node, category, joules):
+    """The debit rule on one debit, written out on the ledger's state: the
+    oracle for debit_all and debit. Returns True if this debit exhausted
+    the node's battery."""
+    joules = float(joules)  # keep numpy scalars out of the ledger
+    if joules < 0.0:
+        raise ValueError("negative debit")
+    remaining = ledger._residual[node]
+    if remaining <= 0.0:
+        raise DeadNodeError(f"node {node} is dead")
+    if joules >= remaining:
+        joules = remaining
+        ledger._residual[node] = 0.0
+        ledger.entries[category][node] += joules
+        ledger.newly_dead.append(node)
+        return True
+    ledger._residual[node] = remaining - joules
+    ledger.entries[category][node] += joules
+    return False
+
+
 def _outcome(apply, dead, debits):
+    """The ledger after apply(ledger, debits, returned), the exception it
+    raised, and what it appended to returned."""
     ledger = EnergyLedger(3, 1.0)
     if dead is not None:
-        ledger.debit(dead, "beacon", 1.0)
+        debit_oracle(ledger, dead, "beacon", 1.0)
+    returned = []
     try:
-        apply(ledger, debits)
+        apply(ledger, debits, returned)
         error = None
     except (DeadNodeError, ValueError) as exc:
         error = (type(exc), str(exc))
-    return ledger, error
+    return ledger, error, returned
 
 
 def columns(debits):
@@ -167,23 +193,31 @@ class TestDebitAll:
     @settings(max_examples=300, deadline=None)
     @given(debits=_debits, dead=st.one_of(st.none(), st.integers(0, 2)))
     def test_equals_one_debit_per_entry(self, debits, dead):
-        def one_by_one(ledger, debits):
+        def oracle(ledger, debits, returned):
             for d in debits:
-                ledger.debit(*d)
+                returned.append(debit_oracle(ledger, *d))
 
-        batched, error = _outcome(
-            lambda ledger, debits: ledger.debit_all(*columns(debits)),
-            dead, debits)
-        sequential, expected_error = _outcome(one_by_one, dead, debits)
-        # the same exception, raised by the same debit (its message names the
-        # node), after the same debits were applied
-        assert error == expected_error
-        assert batched._residual == sequential._residual
-        assert batched.entries == sequential.entries
-        assert list(batched.newly_dead) == list(sequential.newly_dead)
-        assert all(type(v) is float for v in batched._residual)
-        assert all(type(v) is float
-                   for cat in CATEGORIES for v in batched.entries[cat])
+        def batched(ledger, debits, returned):
+            ledger.debit_all(*columns(debits))
+
+        def one_by_one(ledger, debits, returned):
+            for d in debits:
+                returned.append(ledger.debit(*d))
+
+        expected, expected_error, exhausted = _outcome(oracle, dead, debits)
+        for apply in (batched, one_by_one):
+            got, error, returned = _outcome(apply, dead, debits)
+            # the same exception, raised by the same debit (its message
+            # names the node), after the same debits were applied
+            assert error == expected_error
+            assert got._residual == expected._residual
+            assert got.entries == expected.entries
+            assert list(got.newly_dead) == list(expected.newly_dead)
+            assert all(type(v) is float for v in got._residual)
+            assert all(type(v) is float
+                       for cat in CATEGORIES for v in got.entries[cat])
+        # debit reports each exhaustion as the rule does
+        assert returned == exhausted
 
     def test_exhaustion_mid_list_then_dead_node(self):
         ledger = EnergyLedger(2, 1.0)
@@ -199,7 +233,7 @@ class TestDebitAll:
 
 def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
     """Apply one hop's exchange table to a ledger, as the data path does."""
-    [joules] = unicast_exchange([d], nbytes, model).tolist()
+    joules = unicast_exchange([d], nbytes, model)
     nodes, categories = exchange_payers([sender], [receiver], DATA_EXCHANGE)
     for node, category, j in zip(nodes, categories, joules):
         ledger.debit(node, category, j)
@@ -207,7 +241,7 @@ def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
 
 def unicast_exchange_oracle(hop_lengths, nbytes, model):
     """The per-hop scalar loop over tx_power: the oracle for
-    unicast_exchange's array arithmetic, one 4-tuple per hop."""
+    unicast_exchange, one 4-tuple per hop."""
     p_rx = model.rx_power
     bitrate = model.bitrate
     t_payload = 8.0 * nbytes / bitrate
@@ -226,9 +260,9 @@ def unicast_exchange_oracle(hop_lengths, nbytes, model):
 
 def assert_matches_oracle(lengths, nbytes, model):
     got = unicast_exchange(lengths, nbytes, model)
-    assert got.shape == (len(lengths), 4)
-    assert [tuple(row) for row in got.tolist()] == \
-        unicast_exchange_oracle(lengths, nbytes, model)
+    assert got == [j for hop in unicast_exchange_oracle(lengths, nbytes, model)
+                   for j in hop]
+    assert all(type(j) is float for j in got)
 
 
 # the largest hop length tx_power accepts, and the next float above it
@@ -262,16 +296,15 @@ class TestUnicastHop:
         # receiver control
         t_pay, t_rts = airtime(64, FIXED), airtime(20, FIXED)
         t_cts_ack = airtime(14, FIXED) + airtime(14, FIXED)
-        [hop] = unicast_exchange([100.0], 64, FIXED).tolist()
+        hop = unicast_exchange([100.0], 64, FIXED)
         assert hop == pytest.approx([1.4 * t_pay, 1.4 * t_rts + 0.967 * t_cts_ack,
                                      0.967 * t_pay, 0.967 * t_rts + 1.4 * t_cts_ack],
                                     rel=1e-15)
         # one call over many hops is the per-hop calls, value for value
         lengths = [0.0, 37.5, 100.0, 249.9, 250.0]
-        assert unicast_exchange(lengths, 512, TPC).tolist() == \
-            [hop for d in lengths
-             for hop in unicast_exchange([d], 512, TPC).tolist()]
-        assert unicast_exchange([], 512, TPC).tolist() == []
+        assert unicast_exchange(lengths, 512, TPC) == \
+            [j for d in lengths for j in unicast_exchange([d], 512, TPC)]
+        assert unicast_exchange([], 512, TPC) == []
 
     @pytest.mark.parametrize("model", [TPC, FIXED], ids=["tpc", "fixed"])
     def test_equals_the_scalar_loop_at_the_range_ends(self, model):
@@ -304,7 +337,8 @@ class TestUnicastHop:
         assert tx_power(d, TPC) == 1.1683224048049934
         lengths = [100.0] * 10 + [d] + [200.0] * 10
         assert_matches_oracle(lengths, 512, TPC)
-        assert unicast_exchange(lengths, 512, TPC)[10, 0] == \
+        # the eleventh hop's sender payload
+        assert unicast_exchange(lengths, 512, TPC)[4 * 10] == \
             1.1683224048049934 * airtime(512, TPC)
 
     def test_payers_follow_the_exchange_order(self):

@@ -345,8 +345,8 @@ class TestDelayModel:
         assert two[0] == pytest.approx(2 * one[0])
         assert two[2] == pytest.approx(2 * one[2])
         assert two[1] == EXCHANGE * 1
-        (a, b, c, d), (e, f, g, h) = unicast_exchange([100.0, 100.0], 512,
-                                                      PowerModel()).tolist()
+        a, b, c, d, e, f, g, h = unicast_exchange([100.0, 100.0], 512,
+                                                  PowerModel())
         assert charges == [(0, "data_tx", a), (0, "mac", b),
                            (1, "data_rx", c), (1, "mac", d),
                            (1, "data_tx", e), (1, "mac", f),
@@ -401,7 +401,7 @@ class TestDelayModel:
             assert cont == EXCHANGE * float(sum(counts))
             expected = []
             for (u, v), d in zip(hops, hop_d.tolist()):
-                [(a, b, c, e)] = unicast_exchange([d], 512, model).tolist()
+                a, b, c, e = unicast_exchange([d], 512, model)
                 expected += [(u, "data_tx", a), (u, "mac", b),
                              (v, "data_rx", c), (v, "mac", e)]
             assert got == expected

@@ -6,6 +6,7 @@ from dataclasses import fields
 import pytest
 
 from manetsim.config import ScenarioConfig
+from manetsim.energy import EnergyLedger
 from manetsim.engine import (PacketRecord, Session, run, write_packets_csv,
                              write_routes_csv)
 from manetsim.metrics import (MetricsReport, aggregate, compute_report,
@@ -191,6 +192,46 @@ class TestComputeReport:
             assert relative_close(getattr(recomputed, fld.name),
                                   getattr(reference, fld.name), tol=1e-9), \
                 fld.name
+
+
+class TestExactSums:
+    """Ten terms of 0.1 sum to 0.9999999999999999 left to right, and to 1.0
+    under the compensated builtin sum of Python 3.12 on: each metric takes
+    the correctly rounded sum, so its value is the same on every Python."""
+
+    def test_delay_per_packet(self):
+        packets = [PacketRecord(session=0, seq=i, created_at=0.0,
+                                delivered_at=0.1, buffering=0.1)
+                   for i in range(10)]
+        assert delay_per_packet(packets, kappa=0.5) == 0.1
+
+    def test_energy_per_packet(self):
+        ledger = EnergyLedger(10, 1.0)
+        for node in range(10):
+            ledger.debit(node, "data_tx", 0.1)
+        assert ledger.category_total("data_tx") == 1.0
+        assert energy_per_packet(ledger, 10) == 0.1
+
+    def test_aggregate(self):
+        mean, _ = aggregate([MetricsReport(delay_per_packet=0.1)] * 10)
+        assert mean.delay_per_packet == 0.1
+
+    def test_recompute_from_csv(self, tmp_path):
+        pk, rt, lg = (tmp_path / n
+                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
+        pk.write_text("session,seq,created_s,delivered_s,hops,buffering_s,"
+                      "service_s,propagation_s\n"
+                      + "".join(f"0,{i},0.0,0.1,1,0.1,0.0,0.0\n"
+                                for i in range(10)))
+        rt.write_text("session,discovered_s,torn_down_s,hops,metric_value,"
+                      "node_list\n0,0.0,,1,0.0,0 1\n")
+        lg.write_text("node_id,data_tx_J,data_rx_J,mac_J,beacon_J,"
+                      "discovery_J,total_J,residual_J\n"
+                      + "".join(f"{i},0.1,0.0,0.0,0.0,0.0,0.1,0.9\n"
+                                for i in range(10)))
+        report = recompute_from_csv(pk, rt, lg, end_time=1.0)
+        assert report.delay_per_packet == 0.1
+        assert report.energy_per_packet == 0.1
 
 
 class TestRelativeClose:
