@@ -34,29 +34,21 @@ def matrix_cells(protocols=PROTOCOLS, nodes=MATRIX_NODES, vmax=MATRIX_VMAX,
             for s in sessions for t in tpc]
 
 
-def cell_config(cell: Cell, preset, seed, base=None):
-    make = PRESETS.get(preset)
-    if make is None:
-        if base is None:
-            raise ConfigError(f"unknown preset {preset!r} and no base config")
-        cfg = base
-    else:
-        cfg = make()
-    return cfg.replace(protocol=cell.protocol, node_count=cell.node_count,
-                       v_max=cell.v_max, session_count=cell.session_count,
-                       tpc=cell.tpc, seed=seed)
+def cell_config(cell: Cell, base, seed):
+    return base.replace(protocol=cell.protocol, node_count=cell.node_count,
+                        v_max=cell.v_max, session_count=cell.session_count,
+                        tpc=cell.tpc, seed=seed)
 
 
 def _run_cell(args):
-    cell, preset, seed, base = args
-    cfg = cell_config(cell, preset, seed, base)
-    result = engine.run(cfg)
+    cell, base, seed = args
+    result = engine.run(cell_config(cell, base, seed))
     return cell, seed, metrics.compute_report(result)
 
 
-def run_matrix(preset, replications, out_dir, cells=None, base_seed=1,
-               base=None, workers=1):
-    """Run every cell of the matrix with paired seeds and write CSV tables.
+def run_matrix(base, replications, out_dir, cells, base_seed=1, workers=1):
+    """Run every cell of the matrix over the base config with paired seeds
+    and write CSV tables.
 
     Replication k uses seed base_seed + k for every cell, so all protocol and
     TPC variants of a cell replay the same mobility and the same sessions.
@@ -67,10 +59,8 @@ def run_matrix(preset, replications, out_dir, cells=None, base_seed=1,
                           f"got {replications!r}")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers!r}")
-    if cells is None:
-        cells = matrix_cells()
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [(cell, preset, base_seed + rep, base)
+    jobs = [(cell, base, base_seed + rep)
             for cell in cells for rep in range(replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -78,8 +68,7 @@ def run_matrix(preset, replications, out_dir, cells=None, base_seed=1,
     else:
         rows = [_run_cell(job) for job in jobs]
     write_run_rows(rows, os.path.join(out_dir, "runs.csv"))
-    write_comparison_table(rows, replications,
-                           os.path.join(out_dir, "comparison.csv"))
+    write_comparison_table(rows, os.path.join(out_dir, "comparison.csv"))
     return rows
 
 
@@ -99,8 +88,9 @@ def write_run_rows(rows, path):
                             "" if value is None else repr(value)))
 
 
-def write_comparison_table(rows, replications, path):
-    """Tidy aggregated table: one row per cell-metric."""
+def write_comparison_table(rows, path):
+    """Tidy aggregated table: one row per cell-metric. A cell of one run has
+    no sample stddev, so its stddev cells are empty."""
     by_cell = {}
     for cell, _, report in rows:
         by_cell.setdefault(cell, []).append(report)
@@ -112,7 +102,8 @@ def write_comparison_table(rows, replications, path):
             if len(reports) >= 2:
                 mean, std = metrics.aggregate(reports)
             else:
-                mean, std = reports[0], metrics.MetricsReport()
+                mean = reports[0]
+                std = metrics.MetricsReport(**dict.fromkeys(_METRIC_FIELDS))
             for name in _METRIC_FIELDS:
                 m, s = getattr(mean, name), getattr(std, name)
                 w.writerow((cell.protocol, cell.node_count, cell.session_count,
@@ -122,6 +113,9 @@ def write_comparison_table(rows, replications, path):
 
 
 # --- argument parsing ---------------------------------------------------------
+
+_CONFIG_FIELDS = {f.name for f in fields(ScenarioConfig)}
+
 
 def _add_scenario_flags(p):
     p.add_argument("--protocol", choices=PROTOCOLS)
@@ -135,17 +129,14 @@ def _add_scenario_flags(p):
 
 
 def _apply_flags(cfg, args):
-    overrides = {}
-    for name in ("protocol", "node_count", "v_max", "session_count",
-                 "initial_battery", "duration", "kappa"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "tpc", None) is not None:
+    """The scenario flags given (each a `dest` named after its config field)
+    and the seed, laid over cfg."""
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in _CONFIG_FIELDS and value is not None}
+    if args.tpc is not None:
         overrides["tpc"] = args.tpc == "on"
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         overrides["until_first_failure"] = False
-    overrides["seed"] = args.seed
     return cfg.replace(**overrides).validate()
 
 
@@ -214,7 +205,7 @@ def _cmd_matrix(args):
                          vmax=tuple(args.vmax or MATRIX_VMAX),
                          sessions=tuple(args.sessions or MATRIX_SESSIONS),
                          tpc=tpc)
-    run_matrix(args.preset, args.reps, args.out_dir, cells=cells,
+    run_matrix(PRESETS[args.preset](), args.reps, args.out_dir, cells,
                base_seed=args.seed, workers=args.workers)
     return 0
 

@@ -2,7 +2,8 @@
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -154,19 +155,21 @@ def set2_config(**overrides):
 # --- key = value config files -------------------------------------------------
 
 
-def save_config(cfg: ScenarioConfig, path):
-    with open(path, "w") as f:
-        for fld in dataclasses.fields(cfg):
-            value = getattr(cfg, fld.name)
-            if fld.name in _TUPLE_FIELDS:
-                value = ",".join(repr(v) for v in value)
-            f.write(f"{fld.name} = {value}\n")
+@contextmanager
+def open_text(path, newline=None):
+    """Open an input file as UTF-8 text; undecodable bytes raise ConfigError
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_config(path) -> ScenarioConfig:
     values, set_at = {}, {}
     field_names = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    with open(path) as f:
+    with open_text(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

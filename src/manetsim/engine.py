@@ -27,7 +27,6 @@ class Session:
     destination: int
     start: float
     rate: float = 4.0          # packets per second
-    packet_size: int = 512     # bytes
 
 
 @dataclass
@@ -73,8 +72,7 @@ def make_sessions(config, rng):
         while d == s:
             d = rng.randrange(config.node_count)
         sessions.append(Session(id=sid, source=s, destination=d,
-                                start=rng.uniform(lo, hi), rate=config.cbr_rate,
-                                packet_size=config.packet_size))
+                                start=rng.uniform(lo, hi), rate=config.cbr_rate))
     return sessions
 
 
@@ -90,7 +88,7 @@ def tick_count(horizon, tick):
     return k
 
 
-def discovery_latency(hops, model, forwarding_overhead=1.0e-3):
+def discovery_latency(hops, model, forwarding_overhead):
     """Flood-out plus RREP-back latency for a freshly found route."""
     if hops < 1:
         raise ValueError("route must have at least one hop")
@@ -123,7 +121,7 @@ class _SessionState:
 class Simulation:
     """One isolated run; owns all mutable state."""
 
-    def __init__(self, config, trace=None, trace_out=None, check_invariants=False):
+    def __init__(self, config, trace=None, trace_out=None):
         config.validate()
         self.config = config
         m = self.model = PowerModel.from_config(config)
@@ -132,7 +130,6 @@ class Simulation:
                                  + m.ack_bytes, m)
         self.trace = trace
         self.trace_out = trace_out
-        self.check_invariants = check_invariants
         self.mob_rng = random.Random(f"mobility:{config.seed}")
         traffic_rng = random.Random(f"traffic:{config.seed}")
         self.nodes = mob.init_mobility(config, self.mob_rng)
@@ -195,8 +192,6 @@ class Simulation:
                 self._discover_routes(snap, t)
                 self._send_traffic(snap, t)
                 self._note_failures(t)
-                if self.check_invariants:
-                    self._check_invariants(snap)
                 k += 1
                 if cfg.until_first_failure and self.first_failure_time is not None:
                     end = self.first_failure_time
@@ -366,23 +361,10 @@ class Simulation:
             if self.first_failure_time is None:
                 self.first_failure_time = t
 
-    def _check_invariants(self, snap):
-        live = [st.route for st in self.sessions if st.route is not None]
-        expected = [0] * self.config.node_count
-        for r in live:
-            for node in r.intermediates:
-                expected[node] += 1
-        assert self.activity == expected, \
-            f"activity drift: {self.activity} != {expected}"
-        for r in live:
-            for u, v in zip(r.nodes[:-1], r.nodes[1:]):
-                assert snap.in_range[u, v], f"stale route edge {u}-{v}"
 
-
-def run(config, trace=None, trace_out=None, check_invariants=False) -> RunResult:
+def run(config, trace=None, trace_out=None) -> RunResult:
     """Execute one reproducible simulation run."""
-    return Simulation(config, trace=trace, trace_out=trace_out,
-                      check_invariants=check_invariants).run()
+    return Simulation(config, trace=trace, trace_out=trace_out).run()
 
 
 # --- per-run CSV outputs ------------------------------------------------------

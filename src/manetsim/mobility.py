@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, open_text
 
 
 @dataclass(eq=False)
@@ -112,9 +112,10 @@ class Trace:
     @classmethod
     def load(cls, path):
         """Read a trace CSV; a malformed, non-finite or ragged row raises
-        ConfigError naming path:line."""
+        ConfigError naming path:line, and bytes that are not UTF-8 one
+        naming path."""
         times, rows = [], []
-        with open(path, newline="") as f:
+        with open_text(path, newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
             if tuple(header or ()) != TRACE_HEADER:

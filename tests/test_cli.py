@@ -7,10 +7,20 @@ import re
 
 import pytest
 
-from manetsim.cli import (Cell, build_parser, cell_config, main, matrix_cells,
-                          run_matrix)
+from manetsim.cli import (Cell, _apply_flags, build_parser, cell_config, main,
+                          matrix_cells, run_matrix)
 from manetsim.config import (ConfigError, ScenarioConfig, load_config,
-                             save_config, set1_config)
+                             set1_config, set2_config)
+
+
+def save_config(cfg, path):
+    """Write cfg as a `key = value` file that load_config reads back."""
+    with open(path, "w") as f:
+        for fld in dataclasses.fields(cfg):
+            value = getattr(cfg, fld.name)
+            if isinstance(value, tuple):
+                value = ",".join(repr(v) for v in value)
+            f.write(f"{fld.name} = {value}\n")
 
 
 class TestConfigFiles:
@@ -135,18 +145,12 @@ class TestMatrixCells:
 
     def test_cell_config_applies_cell_and_seed(self):
         cell = Cell("MMBCR", 100, 30.0, 30, True)
-        cfg = cell_config(cell, "set1", seed=12)
+        cfg = cell_config(cell, set1_config(duration=5.0), seed=12)
         assert (cfg.protocol, cfg.node_count, cfg.v_max,
                 cfg.session_count, cfg.tpc, cfg.seed) == \
             ("MMBCR", 100, 30.0, 30, True, 12)
-        assert cfg.initial_battery == 1500.0
-
-    def test_unknown_preset_needs_base(self):
-        cell = Cell("FORP", 50, 5.0, 15, False)
-        with pytest.raises(ConfigError):
-            cell_config(cell, "bogus", seed=1)
-        base = set1_config(duration=5.0)
-        assert cell_config(cell, "bogus", seed=1, base=base).duration == 5.0
+        # every other field comes from the base
+        assert (cfg.initial_battery, cfg.duration) == (1500.0, 5.0)
 
 
 def _small_base():
@@ -157,8 +161,7 @@ def _small_base():
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("matrix")
     cells = [Cell(p, 15, 10.0, 3, False) for p in ("FORP", "LBR")]
-    rows = run_matrix("custom", 2, out, cells=cells, base_seed=5,
-                      base=_small_base())
+    rows = run_matrix(_small_base(), 2, out, cells, base_seed=5)
     return out, cells, rows
 
 
@@ -192,17 +195,24 @@ class TestRunMatrix:
                        if r["metric"] == "route_transitions"]
         assert all(float(r["mean"]) >= 0.0 for r in transitions)
 
+    def test_one_replication_has_no_stddev(self, tmp_path):
+        # before, route_transitions, hop_count and fairness_stddev read 0.0
+        run_matrix(_small_base(), 1, tmp_path, [Cell("FORP", 15, 10.0, 3, False)])
+        with open(tmp_path / "comparison.csv", newline="") as f:
+            records = list(csv.DictReader(f))
+        assert len(records) == 6
+        assert all(r["n_reps"] == "1" and r["stddev"] == "" for r in records)
+        assert records[0]["mean"] != ""
+
     def test_matrix_is_deterministic(self, outputs, tmp_path):
         out, cells, _ = outputs
-        run_matrix("custom", 2, tmp_path, cells=cells, base_seed=5,
-                   base=_small_base())
+        run_matrix(_small_base(), 2, tmp_path, cells, base_seed=5)
         assert (out / "runs.csv").read_bytes() == \
             (tmp_path / "runs.csv").read_bytes()
 
     def test_worker_pool_matches_serial(self, outputs, tmp_path):
         out, cells, _ = outputs
-        run_matrix("custom", 2, tmp_path, cells=cells, base_seed=5,
-                   base=_small_base(), workers=2)
+        run_matrix(_small_base(), 2, tmp_path, cells, base_seed=5, workers=2)
         assert (out / "runs.csv").read_bytes() == \
             (tmp_path / "runs.csv").read_bytes()
 
@@ -396,6 +406,45 @@ class TestCommandLine:
                             "--duration", "8", "--seed", "1",
                             "--out-dir", str(blocker / "out"))
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["--config", "--trace-in"])
+    def test_undecodable_input_file_exit_code(self, tmp_path, capsys, flag):
+        # before, the UnicodeDecodeError escaped as a traceback
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfenode_count = 10\n")
+        code = self.run_cli("run", flag, str(bad), "--seed", "1",
+                            "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize("flag, text, name, value", [
+        ("--protocol", "MMBCR", "protocol", "MMBCR"),
+        ("--nodes", "23", "node_count", 23),
+        ("--vmax", "17.5", "v_max", 17.5),
+        ("--sessions", "7", "session_count", 7),
+        ("--tpc", "on", "tpc", True),
+        ("--battery", "250", "initial_battery", 250.0),
+        ("--duration", "12", "duration", 12.0),
+        ("--kappa", "0.25", "kappa", 0.25),
+    ])
+    def test_scenario_flag_sets_its_field(self, flag, text, name, value):
+        args = build_parser().parse_args(["run", flag, text, "--seed", "4",
+                                          "--out-dir", "out"])
+        base = set2_config()
+        cfg = _apply_flags(base, args)
+        assert getattr(cfg, name) == value != getattr(base, name)
+        assert cfg.seed == 4
+        # a fixed duration ends a run-until-first-failure base
+        assert cfg.until_first_failure == (flag != "--duration")
+        assert cfg.replace(**{name: getattr(base, name), "seed": base.seed,
+                              "until_first_failure": True}) == base
+
+    def test_matrix_unknown_preset_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("matrix", "--preset", "bogus", "--seed", "1",
+                         "--out-dir", str(tmp_path / "matrix"))
+        assert exc.value.code == 2
 
     def test_matrix_subcommand(self, tmp_path):
         out = tmp_path / "matrix"

@@ -222,30 +222,61 @@ class TestLazySnapshot:
         assert [state.route is None for state in sim.sessions] == broken
 
 
+class CheckedSimulation(Simulation):
+    """A run that asserts its invariants every tick, once traffic is sent:
+    activity counts exactly the intermediates of the live routes, and every
+    live route edge is in range."""
+
+    def _send_traffic(self, snap, t):
+        super()._send_traffic(snap, t)
+        self.check_invariants(snap)
+
+    def check_invariants(self, snap):
+        live = [st.route for st in self.sessions if st.route is not None]
+        expected = [0] * self.config.node_count
+        for r in live:
+            for node in r.intermediates:
+                expected[node] += 1
+        assert self.activity == expected, \
+            f"activity drift: {self.activity} != {expected}"
+        for r in live:
+            for u, v in zip(r.nodes[:-1], r.nodes[1:]):
+                assert snap.in_range[u, v], f"stale route edge {u}-{v}"
+
+
 class TestInvariantsDuringRun:
     def test_activity_and_route_validity_every_tick(self):
         for proto in ("FORP", "LBR", "MMBCR"):
-            run(small_config(protocol=proto, duration=20.0),
-                check_invariants=True)
+            CheckedSimulation(small_config(protocol=proto, duration=20.0)).run()
             # fast nodes and early sessions: routes break and are found again
-            result = run(small_config(protocol=proto, duration=20.0,
-                                      v_max=50.0, start_window=(0.0, 2.0)),
-                         check_invariants=True)
+            result = CheckedSimulation(small_config(
+                protocol=proto, duration=20.0, v_max=50.0,
+                start_window=(0.0, 2.0))).run()
             assert any(r.torn_down_at is not None and r.hops > 1
                        for r in result.routes)
 
     def test_activity_is_checked_node_by_node(self):
-        sim = Simulation(small_config(node_count=4, session_count=1))
+        sim = CheckedSimulation(small_config(node_count=4, session_count=1))
         sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 2),
                                      protocol="LBR", metric_value=0.0,
                                      discovered_at=0.0))
         snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 300.0]))
         sim.activity[1] += 1
-        sim._check_invariants(snap)
+        sim.check_invariants(snap)
         # the same total on the wrong node
         sim.activity[1], sim.activity[3] = 0, 1
         with pytest.raises(AssertionError, match="activity drift"):
-            sim._check_invariants(snap)
+            sim.check_invariants(snap)
+
+    def test_stale_route_edge_is_caught(self):
+        sim = CheckedSimulation(small_config(node_count=4, session_count=1))
+        sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 3),
+                                     protocol="LBR", metric_value=0.0,
+                                     discovered_at=0.0))
+        sim.activity[1] += 1
+        snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 400.0]))
+        with pytest.raises(AssertionError, match="stale route edge 1-3"):
+            sim.check_invariants(snap)
 
     def test_packet_record_consistency(self):
         result = run(small_config(duration=40.0))
@@ -317,17 +348,17 @@ class TestPerTickView:
 class TestDelayModel:
     def test_discovery_latency_one_hop(self):
         model = PowerModel()
-        assert discovery_latency(1, model) == pytest.approx(2.512e-3)
+        assert discovery_latency(1, model, 1.0e-3) == pytest.approx(2.512e-3)
 
     def test_discovery_latency_monotone(self):
         model = PowerModel()
-        values = [discovery_latency(h, model) for h in range(1, 8)]
+        values = [discovery_latency(h, model, 1.0e-3) for h in range(1, 8)]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
 
     def test_discovery_latency_needs_a_hop(self):
         with pytest.raises(ValueError):
-            discovery_latency(0, PowerModel())
+            discovery_latency(0, PowerModel(), 1.0e-3)
 
     def test_one_hop_delay_no_contention(self):
         [components], _ = send_tables([0.0, 100.0], [(0, 1)])
