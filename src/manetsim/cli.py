@@ -89,8 +89,9 @@ def write_run_rows(rows, path):
 
 
 def write_comparison_table(rows, path):
-    """Tidy aggregated table: one row per cell-metric. A cell of one run has
-    no sample stddev, so its stddev cells are empty."""
+    """Tidy aggregated table: one row per cell-metric. A metric present in
+    only one run of a cell has no sample stddev, so its stddev cell is
+    empty."""
     by_cell = {}
     for cell, _, report in rows:
         by_cell.setdefault(cell, []).append(report)
@@ -99,11 +100,7 @@ def write_comparison_table(rows, path):
         w.writerow(("protocol", "nodes", "sessions", "v_max", "tpc", "metric",
                     "mean", "stddev", "n_reps"))
         for cell, reports in by_cell.items():
-            if len(reports) >= 2:
-                mean, std = metrics.aggregate(reports)
-            else:
-                mean = reports[0]
-                std = metrics.MetricsReport(**dict.fromkeys(_METRIC_FIELDS))
+            mean, std = metrics.aggregate(reports)
             for name in _METRIC_FIELDS:
                 m, s = getattr(mean, name), getattr(std, name)
                 w.writerow((cell.protocol, cell.node_count, cell.session_count,

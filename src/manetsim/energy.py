@@ -54,6 +54,9 @@ def airtime(nbytes, model: PowerModel):
 
 
 CATEGORIES = ("data_tx", "data_rx", "mac", "beacon", "discovery")
+# what energy per packet counts: every category but the beacons, which are
+# identical across protocols
+METERED_CATEGORIES = ("data_tx", "data_rx", "mac", "discovery")
 
 
 class DeadNodeError(Exception):
@@ -131,8 +134,8 @@ class EnergyLedger:
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(("node_id", "data_tx_J", "data_rx_J", "mac_J",
-                             "beacon_J", "discovery_J", "total_J", "residual_J"))
+            writer.writerow(("node_id", *(f"{cat}_J" for cat in CATEGORIES),
+                             "total_J", "residual_J"))
             for i in range(self.node_count):
                 row = [i] + [repr(self.entries[cat][i]) for cat in CATEGORIES]
                 row += [repr(self.total(i)), repr(self._residual[i])]

@@ -26,7 +26,6 @@ class Session:
     source: int
     destination: int
     start: float
-    rate: float = 4.0          # packets per second
 
 
 @dataclass
@@ -72,7 +71,7 @@ def make_sessions(config, rng):
         while d == s:
             d = rng.randrange(config.node_count)
         sessions.append(Session(id=sid, source=s, destination=d,
-                                start=rng.uniform(lo, hi), rate=config.cbr_rate))
+                                start=rng.uniform(lo, hi)))
     return sessions
 
 
@@ -269,7 +268,7 @@ class Simulation:
                                    created_at=st.next_pkt_time)
                 st.seq += 1
                 self.packets.append(pkt)
-                st.next_pkt_time += 1.0 / sess.rate
+                st.next_pkt_time += 1.0 / cfg.cbr_rate
                 if (st.route is not None
                         and st.route.discovered_at < pkt.created_at - 1e-9):
                     to_send.append((st, pkt, 0.0))

@@ -6,6 +6,8 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass, fields
 
+from .energy import METERED_CATEGORIES
+
 
 @dataclass
 class MetricsReport:
@@ -59,7 +61,7 @@ def energy_per_packet(ledger, delivered_count):
     if delivered_count == 0:
         return None
     consumed = math.fsum(ledger.category_total(cat)
-                         for cat in ("data_tx", "data_rx", "mac", "discovery"))
+                         for cat in METERED_CATEGORIES)
     return consumed / delivered_count
 
 
@@ -87,10 +89,10 @@ def aggregate(reports):
     """Per-field mean and sample stddev across replications.
 
     Fields that are None in some replications are averaged over the present
-    values; all-None fields stay None. Returns (mean report, stddev report).
+    values; all-None fields stay None. A field present in only one report
+    has no sample stddev, so its stddev is None: one report is its own mean,
+    with every stddev None. Returns (mean report, stddev report).
     """
-    if len(reports) < 2:
-        raise ValueError("aggregation needs at least 2 reports")
     means, stds = {}, {}
     for fld in fields(MetricsReport):
         values = [getattr(r, fld.name) for r in reports
@@ -99,7 +101,7 @@ def aggregate(reports):
             means[fld.name] = stds[fld.name] = None
         else:
             means[fld.name] = statistics.fmean(values)
-            stds[fld.name] = statistics.stdev(values) if len(values) > 1 else 0.0
+            stds[fld.name] = statistics.stdev(values) if len(values) > 1 else None
     return MetricsReport(**means), MetricsReport(**stds)
 
 
@@ -133,8 +135,7 @@ def recompute_from_csv(packets_path, routes_path, ledger_path, end_time):
     with open(ledger_path, newline="") as f:
         for row in csv.DictReader(f):
             totals.append(float(row["total_J"]))
-            metered += (float(row[name]) for name in
-                        ("data_tx_J", "data_rx_J", "mac_J", "discovery_J"))
+            metered += (float(row[f"{cat}_J"]) for cat in METERED_CATEGORIES)
             if float(row["residual_J"]) == 0.0 and first_failure is None:
                 first_failure = True
     per_session = [weighted[sid] / lifetime[sid]

@@ -2,7 +2,7 @@
 
 The flooding query-reply cycle is abstracted as an optimal-path search over
 the current topology snapshot; the engine separately charges flood energy
-and discovery latency. All three selectors share the same tie-breaking:
+and discovery latency. All three protocols share the same tie-breaking:
 fewer hops first, then the lexicographically smallest node sequence.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 class Route:
     session: int
     nodes: tuple              # ordered node ids, source first
-    protocol: str
     metric_value: float       # RET (FORP), cost (LBR), bottleneck J (MMBCR)
     discovered_at: float
     torn_down_at: float = None
@@ -34,25 +33,16 @@ class Route:
 
 # --- max-bottleneck (widest path) kernel --------------------------------------
 
-def widest_path(adj, s, d, node_weights=None):
-    """Path maximizing the minimum weight along it, or None if disconnected.
+def widest_path(links, s, d):
+    """Path maximizing the minimum link width along it, or None if
+    disconnected.
 
-    adj maps node -> {neighbor: edge weight}. With node_weights given, the
-    bottleneck is taken over intermediate node weights instead (a direct s-d
-    edge then has bottleneck +inf), and adj need only map node -> neighbors.
-    Ties broken by fewer hops, then by lexicographically smallest node
-    sequence. Returns (path, bottleneck).
+    links(u) yields the (neighbour, width) pairs of u's links. Ties broken
+    by fewer hops, then by lexicographically smallest node sequence. Returns
+    (path, bottleneck).
     """
     if s == d:
         raise ValueError("source equals destination")
-    if node_weights is None:
-        def links(u):
-            return adj[u].items()
-    else:
-        # entering v costs v's weight; the endpoints cost nothing
-        def links(u):
-            return [(v, math.inf if v == s or v == d else node_weights[v])
-                    for v in adj[u]]
     bottleneck = _best_bottleneck(links, s, d)
     if bottleneck is None:
         return None
@@ -155,59 +145,40 @@ def _least_cost_path(nbrs, cost, s, d):
     return tuple(path), label[s][0]
 
 
-# --- protocol selectors -------------------------------------------------------
+# --- route selection ----------------------------------------------------------
 
-def _check_endpoints(snap, s, d):
+def select_route(protocol, snap, activity, s, d, session=-1):
+    """The route `protocol` discovers from s to d, or None if disconnected.
+
+    FORP is the most stable route: it maximizes the minimum link expiration
+    time (RET). MMBCR is power-aware: it maximizes the minimum intermediate
+    residual battery, as it was at the start of the tick. LBR balances load:
+    it minimizes the summed intermediate activity plus the traffic
+    interference of the intermediates' neighborhoods, where activity[v]
+    counts the live routes that v forwards for.
+    """
     if s == d:
         raise ValueError("source equals destination")
     if not (snap.alive[s] and snap.alive[d]):
         raise ValueError("source or destination is dead")
-
-
-def select_forp(snap, s, d, session=-1):
-    """Most stable route: maximize the minimum link expiration time (RET)."""
-    _check_endpoints(snap, s, d)
-    found = widest_path(snap.let_adjacency, s, d)
-    if found is None:
-        return None
-    path, ret = found
-    return Route(session=session, nodes=path, protocol="FORP",
-                 metric_value=ret, discovered_at=snap.time)
-
-
-def select_mmbcr(snap, s, d, session=-1):
-    """Power-aware route: maximize the minimum intermediate residual battery,
-    as it was at the start of the tick."""
-    _check_endpoints(snap, s, d)
-    found = widest_path(snap.neighbor_lists, s, d, node_weights=snap.residual)
-    if found is None:
-        return None
-    path, bottleneck = found
-    return Route(session=session, nodes=path, protocol="MMBCR",
-                 metric_value=bottleneck, discovered_at=snap.time)
-
-
-def select_lbr(snap, activity, s, d, session=-1):
-    """Load-balancing route: minimize summed intermediate activity plus the
-    traffic interference of the intermediates' neighborhoods. activity[v]
-    counts the live routes that v forwards for."""
-    _check_endpoints(snap, s, d)
-    act = np.array(activity, dtype=float)
-    interference = snap.in_range @ act
-    cost = (act + interference).tolist()
-    found = _least_cost_path(snap.neighbor_lists, cost, s, d)
-    if found is None:
-        return None
-    path, total = found
-    return Route(session=session, nodes=path, protocol="LBR",
-                 metric_value=float(total), discovered_at=snap.time)
-
-
-def select_route(protocol, snap, activity, s, d, session=-1):
+    nbrs = snap.neighbor_lists
     if protocol == "FORP":
-        return select_forp(snap, s, d, session)
-    if protocol == "LBR":
-        return select_lbr(snap, activity, s, d, session)
-    if protocol == "MMBCR":
-        return select_mmbcr(snap, s, d, session)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        adj = snap.let_adjacency
+        found = widest_path(lambda u: adj[u].items(), s, d)
+    elif protocol == "MMBCR":
+        # entering v costs v's battery; the endpoints cost nothing, so a
+        # direct s-d link has bottleneck +inf
+        weight = list(snap.residual)
+        weight[s] = weight[d] = math.inf
+        found = widest_path(lambda u: [(v, weight[v]) for v in nbrs[u]], s, d)
+    elif protocol == "LBR":
+        act = np.array(activity, dtype=float)
+        cost = (act + snap.in_range @ act).tolist()
+        found = _least_cost_path(nbrs, cost, s, d)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if found is None:
+        return None
+    path, value = found
+    return Route(session=session, nodes=path, metric_value=value,
+                 discovered_at=snap.time)

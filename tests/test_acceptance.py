@@ -5,6 +5,9 @@ all three protocols, seeds 1-5, for both experiment presets (1500 J / 1000 s
 and 100 J / run-to-first-failure). Soft ordering criteria must hold in at
 least 4 of the 5 seeds per cell and be insensitive to the contention
 coefficient kappa in {0.1, 0.5, 1.0}.
+
+Only the criteria that read the desk matrix (03, 04, 08-14) are marked
+slow; the hard property suites (01, 02, 05-07) run in the fast suite.
 """
 
 import math
@@ -17,14 +20,11 @@ from manetsim import compute_report, run, set1_config, set2_config
 from manetsim.energy import PowerModel, tx_power
 from manetsim.engine import write_packets_csv, write_routes_csv
 from manetsim.metrics import recompute_from_csv, relative_close
-from manetsim.protocols import select_forp, select_lbr, select_mmbcr
+from manetsim.protocols import select_route
 
 from test_mobility import _random_in_range_pair, stepping_let_oracle
 from test_mobility import link_expiration_time
-from test_protocols import (oracle_forp, oracle_lbr, oracle_mmbcr,
-                            random_instance)
-
-pytestmark = pytest.mark.slow
+from test_protocols import oracle_route, random_instance
 
 PROTOCOLS = ("FORP", "LBR", "MMBCR")
 SEEDS = (1, 2, 3, 4, 5)
@@ -109,13 +109,9 @@ def test_criterion_02_path_selection_oracles():
     mismatches = []
     for trial in range(500):
         snap, activity, s, d = random_instance(rng)
-        pairs = (
-            ("FORP", select_forp(snap, s, d), oracle_forp(snap, s, d)),
-            ("MMBCR", select_mmbcr(snap, s, d), oracle_mmbcr(snap, s, d)),
-            ("LBR", select_lbr(snap, activity, s, d),
-             oracle_lbr(snap, activity, s, d)),
-        )
-        for proto, route, expected in pairs:
+        for proto in ("FORP", "MMBCR", "LBR"):
+            route = select_route(proto, snap, activity, s, d)
+            expected = oracle_route(proto, snap, activity, s, d)
             got = None if route is None else (route.nodes, route.metric_value)
             want = None if expected is None else (expected[0], expected[1])
             if got != want:
@@ -125,6 +121,7 @@ def test_criterion_02_path_selection_oracles():
             + (f"; first: {mismatches[0]}" if mismatches else ""))
 
 
+@pytest.mark.slow
 def test_criterion_03_energy_conservation(desk):
     set1, set2 = desk
     bad = [key for key, s in {**set1, **set2}.items()
@@ -134,6 +131,7 @@ def test_criterion_03_energy_conservation(desk):
             f"({len(set1) + len(set2)} runs checked)")
 
 
+@pytest.mark.slow
 def test_criterion_04_tpc_dominance(desk):
     set1, _ = desk
     bad = []
@@ -204,6 +202,7 @@ def kappa_free(summary, metric):
     return values.pop()
 
 
+@pytest.mark.slow
 def test_criterion_08_route_transitions(desk):
     set1, _ = desk
     failures = []
@@ -219,6 +218,7 @@ def test_criterion_08_route_transitions(desk):
     verdict("criterion-08 route transitions", not failures, str(failures))
 
 
+@pytest.mark.slow
 def test_criterion_09_hop_count(desk):
     set1, _ = desk
     failures = []
@@ -233,6 +233,7 @@ def test_criterion_09_hop_count(desk):
     verdict("criterion-09 hop count", not failures, str(failures))
 
 
+@pytest.mark.slow
 def test_criterion_10_delay(desk):
     set1, _ = desk
     failures = []
@@ -251,6 +252,7 @@ def test_criterion_10_delay(desk):
     verdict("criterion-10 delay", not failures, str(failures))
 
 
+@pytest.mark.slow
 def test_criterion_11_energy_per_packet(desk):
     set1, _ = desk
     failures = []
@@ -264,6 +266,7 @@ def test_criterion_11_energy_per_packet(desk):
     verdict("criterion-11 energy per packet", not failures, str(failures))
 
 
+@pytest.mark.slow
 def test_criterion_12_tpc_energy_ratios(desk):
     set1, _ = desk
     failures = []
@@ -287,6 +290,7 @@ def test_criterion_12_tpc_energy_ratios(desk):
             f"{failures} observed={observed}")
 
 
+@pytest.mark.slow
 def test_criterion_13_fairness(desk):
     set1, _ = desk
     failures = []
@@ -301,6 +305,7 @@ def test_criterion_13_fairness(desk):
     verdict("criterion-13 fairness", not failures, str(failures))
 
 
+@pytest.mark.slow
 def test_criterion_14_first_node_failure(desk):
     _, set2 = desk
     failures = []

@@ -432,8 +432,8 @@ class TestRouteDiscovery:
     def test_two_node_flood_and_reply(self):
         nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
         snap = full_snapshot(nodes)
-        route = Route(session=0, nodes=(0, 1), protocol="FORP",
-                      metric_value=1.0, discovered_at=0.0)
+        route = Route(session=0, nodes=(0, 1), metric_value=1.0,
+                      discovered_at=0.0)
         ledger = EnergyLedger(2, 1500.0)
         charge_route_discovery(ledger, snap, 0, route, FIXED)
         # two RREQ broadcasts (64 B at source, 72 B at the 1-hop node),
@@ -452,8 +452,8 @@ class TestRouteDiscovery:
         # reply kills it, its control debit is skipped, node 0 still pays
         nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
         snap = full_snapshot(nodes)
-        route = Route(session=0, nodes=(0, 1), protocol="FORP",
-                      metric_value=1.0, discovered_at=0.0)
+        route = Route(session=0, nodes=(0, 1), metric_value=1.0,
+                      discovered_at=0.0)
         flood = EnergyLedger(2, 1500.0)
         charge_route_discovery(flood, snap, 0, None, FIXED)
         payload = 1.4 * airtime(64, FIXED)
@@ -471,8 +471,8 @@ class TestRouteDiscovery:
         nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
         snap = full_snapshot(nodes)
         with_route = EnergyLedger(2, 1500.0)
-        route = Route(session=0, nodes=(0, 1), protocol="FORP",
-                      metric_value=1.0, discovered_at=0.0)
+        route = Route(session=0, nodes=(0, 1), metric_value=1.0,
+                      discovered_at=0.0)
         charge_route_discovery(with_route, snap, 0, route, FIXED)
         without = EnergyLedger(2, 1500.0)
         charge_route_discovery(without, snap, 0, None, FIXED)

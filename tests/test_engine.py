@@ -51,8 +51,8 @@ def tick_tables(snap, routes, tpc=False):
     for sid, nodes in enumerate(routes):
         st = _SessionState(Session(id=sid, source=nodes[0],
                                    destination=nodes[-1], start=0.0))
-        st.follow(Route(session=sid, nodes=tuple(nodes), protocol="LBR",
-                        metric_value=0.0, discovered_at=0.0))
+        st.follow(Route(session=sid, nodes=tuple(nodes), metric_value=0.0,
+                        discovered_at=0.0))
         to_send.append((st, PacketRecord(session=sid, seq=0, created_at=0.0),
                         0.0))
     tables = sim._tick_send_tables(snap, to_send)
@@ -82,7 +82,15 @@ class TestSessions:
         for s in sessions:
             assert s.source != s.destination
             assert 1.0 <= s.start <= 40.0
-            assert s.rate == cfg.cbr_rate
+        # the engine steps each session by 1 / cbr_rate
+        result = run(small_config(cbr_rate=2.0, start_window=(0.0, 5.0)))
+        for sess in result.sessions:
+            created = [p.created_at for p in result.packets
+                       if p.session == sess.id]
+            assert created[0] == pytest.approx(sess.start)
+            for a, b in zip(created, created[1:]):
+                assert b - a == pytest.approx(0.5)
+        assert len(result.packets) > 2 * len(result.sessions)
 
     def test_presets(self):
         s1, s2 = set1_config(), set2_config()
@@ -210,8 +218,7 @@ class TestLazySnapshot:
                                         session_count=len(routes), seed=1))
         for state, nodes in zip(sim.sessions, routes):
             state.follow(Route(session=state.session.id, nodes=nodes,
-                               protocol="LBR", metric_value=0.0,
-                               discovered_at=0.0))
+                               metric_value=0.0, discovered_at=0.0))
         snap = snapshot(make_nodes(positions),
                         [1.0 if a else 0.0 for a in alive], 250.0, 0.0)
         # the rule before the matrices went lazy, on the dense matrix
@@ -258,8 +265,7 @@ class TestInvariantsDuringRun:
     def test_activity_is_checked_node_by_node(self):
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
         sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 2),
-                                     protocol="LBR", metric_value=0.0,
-                                     discovered_at=0.0))
+                                     metric_value=0.0, discovered_at=0.0))
         snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 300.0]))
         sim.activity[1] += 1
         sim.check_invariants(snap)
@@ -271,8 +277,7 @@ class TestInvariantsDuringRun:
     def test_stale_route_edge_is_caught(self):
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
         sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 3),
-                                     protocol="LBR", metric_value=0.0,
-                                     discovered_at=0.0))
+                                     metric_value=0.0, discovered_at=0.0))
         sim.activity[1] += 1
         snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 400.0]))
         with pytest.raises(AssertionError, match="stale route edge 1-3"):

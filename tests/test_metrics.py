@@ -19,8 +19,8 @@ from manetsim.protocols import Route
 
 def make_route(session, discovered, torn_down, hops):
     nodes = tuple(range(hops + 1))
-    return Route(session=session, nodes=nodes, protocol="FORP",
-                 metric_value=1.0, discovered_at=discovered,
+    return Route(session=session, nodes=nodes, metric_value=1.0,
+                 discovered_at=discovered,
                  torn_down_at=torn_down)
 
 
@@ -141,9 +141,21 @@ class TestAggregate:
         mean, _ = aggregate([a, b])
         assert mean.first_failure_time == 10.0
 
-    def test_needs_two_reports(self):
-        with pytest.raises(ValueError):
-            aggregate([MetricsReport()])
+    def test_field_in_one_report_has_no_stddev(self):
+        # one of two replications saw a death: one value, no sample stddev
+        a = MetricsReport(first_failure_time=10.0)
+        b = MetricsReport(first_failure_time=None)
+        _, std = aggregate([a, b])
+        assert std.first_failure_time is None
+        assert std.route_transitions == 0.0
+
+    def test_one_report_is_its_own_mean(self):
+        rep = MetricsReport(route_transitions=2.5, hop_count=3.25,
+                            delay_per_packet=0.125, fairness_stddev=1.5)
+        mean, std = aggregate([rep])
+        assert mean == rep
+        assert std == MetricsReport(**dict.fromkeys(
+            f.name for f in fields(MetricsReport)))
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manetsim.energy import EnergyLedger, PowerModel, charge_route_discovery
-from manetsim.protocols import (Route, _least_cost_path, select_forp,
-                                select_lbr, select_mmbcr, select_route,
+from manetsim.protocols import (Route, _least_cost_path, select_route,
                                 widest_path)
 from manetsim.topology import TopologySnapshot, snapshot
 
@@ -23,7 +22,7 @@ class GraphSnap:
     """Minimal snapshot stand-in: an explicit edge list with optional LETs
     and residual batteries (1500 J each by default, 0 for the dead).
 
-    The neighbour lists and the LET adjacency the selectors read are the
+    The neighbour lists and the LET adjacency select_route reads are the
     engine's own TopologySnapshot code, run on this edge list.
     """
 
@@ -98,6 +97,14 @@ def oracle_lbr(snap, activity, s, d):
     return best[1], best[0]
 
 
+def oracle_route(protocol, snap, activity, s, d):
+    """The enumeration oracle of `protocol`: (path, metric) or None."""
+    if protocol == "LBR":
+        return oracle_lbr(snap, activity, s, d)
+    oracle = {"FORP": oracle_forp, "MMBCR": oracle_mmbcr}[protocol]
+    return oracle(snap, s, d)
+
+
 def random_instance(rng):
     n = rng.randint(2, 8)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -114,20 +121,20 @@ def random_instance(rng):
 class TestWidestPath:
     def test_unique_path(self):
         adj = {0: {1: 5.0}, 1: {0: 5.0, 2: 3.0}, 2: {1: 3.0}}
-        assert widest_path(adj, 0, 2) == ((0, 1, 2), 3.0)
+        assert widest_path(lambda u: adj[u].items(), 0, 2) == ((0, 1, 2), 3.0)
 
     def test_diamond_prefers_wider_side(self):
         adj = {0: {1: 2.0, 2: 9.0}, 1: {0: 2.0, 3: 9.0},
                2: {0: 9.0, 3: 9.0}, 3: {1: 9.0, 2: 9.0}}
-        assert widest_path(adj, 0, 3) == ((0, 2, 3), 9.0)
+        assert widest_path(lambda u: adj[u].items(), 0, 3) == ((0, 2, 3), 9.0)
 
     def test_disconnected_returns_none(self):
         adj = {0: {1: 1.0}, 1: {0: 1.0}, 2: {}}
-        assert widest_path(adj, 0, 2) is None
+        assert widest_path(lambda u: adj[u].items(), 0, 2) is None
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            widest_path({0: {}}, 0, 0)
+            widest_path(lambda u: (), 0, 0)
 
 
 class TestSelectForp:
@@ -135,31 +142,31 @@ class TestSelectForp:
         # paths 0-1-3 (LETs 10, 40) and 0-2-3 (LETs 25, 30): RET 10 vs 25
         snap = GraphSnap(4, [(0, 1), (1, 3), (0, 2), (2, 3)],
                          [10.0, 40.0, 25.0, 30.0])
-        route = select_forp(snap, 0, 3)
+        route = select_route("FORP", snap, None, 0, 3)
         assert route.nodes == (0, 2, 3)
         assert route.metric_value == 25.0
 
     def test_single_link(self):
         snap = GraphSnap(2, [(0, 1)], [7.0])
-        route = select_forp(snap, 0, 1)
+        route = select_route("FORP", snap, None, 0, 1)
         assert route.nodes == (0, 1)
         assert route.metric_value == 7.0
 
     def test_infinite_let_beats_finite(self):
         snap = GraphSnap(4, [(0, 1), (1, 3), (0, 2), (2, 3)],
                          [math.inf, math.inf, 100.0, 100.0])
-        route = select_forp(snap, 0, 3)
+        route = select_route("FORP", snap, None, 0, 3)
         assert route.nodes == (0, 1, 3)
         assert route.metric_value == math.inf
 
     def test_disconnected(self):
         snap = GraphSnap(3, [(0, 1)], [5.0])
-        assert select_forp(snap, 0, 2) is None
+        assert select_route("FORP", snap, None, 0, 2) is None
 
     def test_dead_endpoint_rejected(self):
         snap = GraphSnap(2, [(0, 1)], [5.0], dead={1})
         with pytest.raises(ValueError):
-            select_forp(snap, 0, 1)
+            select_route("FORP", snap, None, 0, 1)
 
 
 class TestSelectMmbcr:
@@ -167,34 +174,34 @@ class TestSelectMmbcr:
         # intermediates {3, 5} J vs {4, 4} J: bottleneck 3 vs 4
         snap = GraphSnap(6, [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4), (4, 5)],
                          residual=[9.0, 3.0, 5.0, 4.0, 4.0, 9.0])
-        route = select_mmbcr(snap, 0, 5)
+        route = select_route("MMBCR", snap, None, 0, 5)
         assert route.nodes == (0, 3, 4, 5)
         assert route.metric_value == 4.0
 
     def test_direct_edge_always_wins(self):
         snap = GraphSnap(3, [(0, 2), (0, 1), (1, 2)],
                          residual=[1.0, 1e9, 1.0])
-        route = select_mmbcr(snap, 0, 2)
+        route = select_route("MMBCR", snap, None, 0, 2)
         assert route.nodes == (0, 2)
         assert route.metric_value == math.inf
 
     def test_endpoint_batteries_ignored(self):
         snap = GraphSnap(3, [(0, 1), (1, 2)], residual=[0.5, 8.0, 0.5])
-        route = select_mmbcr(snap, 0, 2)
+        route = select_route("MMBCR", snap, None, 0, 2)
         assert route.metric_value == 8.0
 
 
 class TestSelectLbr:
     def test_direct_edge_costs_zero(self):
         snap = GraphSnap(3, [(0, 2), (0, 1), (1, 2)])
-        route = select_lbr(snap, [5, 5, 5], 0, 2)
+        route = select_route("LBR", snap, [5, 5, 5], 0, 2)
         assert route.nodes == (0, 2)
         assert route.metric_value == 0.0
 
     def test_busy_relay_avoided(self):
         # 0-1-4 with busy relay 1 vs 0-2-3-4 with idle relays
         snap = GraphSnap(5, [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4)])
-        route = select_lbr(snap, [0, 6, 1, 0, 0], 0, 4)
+        route = select_route("LBR", snap, [0, 6, 1, 0, 0], 0, 4)
         assert route.nodes == (0, 2, 3, 4)
         # cost: node 2 = 1 + 0, node 3 = 0 + interference(act of 2) = 1
         assert route.metric_value == 2.0
@@ -202,13 +209,13 @@ class TestSelectLbr:
     def test_interference_from_off_path_neighbor(self):
         # relays 1 and 2 are both idle, but 2 neighbors a busy node 3
         snap = GraphSnap(5, [(0, 1), (1, 4), (0, 2), (2, 4), (2, 3)])
-        route = select_lbr(snap, [0, 0, 0, 7, 0], 0, 4)
+        route = select_route("LBR", snap, [0, 0, 0, 7, 0], 0, 4)
         assert route.nodes == (0, 1, 4)
         assert route.metric_value == 0.0
 
     def test_all_idle_reduces_to_min_hops_lex(self):
         snap = GraphSnap(5, [(0, 3), (3, 4), (0, 1), (1, 4), (0, 2), (2, 4)])
-        route = select_lbr(snap, [0] * 5, 0, 4)
+        route = select_route("LBR", snap, [0] * 5, 0, 4)
         assert route.nodes == (0, 1, 4)  # two hops, smallest relay id
 
 
@@ -218,7 +225,7 @@ class TestEnumerationOracles:
         for _ in range(500):
             snap, _, s, d = random_instance(rng)
             expected = oracle_forp(snap, s, d)
-            route = select_forp(snap, s, d)
+            route = select_route("FORP", snap, None, s, d)
             if expected is None:
                 assert route is None
             else:
@@ -230,7 +237,7 @@ class TestEnumerationOracles:
         for _ in range(500):
             snap, _, s, d = random_instance(rng)
             expected = oracle_mmbcr(snap, s, d)
-            route = select_mmbcr(snap, s, d)
+            route = select_route("MMBCR", snap, None, s, d)
             if expected is None:
                 assert route is None
             else:
@@ -242,7 +249,7 @@ class TestEnumerationOracles:
         for _ in range(500):
             snap, activity, s, d = random_instance(rng)
             expected = oracle_lbr(snap, activity, s, d)
-            route = select_lbr(snap, activity, s, d)
+            route = select_route("LBR", snap, activity, s, d)
             if expected is None:
                 assert route is None
             else:
@@ -297,7 +304,7 @@ class TestLeastCostEarlyStop:
         snap = snapshot(nodes, residual, 250.0, 0.0)
         activity = [rng.randint(0, max_activity) for _ in range(n)]
         act = np.array(activity, dtype=float)
-        cost = (act + snap.in_range @ act).tolist()  # as select_lbr weighs
+        cost = (act + snap.in_range @ act).tolist()  # LBR's weights
         s, d = rng.sample(range(n), 2)
         assert _least_cost_path(snap.neighbor_lists, cost, s, d) == \
             least_cost_path_full(snap.neighbor_lists, cost, s, d)
@@ -308,10 +315,10 @@ class TestProperties:
         rng = random.Random(7)
         for _ in range(50):
             snap, _, s, d = random_instance(rng)
-            before = select_forp(snap, s, d)
+            before = select_route("FORP", snap, None, s, d)
             cubed = GraphSnap(snap.n, snap.edges,
                               [w ** 3 for w in snap.lets])
-            after = select_forp(cubed, s, d)
+            after = select_route("FORP", cubed, None, s, d)
             if before is None:
                 assert after is None
             else:
@@ -321,9 +328,9 @@ class TestProperties:
         rng = random.Random(8)
         for _ in range(50):
             snap, _, s, d = random_instance(rng)
-            before = select_mmbcr(snap, s, d)
+            before = select_route("MMBCR", snap, None, s, d)
             snap.residual = [2.0 * b + 1.0 for b in snap.residual]
-            after = select_mmbcr(snap, s, d)
+            after = select_route("MMBCR", snap, None, s, d)
             if before is None:
                 assert after is None
             else:
@@ -333,7 +340,7 @@ class TestProperties:
         rng = random.Random(9)
         for _ in range(100):
             snap, activity, s, d = random_instance(rng)
-            route = select_lbr(snap, activity, s, d)
+            route = select_route("LBR", snap, activity, s, d)
             if route is None:
                 continue
             assert route.metric_value >= 0.0
@@ -346,11 +353,8 @@ class TestProperties:
         rng = random.Random(10)
         for _ in range(100):
             snap, activity, s, d = random_instance(rng)
-            for selector in (
-                    lambda: select_forp(snap, s, d, session=3),
-                    lambda: select_mmbcr(snap, s, d, session=3),
-                    lambda: select_lbr(snap, activity, s, d, session=3)):
-                route = selector()
+            for proto in ("FORP", "LBR", "MMBCR"):
+                route = select_route(proto, snap, activity, s, d, session=3)
                 if route is None:
                     continue
                 assert route.session == 3
@@ -363,11 +367,13 @@ class TestProperties:
                     assert snap.in_range[u, v]
 
     def test_select_route_dispatch(self):
+        # one link, LET 5: each protocol scores it with its own metric
         snap = GraphSnap(2, [(0, 1)], [5.0])
-        for proto in ("FORP", "LBR", "MMBCR"):
+        for proto, value in (("FORP", 5.0), ("LBR", 0.0),
+                             ("MMBCR", math.inf)):
             route = select_route(proto, snap, [0, 0], 0, 1)
             assert isinstance(route, Route)
-            assert route.protocol == proto
+            assert (route.nodes, route.metric_value) == ((0, 1), value)
         with pytest.raises(ValueError):
             select_route("DSR", snap, [0, 0], 0, 1)
 
@@ -388,22 +394,20 @@ class TestSharedSnapshotStructures:
     def test_only_forp_builds_the_let_matrix(self):
         for seed in range(5):
             snap, activity = self.fresh_snapshot(seed, 30, 600.0)
-            select_mmbcr(snap, 0, 29)
-            select_lbr(snap, activity, 0, 29)
+            select_route("MMBCR", snap, None, 0, 29)
+            select_route("LBR", snap, activity, 0, 29)
             charge_route_discovery(EnergyLedger(30, 1500.0), snap, 0, None,
                                    PowerModel())
             assert snap._let is None
-            select_forp(snap, 0, 29)
+            select_route("FORP", snap, None, 0, 29)
             assert snap._let is not None
 
     def test_selectors_on_real_snapshots_match_oracles(self):
         for seed in range(20):
             snap, activity = self.fresh_snapshot(seed, 8, 500.0)
-            for route, expected in (
-                    (select_forp(snap, 0, 7), oracle_forp(snap, 0, 7)),
-                    (select_mmbcr(snap, 0, 7), oracle_mmbcr(snap, 0, 7)),
-                    (select_lbr(snap, activity, 0, 7),
-                     oracle_lbr(snap, activity, 0, 7))):
+            for proto in ("FORP", "MMBCR", "LBR"):
+                route = select_route(proto, snap, activity, 0, 7)
+                expected = oracle_route(proto, snap, activity, 0, 7)
                 if expected is None:
                     assert route is None
                 else:
