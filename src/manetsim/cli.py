@@ -196,6 +196,11 @@ def _cmd_run(args):
 
 
 def _cmd_matrix(args):
+    for flag, values in (("--protocol", args.protocol),
+                         ("--nodes", args.nodes), ("--vmax", args.vmax),
+                         ("--sessions", args.sessions)):
+        if values and len(set(values)) < len(values):
+            raise ConfigError(f"{flag} repeats a value: {values}")
     tpc = {"on": (True,), "off": (False,), "both": (False, True)}[args.tpc]
     cells = matrix_cells(protocols=tuple(args.protocol or PROTOCOLS),
                          nodes=tuple(args.nodes or MATRIX_NODES),

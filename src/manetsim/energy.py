@@ -91,11 +91,6 @@ class EnergyLedger:
         """Boolean array: which nodes still have battery left."""
         return np.array(self._residual) > 0.0
 
-    def debit(self, node, category, joules):
-        """Charge a node; returns True if this debit exhausted its battery."""
-        self.debit_all((node,), (category,), (joules,))
-        return not self.alive(node)
-
     def debit_all(self, nodes, categories, joules):
         """Apply the debits nodes[i], categories[i], joules[i] in order; the
         three sequences must be equally long.
@@ -199,16 +194,22 @@ def charge_beacon_round(ledger, snap, model):
 
 
 def flood_depths(snap, source):
-    """BFS hop counts from the flood source over the snapshot."""
+    """BFS hop counts from the flood source over the snapshot, as a list
+    indexed by node: -1 for a node the flood does not reach."""
     nbrs = snap.neighbor_lists
-    depths = {source: 0}
-    frontier = deque([source])
+    depths = [-1] * snap.n
+    depths[source] = 0
+    frontier = [source]
+    depth = 0
     while frontier:
-        u = frontier.popleft()
-        for v in nbrs[u]:
-            if v not in depths:
-                depths[v] = depths[u] + 1
-                frontier.append(v)
+        depth += 1
+        reached = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if depths[v] < 0:
+                    depths[v] = depth
+                    reached.append(v)
+        frontier = reached
     return depths
 
 
@@ -217,9 +218,8 @@ def charge_route_discovery(ledger, snap, source, route, model):
     node (sized by its recorded hop count from the source) plus, when a route
     was found, RREP unicast hops back along it. On no-route only the flood is
     charged."""
-    depths = flood_depths(snap, source)
-    hops = np.zeros(snap.n, dtype=np.int64)
-    hops[list(depths)] = list(depths.values())
+    # a node the flood does not reach is charged as if it recorded no hops
+    hops = np.maximum(flood_depths(snap, source), 0)
     # airtime of every node's RREQ, which has recorded h hops
     airtimes = 8.0 * (model.rreq_base_bytes + model.rreq_hop_bytes * hops) \
         / model.bitrate
@@ -232,16 +232,19 @@ def charge_route_discovery(ledger, snap, source, route, model):
                      charges[payers].tolist())
     if route is None:
         return
-    # the RREP travels back from the destination; a node its own reply
-    # exhausts pays nothing more, and a hop with a dead endpoint is skipped
+    # the RREP travels back from the destination; a hop with a dead end at
+    # its start is skipped
     tails, heads = route.nodes[:-1], route.nodes[1:]
     lengths = snap.distance(list(tails), list(heads)).tolist()
     nodes, categories = exchange_payers(heads, tails, DISCOVERY_EXCHANGE)
     joules = unicast_exchange(lengths, model.rrep_bytes, model)
-    for k in range(0, len(nodes), 4):  # one hop's four debits at a time
-        hop = slice(k, k + 4)
-        if not all(map(ledger.alive, nodes[hop])):
+    for k in range(0, len(nodes), 4):  # one hop: sender's two, receiver's two
+        if not (ledger.alive(nodes[k]) and ledger.alive(nodes[k + 2])):
             continue
-        for node, category, j in zip(nodes[hop], categories[hop], joules[hop]):
-            if ledger.alive(node):
-                ledger.debit(node, category, j)
+        for pair in (slice(k, k + 2), slice(k + 2, k + 4)):
+            try:
+                ledger.debit_all(nodes[pair], categories[pair], joules[pair])
+            except DeadNodeError:
+                # its first debit exhausted the node, which pays nothing
+                # more in this hop; its partner still pays
+                pass

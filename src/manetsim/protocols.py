@@ -6,10 +6,9 @@ and discovery latency. All three protocols share the same tie-breaking:
 fewer hops first, then the lexicographically smallest node sequence.
 """
 
-import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -33,69 +32,62 @@ class Route:
 
 # --- max-bottleneck (widest path) kernel --------------------------------------
 
-def widest_path(links, s, d):
+def widest_path(nbrs, widths, s, d):
     """Path maximizing the minimum link width along it, or None if
-    disconnected.
+    disconnected: Hu's maximum-capacity route.
 
-    links(u) yields the (neighbour, width) pairs of u's links. Ties broken
-    by fewer hops, then by lexicographically smallest node sequence. Returns
-    (path, bottleneck).
+    nbrs[u] lists u's neighbours in ascending order and widths[u][i] is the
+    width of the link from u to nbrs[u][i]. Ties broken by fewer hops, then
+    by lexicographically smallest node sequence. Returns (path, bottleneck).
     """
     if s == d:
         raise ValueError("source equals destination")
-    bottleneck = _best_bottleneck(links, s, d)
-    if bottleneck is None:
-        return None
-    # the links at or above the bottleneck carry exactly the optimal paths
-    path = _min_hop_lex_path(
-        lambda u: [v for v, w in links(u) if w >= bottleneck], s, d)
-    assert path is not None
-    return path, bottleneck
-
-
-def _best_bottleneck(links, s, d):
-    """Widest s-d bottleneck over the (neighbor, width) pairs links(u)."""
-    best = {s: math.inf}
+    n = len(nbrs)
+    best = [-math.inf] * n
+    best[s] = math.inf
+    done = [False] * n
     heap = [(-math.inf, s)]
-    done = set()
     while heap:
-        _, u = heapq.heappop(heap)
-        if u in done:
+        _, u = heappop(heap)
+        if done[u]:
             continue
-        done.add(u)
+        done[u] = True
         if u == d:
-            return best[d]
+            break
         bu = best[u]
-        for v, w in links(u):
-            if v in done:
-                continue
-            cand = min(bu, w)
-            if cand > best.get(v, -math.inf):
-                best[v] = cand
-                heapq.heappush(heap, (-cand, v))
-    return None
-
-
-def _min_hop_lex_path(nbrs, s, d):
-    """Lexicographically smallest minimum-hop s-d path over the graph whose
-    neighbor lists nbrs(u) returns, or None."""
-    hops = {d: 0}
-    queue = deque([d])
-    # every node nearer to d than s is labelled by the time s is
-    while queue and s not in hops:
-        u = queue.popleft()
-        for v in nbrs(u):
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    if s not in hops:
+        for v, w in zip(nbrs[u], widths[u]):
+            if w > bu:  # the bottleneck through u: min(bu, w)
+                w = bu
+            if w > best[v] and not done[v]:
+                best[v] = w
+                heappush(heap, (-w, v))
+    else:
         return None
+    bottleneck = best[d]
+    # the links at or above the bottleneck carry exactly the optimal paths:
+    # the fewest-hop ones among them, labelled by hops to d; every node
+    # nearer to d than s is labelled by the time s is
+    hops = [-1] * n
+    hops[d] = 0
+    frontier = [d]
+    depth = 0
+    while frontier and hops[s] < 0:
+        depth += 1
+        reached = []
+        for u in frontier:
+            for v, w in zip(nbrs[u], widths[u]):
+                if w >= bottleneck and hops[v] < 0:
+                    hops[v] = depth
+                    reached.append(v)
+        frontier = reached
     path = [s]
     u = s
     while u != d:
-        u = min(v for v in nbrs(u) if hops.get(v, -1) == hops[u] - 1)
+        step = hops[u] - 1
+        u = next(v for v, w in zip(nbrs[u], widths[u])
+                 if w >= bottleneck and hops[v] == step)
         path.append(u)
-    return tuple(path)
+    return tuple(path), bottleneck
 
 
 # --- least additive node-cost kernel (LBR) ------------------------------------
@@ -103,18 +95,22 @@ def _min_hop_lex_path(nbrs, s, d):
 def _least_cost_path(nbrs, cost, s, d):
     """Path minimizing summed intermediate-node cost, then hops, then lex.
 
-    cost[v] is charged for every on-path node except the endpoints. Returns
-    (path, total cost) or None.
+    nbrs[u] lists u's neighbours in ascending order. cost[v] is charged for
+    every on-path node except the endpoints. Returns (path, total cost) or
+    None.
     """
-    # labels from d: (cost of v..d counting intermediates strictly inside, hops)
-    label = {d: (0.0, 0)}
+    # labels from d: (cost of v..d counting intermediates strictly inside,
+    # hops); an unreached node's cost is +inf
+    n = len(nbrs)
+    label = [(math.inf, 0)] * n
+    label[d] = (0.0, 0)
+    done = [False] * n
     heap = [(0.0, 0, d)]
-    done = set()
     while heap:
-        cu, hu, u = heapq.heappop(heap)
-        if u in done:
+        cu, hu, u = heappop(heap)
+        if done[u]:
             continue
-        done.add(u)
+        done[u] = True
         if u == s:
             # s's label is final, and so is every label below it: those
             # nodes were settled first. The walk below reads no other: with
@@ -123,24 +119,20 @@ def _least_cost_path(nbrs, cost, s, d):
             # and every label still tentative is at least s's. The costs
             # are integer-valued floats, so these sums are exact.
             break
-        step = cost[u] if u != d else 0.0
+        cand = (cu + cost[u] if u != d else cu, hu + 1)
         for v in nbrs[u]:
-            if v in done:
-                continue
-            cand = (cu + step, hu + 1)
-            if cand < label.get(v, (math.inf, 0)):
+            if cand < label[v] and not done[v]:
                 label[v] = cand
-                heapq.heappush(heap, (cand[0], cand[1], v))
-    if s not in label:
+                heappush(heap, (cand[0], cand[1], v))
+    else:
         return None
     path = [s]
     u = s
     while u != d:
         cu, hu = label[u]
-        u = min(v for v in nbrs[u]
-                if label.get(v) is not None
-                and label[v][0] + (cost[v] if v != d else 0.0) == cu
-                and label[v][1] + 1 == hu)
+        u = next(v for v in nbrs[u]
+                 if label[v][0] + (cost[v] if v != d else 0.0) == cu
+                 and label[v][1] + 1 == hu)
         path.append(u)
     return tuple(path), label[s][0]
 
@@ -163,14 +155,14 @@ def select_route(protocol, snap, activity, s, d, session=-1):
         raise ValueError("source or destination is dead")
     nbrs = snap.neighbor_lists
     if protocol == "FORP":
-        adj = snap.let_adjacency
-        found = widest_path(lambda u: adj[u].items(), s, d)
+        found = widest_path(nbrs, snap.let, s, d)
     elif protocol == "MMBCR":
         # entering v costs v's battery; the endpoints cost nothing, so a
         # direct s-d link has bottleneck +inf
         weight = list(snap.residual)
         weight[s] = weight[d] = math.inf
-        found = widest_path(lambda u: [(v, weight[v]) for v in nbrs[u]], s, d)
+        found = widest_path(nbrs, [[weight[v] for v in row] for row in nbrs],
+                            s, d)
     elif protocol == "LBR":
         act = np.array(activity, dtype=float)
         cost = (act + snap.in_range @ act).tolist()

@@ -17,11 +17,12 @@ class TopologySnapshot:
     the whole tick, however the ledger moves on within it.
 
     Only positions, residuals and kinematics are captured eagerly. The n x n
-    matrices (`dist`, `in_range`, `let`) and the neighbour structures are
-    built lazily, at most once per snapshot, by the readers of the whole
-    graph: the beacon round, route discovery and selection. Most ticks only
-    ask about the hops of live routes, which `distance` answers from the
-    positions with the same formula and so the same bits as `dist`.
+    matrices (`dist`, `in_range`), the neighbour lists and the per-link
+    LETs are built lazily, at most once per snapshot, by the readers of the
+    whole graph: the beacon round, route discovery and selection. Most
+    ticks only ask about the hops of live routes, which `distance` answers
+    from the positions with the same formula and so the same bits as
+    `dist`.
     """
 
     def __init__(self, nodes, residual, r, t):
@@ -64,41 +65,48 @@ class TopologySnapshot:
         np.fill_diagonal(near, False)
         return near
 
+    @cached_property
+    def _edges(self):
+        """The in-range pairs in row-major order, as row and column id
+        arrays, and the (start, end) of each node's run of them."""
+        rows, cols = np.nonzero(self.in_range)
+        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
+        return rows, cols, list(zip([0] + ends, ends))
+
+    def _by_node(self, flat):
+        """A list over the in-range pairs in row-major order, cut into one
+        row per node, parallel to neighbor_lists."""
+        return [flat[start:end] for start, end in self._edges[2]]
+
+    @cached_property
+    def neighbor_lists(self):
+        """Ascending neighbour ids of every node, as lists indexed by node."""
+        return self._by_node(self._edges[1].tolist())
+
     @property
     def let(self):
-        """Pairwise link expiration times; only in-range entries are meaningful."""
+        """FORP's link widths: let[u][i] is the link expiration time of the
+        link from u to neighbor_lists[u][i].
+
+        Computed on the in-range pairs only: the pairwise formula, element
+        by element on the gathered ends of each pair, so every link has the
+        bits the formula gives over all n x n pairs.
+        """
         if self._let is None:
+            rows, cols, _ = self._edges
             vx = self.speed * np.cos(self.heading)
             vy = self.speed * np.sin(self.heading)
-            a = vx[:, None] - vx[None, :]
-            c = vy[:, None] - vy[None, :]
-            b = self.x[:, None] - self.x[None, :]
-            d = self.y[:, None] - self.y[None, :]
+            a = vx[rows] - vx[cols]
+            c = vy[rows] - vy[cols]
+            b = self.x[rows] - self.x[cols]
+            d = self.y[rows] - self.y[cols]
             k = a * a + c * c
             radicand = np.clip(k * self.r * self.r - (a * d - b * c) ** 2, 0.0, None)
             with np.errstate(divide="ignore", invalid="ignore"):
                 let = (-(a * b + c * d) + np.sqrt(radicand)) / k
             let[k == 0.0] = np.inf
-            self._let = let
+            self._let = self._by_node(let.tolist())
         return self._let
-
-    @cached_property
-    def neighbor_lists(self):
-        """Ascending neighbour ids of every node, as lists indexed by node."""
-        rows, cols = np.nonzero(self.in_range)
-        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
-        cols = cols.tolist()
-        return [cols[start:end] for start, end in zip([0] + ends, ends)]
-
-    @cached_property
-    def let_adjacency(self):
-        """FORP's graph: node -> {neighbour: LET of the link}."""
-        rows, cols = np.nonzero(self.in_range)
-        lets = iter(self.let[rows, cols].tolist())
-        # zip exhausts each neighbour list before drawing from lets, so every
-        # row takes exactly its own LETs, in the same row-major order
-        return {i: dict(zip(nbrs, lets))
-                for i, nbrs in enumerate(self.neighbor_lists)}
 
     def degrees(self):
         return self.in_range.sum(axis=1)

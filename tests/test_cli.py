@@ -456,6 +456,25 @@ class TestCommandLine:
         assert (out / "runs.csv").exists()
         assert (out / "comparison.csv").exists()
 
+    @pytest.mark.parametrize("flag, values", [("--protocol", ("LBR", "LBR")),
+                                              ("--nodes", ("15", "15")),
+                                              ("--vmax", ("20", "20.0")),
+                                              ("--sessions", ("2", "2"))])
+    def test_matrix_rejects_a_repeated_axis_value(self, tmp_path, capsys,
+                                                  flag, values):
+        # before, each run was written twice and its one seed aggregated
+        # as two replications
+        axes = {"--protocol": ("FORP",), "--nodes": ("15",),
+                "--vmax": ("10",), "--sessions": ("2",), flag: values}
+        out = tmp_path / "matrix"
+        code = self.run_cli("matrix", "--preset", "set1", "--seed", "1",
+                            "--out-dir", str(out), "--tpc", "off",
+                            *(arg for name, given in axes.items()
+                              for value in given for arg in (name, value)))
+        assert code == 2
+        assert f"{flag} repeats a value" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--reps", "-1"),
                                              ("--workers", "0"),
                                              ("--workers", "-2")])

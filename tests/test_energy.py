@@ -95,35 +95,36 @@ class TestLedger:
             node = rng.randrange(5)
             if not ledger.alive(node):
                 continue
-            ledger.debit(node, rng.choice(CATEGORIES), rng.uniform(0, 0.01))
+            ledger.debit_all([node], [rng.choice(CATEGORIES)],
+                             [rng.uniform(0, 0.01)])
         for node in range(5):
             assert 10.0 - ledger.residual(node) == ledger.total(node)
 
     def test_battery_clamps_to_exactly_zero(self):
         ledger = EnergyLedger(1, 1.0)
-        exhausted = ledger.debit(0, "data_tx", 5.0)
-        assert exhausted
+        ledger.debit_all([0], ["data_tx"], [5.0])
+        assert not ledger.alive(0)
         assert ledger.residual(0) == 0.0
         assert ledger.total(0) == 1.0
         assert list(ledger.newly_dead) == [0]
 
     def test_dead_node_rejects_debits(self):
         ledger = EnergyLedger(1, 1.0)
-        ledger.debit(0, "mac", 1.0)
+        ledger.debit_all([0], ["mac"], [1.0])
         with pytest.raises(DeadNodeError):
-            ledger.debit(0, "mac", 0.1)
+            ledger.debit_all([0], ["mac"], [0.1])
 
     def test_negative_debit_rejected(self):
         ledger = EnergyLedger(1, 1.0)
         with pytest.raises(ValueError):
-            ledger.debit(0, "mac", -0.1)
+            ledger.debit_all([0], ["mac"], [-0.1])
 
     def test_csv_round_trip(self, tmp_path):
         rng = random.Random(3)
         ledger = EnergyLedger(4, 100.0)
         for _ in range(50):
-            ledger.debit(rng.randrange(4), rng.choice(CATEGORIES),
-                         rng.uniform(0, 0.5))
+            ledger.debit_all([rng.randrange(4)], [rng.choice(CATEGORIES)],
+                             [rng.uniform(0, 0.5)])
         path = tmp_path / "ledger.csv"
         ledger.write_csv(path)
         with open(path, newline="") as f:
@@ -148,10 +149,10 @@ _debits = st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CATEGORIES),
                              _amounts), max_size=25)
 
 
-def debit_oracle(ledger, node, category, joules):
+def debit(ledger, node, category, joules):
     """The debit rule on one debit, written out on the ledger's state: the
-    oracle for debit_all and debit. Returns True if this debit exhausted
-    the node's battery."""
+    scalar oracle for debit_all, and the single debit the tests charge
+    with."""
     joules = float(joules)  # keep numpy scalars out of the ledger
     if joules < 0.0:
         raise ValueError("negative debit")
@@ -161,27 +162,24 @@ def debit_oracle(ledger, node, category, joules):
     if joules >= remaining:
         joules = remaining
         ledger._residual[node] = 0.0
-        ledger.entries[category][node] += joules
         ledger.newly_dead.append(node)
-        return True
-    ledger._residual[node] = remaining - joules
+    else:
+        ledger._residual[node] = remaining - joules
     ledger.entries[category][node] += joules
-    return False
 
 
 def _outcome(apply, dead, debits):
-    """The ledger after apply(ledger, debits, returned), the exception it
-    raised, and what it appended to returned."""
+    """The ledger after apply(ledger, debits) and the exception it
+    raised."""
     ledger = EnergyLedger(3, 1.0)
     if dead is not None:
-        debit_oracle(ledger, dead, "beacon", 1.0)
-    returned = []
+        debit(ledger, dead, "beacon", 1.0)
     try:
-        apply(ledger, debits, returned)
+        apply(ledger, debits)
         error = None
     except (DeadNodeError, ValueError) as exc:
         error = (type(exc), str(exc))
-    return ledger, error, returned
+    return ledger, error
 
 
 def columns(debits):
@@ -193,31 +191,24 @@ class TestDebitAll:
     @settings(max_examples=300, deadline=None)
     @given(debits=_debits, dead=st.one_of(st.none(), st.integers(0, 2)))
     def test_equals_one_debit_per_entry(self, debits, dead):
-        def oracle(ledger, debits, returned):
+        def oracle(ledger, debits):
             for d in debits:
-                returned.append(debit_oracle(ledger, *d))
+                debit(ledger, *d)
 
-        def batched(ledger, debits, returned):
+        def batched(ledger, debits):
             ledger.debit_all(*columns(debits))
 
-        def one_by_one(ledger, debits, returned):
-            for d in debits:
-                returned.append(ledger.debit(*d))
-
-        expected, expected_error, exhausted = _outcome(oracle, dead, debits)
-        for apply in (batched, one_by_one):
-            got, error, returned = _outcome(apply, dead, debits)
-            # the same exception, raised by the same debit (its message
-            # names the node), after the same debits were applied
-            assert error == expected_error
-            assert got._residual == expected._residual
-            assert got.entries == expected.entries
-            assert list(got.newly_dead) == list(expected.newly_dead)
-            assert all(type(v) is float for v in got._residual)
-            assert all(type(v) is float
-                       for cat in CATEGORIES for v in got.entries[cat])
-        # debit reports each exhaustion as the rule does
-        assert returned == exhausted
+        expected, expected_error = _outcome(oracle, dead, debits)
+        got, error = _outcome(batched, dead, debits)
+        # the same exception, raised by the same debit (its message names
+        # the node), after the same debits were applied
+        assert error == expected_error
+        assert got._residual == expected._residual
+        assert got.entries == expected.entries
+        assert list(got.newly_dead) == list(expected.newly_dead)
+        assert all(type(v) is float for v in got._residual)
+        assert all(type(v) is float
+                   for cat in CATEGORIES for v in got.entries[cat])
 
     def test_exhaustion_mid_list_then_dead_node(self):
         ledger = EnergyLedger(2, 1.0)
@@ -235,8 +226,7 @@ def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
     """Apply one hop's exchange table to a ledger, as the data path does."""
     joules = unicast_exchange([d], nbytes, model)
     nodes, categories = exchange_payers([sender], [receiver], DATA_EXCHANGE)
-    for node, category, j in zip(nodes, categories, joules):
-        ledger.debit(node, category, j)
+    ledger.debit_all(nodes, categories, joules)
 
 
 def unicast_exchange_oracle(hop_lengths, nbytes, model):
@@ -366,7 +356,7 @@ class TestUnicastHop:
 
     def test_dead_endpoint_rejected(self):
         ledger = EnergyLedger(2, 1.0)
-        ledger.debit(1, "mac", 1.0)
+        debit(ledger, 1, "mac", 1.0)
         with pytest.raises(DeadNodeError):
             charge_exchange(ledger, 0, 1, 100.0, FIXED)
 
@@ -387,11 +377,11 @@ def charge_broadcast(ledger, sender, neighbor_ids, nbytes, model,
     if not ledger.alive(sender):
         raise DeadNodeError(f"broadcast from dead node {sender}")
     t = airtime(nbytes, model)
-    ledger.debit(sender, category, broadcast_tx_power(model) * t)
+    debit(ledger, sender, category, broadcast_tx_power(model) * t)
     rx_energy = model.rx_power * t
     for j in neighbor_ids:
         if ledger.alive(j):
-            ledger.debit(j, category, rx_energy)
+            debit(ledger, j, category, rx_energy)
 
 
 class TestBroadcast:
@@ -409,7 +399,7 @@ class TestBroadcast:
 
     def test_dead_sender_rejected(self):
         ledger = EnergyLedger(2, 1.0)
-        ledger.debit(0, "mac", 1.0)
+        debit(ledger, 0, "mac", 1.0)
         with pytest.raises(DeadNodeError):
             charge_broadcast(ledger, 0, [1], 32, FIXED)
 
@@ -458,7 +448,7 @@ class TestRouteDiscovery:
         charge_route_discovery(flood, snap, 0, None, FIXED)
         payload = 1.4 * airtime(64, FIXED)
         ledger = EnergyLedger(2, 1500.0)
-        ledger.debit(1, "mac", 1500.0 - (flood.total(1) + 0.5 * payload))
+        debit(ledger, 1, "mac", 1500.0 - (flood.total(1) + 0.5 * payload))
         charge_route_discovery(ledger, snap, 0, route, FIXED)
         assert ledger.residual(1) == 0.0
         assert list(ledger.newly_dead) == [1]
@@ -466,6 +456,47 @@ class TestRouteDiscovery:
         received = 0.967 * (airtime(64, FIXED) + airtime(20, FIXED)) \
             + 1.4 * 2 * airtime(14, FIXED)
         assert ledger.total(0) == pytest.approx(flood.total(0) + received)
+
+    def test_receiver_exhausted_by_the_reply(self):
+        # the mirror case: node 0 can pay its flood share and half of its
+        # RREP payload reception, which kills it; its control debit is
+        # skipped, and node 1 has paid its whole sending part
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
+        snap = full_snapshot(nodes)
+        route = Route(session=0, nodes=(0, 1), metric_value=1.0,
+                      discovered_at=0.0)
+        flood = EnergyLedger(2, 1500.0)
+        charge_route_discovery(flood, snap, 0, None, FIXED)
+        payload = 0.967 * airtime(64, FIXED)
+        ledger = EnergyLedger(2, 1500.0)
+        debit(ledger, 0, "mac", 1500.0 - (flood.total(0) + 0.5 * payload))
+        charge_route_discovery(ledger, snap, 0, route, FIXED)
+        assert ledger.residual(0) == 0.0
+        assert list(ledger.newly_dead) == [0]
+        assert ledger.entries["discovery"][0] == pytest.approx(
+            flood.total(0) + 0.5 * payload)
+        sent = 1.4 * (airtime(64, FIXED) + airtime(20, FIXED)) \
+            + 0.967 * 2 * airtime(14, FIXED)
+        assert ledger.total(1) == pytest.approx(flood.total(1) + sent)
+
+    def test_hop_with_a_dead_end_is_skipped(self):
+        # hops are charged from the source's end: node 1 dies sending the
+        # RREP to node 0, which still receives it, and the hop from node 2
+        # to the now dead node 1 is skipped
+        nodes = make_nodes([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
+        snap = full_snapshot(nodes)
+        route = Route(session=0, nodes=(0, 1, 2), metric_value=1.0,
+                      discovered_at=0.0)
+        flood = EnergyLedger(3, 1500.0)
+        charge_route_discovery(flood, snap, 0, None, FIXED)
+        ledger = EnergyLedger(3, 1500.0)
+        debit(ledger, 1, "mac", 1500.0 - (flood.total(1) + 1e-6))
+        charge_route_discovery(ledger, snap, 0, route, FIXED)
+        assert list(ledger.newly_dead) == [1]
+        received = 0.967 * (airtime(64, FIXED) + airtime(20, FIXED)) \
+            + 1.4 * 2 * airtime(14, FIXED)
+        assert ledger.total(0) == pytest.approx(flood.total(0) + received)
+        assert ledger.total(2) == flood.total(2)
 
     def test_no_route_charges_flood_only(self):
         nodes = make_nodes([(0.0, 0.0), (100.0, 0.0)])
@@ -487,11 +518,11 @@ class TestRouteDiscovery:
             source = rng.randrange(50)
             ledger = EnergyLedger(50, 1500.0)
             charge_route_discovery(ledger, snap, source, None, FIXED)
-            depths = flood_depths(snap, source)
+            # a node the flood does not reach is charged for a 0-hop RREQ
+            hops = [max(h, 0) for h in flood_depths(snap, source)]
             for node in range(50):
-                tx = 1.4 * airtime(rreq_bytes(depths.get(node, 0), FIXED), FIXED)
-                rx = sum(0.967 * airtime(rreq_bytes(depths.get(j, 0), FIXED),
-                                         FIXED)
+                tx = 1.4 * airtime(rreq_bytes(hops[node], FIXED), FIXED)
+                rx = sum(0.967 * airtime(rreq_bytes(hops[j], FIXED), FIXED)
                          for j in snap.neighbor_lists[node])
                 assert ledger.total(node) == pytest.approx(tx + rx, rel=1e-12)
 

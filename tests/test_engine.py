@@ -20,7 +20,7 @@ from manetsim.mobility import Trace
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
-from test_energy import grand_total
+from test_energy import debit, grand_total
 from test_mobility import make_nodes
 from test_topology import full_snapshot
 
@@ -320,7 +320,7 @@ class TestPerTickView:
         for st, (s, d) in zip(sim.sessions, ((0, 1), (3, 4))):
             st.session.source, st.session.destination = s, d
             st.session.start = 0.0
-        sim.ledger.debit(5, "mac", 1e-6)
+        debit(sim.ledger, 5, "mac", 1e-6)
         live = []
         select = engine.select_route
 
@@ -614,7 +614,7 @@ class TestMidTickDeath:
         def discover_then_drain_forwarder(snap, t):
             discover(snap, t)
             if st.route is not None:
-                sim.ledger.debit(1, "mac", sim.ledger.residual(1) - budget)
+                debit(sim.ledger, 1, "mac", sim.ledger.residual(1) - budget)
         sim._discover_routes = discover_then_drain_forwarder
         result = sim.run()
 

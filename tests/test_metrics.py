@@ -16,6 +16,8 @@ from manetsim.metrics import (MetricsReport, aggregate, compute_report,
                               time_averaged_hop_count)
 from manetsim.protocols import Route
 
+from test_energy import debit
+
 
 def make_route(session, discovered, torn_down, hops):
     nodes = tuple(range(hops + 1))
@@ -220,7 +222,7 @@ class TestExactSums:
     def test_energy_per_packet(self):
         ledger = EnergyLedger(10, 1.0)
         for node in range(10):
-            ledger.debit(node, "data_tx", 0.1)
+            debit(ledger, node, "data_tx", 0.1)
         assert ledger.category_total("data_tx") == 1.0
         assert energy_per_packet(ledger, 10) == 0.1
 

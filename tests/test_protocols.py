@@ -3,6 +3,7 @@
 import heapq
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -20,14 +21,17 @@ from test_topology import traffic_interference
 
 class GraphSnap:
     """Minimal snapshot stand-in: an explicit edge list with optional LETs
-    and residual batteries (1500 J each by default, 0 for the dead).
+    (+inf each by default) and residual batteries (1500 J each by default,
+    0 for the dead).
 
-    The neighbour lists and the LET adjacency select_route reads are the
-    engine's own TopologySnapshot code, run on this edge list.
+    The neighbour lists select_route reads are the engine's own
+    TopologySnapshot code, run on this edge list; the LETs are rows
+    parallel to them, the form TopologySnapshot.let has.
     """
 
+    _edges = TopologySnapshot._edges
+    _by_node = TopologySnapshot._by_node
     neighbor_lists = TopologySnapshot.neighbor_lists
-    let_adjacency = TopologySnapshot.let_adjacency
 
     def __init__(self, n, edges, lets=None, residual=None, time=0.0,
                  dead=()):
@@ -40,12 +44,19 @@ class GraphSnap:
                          enumerate(residual or [1500.0] * n)]
         self.alive = np.array(self.residual) > 0.0
         self.in_range = np.zeros((n, n), dtype=bool)
-        self.let = np.full((n, n), math.inf)
+        width = {}
         for idx, (i, j) in enumerate(edges):
             self.in_range[i, j] = self.in_range[j, i] = True
-            if lets is not None:
-                self.let[i, j] = self.let[j, i] = lets[idx]
+            w = math.inf if lets is None else lets[idx]
+            width[i, j] = width[j, i] = w
         self.in_range &= self.alive[:, None] & self.alive[None, :]
+        self.let = [[width[u, v] for v in nbrs]
+                    for u, nbrs in enumerate(self.neighbor_lists)]
+
+
+def edge_let(snap, u, v):
+    """The LET of the link u-v, from the snapshot's rows."""
+    return snap.let[u][snap.neighbor_lists[u].index(v)]
 
 
 def all_simple_paths(snap, s, d):
@@ -70,7 +81,7 @@ def oracle_forp(snap, s, d):
     paths = all_simple_paths(snap, s, d)
     if not paths:
         return None
-    scored = [(min(snap.let[u, v] for u, v in zip(p[:-1], p[1:])), p)
+    scored = [(min(edge_let(snap, u, v) for u, v in zip(p[:-1], p[1:])), p)
               for p in paths]
     best = min(scored, key=lambda sp: (-sp[0], len(sp[1]), sp[1]))
     return best[1], best[0]
@@ -118,23 +129,30 @@ def random_instance(rng):
     return snap, activity, 0, n - 1
 
 
+def rows(adj):
+    """A {node: {neighbour: width}} graph as widest_path's parallel rows:
+    ascending neighbour ids and the widths of their links."""
+    nbrs = [sorted(adj[u]) for u in range(len(adj))]
+    return nbrs, [[adj[u][v] for v in row] for u, row in enumerate(nbrs)]
+
+
 class TestWidestPath:
     def test_unique_path(self):
         adj = {0: {1: 5.0}, 1: {0: 5.0, 2: 3.0}, 2: {1: 3.0}}
-        assert widest_path(lambda u: adj[u].items(), 0, 2) == ((0, 1, 2), 3.0)
+        assert widest_path(*rows(adj), 0, 2) == ((0, 1, 2), 3.0)
 
     def test_diamond_prefers_wider_side(self):
         adj = {0: {1: 2.0, 2: 9.0}, 1: {0: 2.0, 3: 9.0},
                2: {0: 9.0, 3: 9.0}, 3: {1: 9.0, 2: 9.0}}
-        assert widest_path(lambda u: adj[u].items(), 0, 3) == ((0, 2, 3), 9.0)
+        assert widest_path(*rows(adj), 0, 3) == ((0, 2, 3), 9.0)
 
     def test_disconnected_returns_none(self):
         adj = {0: {1: 1.0}, 1: {0: 1.0}, 2: {}}
-        assert widest_path(lambda u: adj[u].items(), 0, 2) is None
+        assert widest_path(*rows(adj), 0, 2) is None
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(ValueError):
-            widest_path(lambda u: (), 0, 0)
+            widest_path([[]], [[]], 0, 0)
 
 
 class TestSelectForp:
@@ -308,6 +326,144 @@ class TestLeastCostEarlyStop:
         s, d = rng.sample(range(n), 2)
         assert _least_cost_path(snap.neighbor_lists, cost, s, d) == \
             least_cost_path_full(snap.neighbor_lists, cost, s, d)
+
+
+def best_bottleneck_oracle(links, s, d):
+    """Widest s-d bottleneck over the (neighbour, width) pairs links(u),
+    with dict and set labels: the oracle for widest_path's bottleneck
+    search."""
+    best = {s: math.inf}
+    heap = [(-math.inf, s)]
+    done = set()
+    while heap:
+        _, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == d:
+            return best[d]
+        bu = best[u]
+        for v, w in links(u):
+            if v in done:
+                continue
+            cand = min(bu, w)
+            if cand > best.get(v, -math.inf):
+                best[v] = cand
+                heapq.heappush(heap, (-cand, v))
+    return None
+
+
+def min_hop_lex_path_oracle(nbrs, s, d):
+    """Lexicographically smallest minimum-hop s-d path over the graph whose
+    neighbour lists nbrs(u) returns, or None."""
+    hops = {d: 0}
+    queue = deque([d])
+    while queue and s not in hops:
+        u = queue.popleft()
+        for v in nbrs(u):
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    if s not in hops:
+        return None
+    path = [s]
+    u = s
+    while u != d:
+        u = min(v for v in nbrs(u) if hops.get(v, -1) == hops[u] - 1)
+        path.append(u)
+    return tuple(path)
+
+
+def widest_path_oracle(links, s, d):
+    """widest_path over the callable graph links(u), from the dict-labelled
+    searches: (path, bottleneck) or None."""
+    bottleneck = best_bottleneck_oracle(links, s, d)
+    if bottleneck is None:
+        return None
+    # the links at or above the bottleneck carry exactly the optimal paths
+    path = min_hop_lex_path_oracle(
+        lambda u: [v for v, w in links(u) if w >= bottleneck], s, d)
+    return path, bottleneck
+
+
+def least_cost_path_oracle(nbrs, cost, s, d):
+    """_least_cost_path with dict and set labels, stopping once s is
+    settled: its oracle on the same early stop."""
+    label = {d: (0.0, 0)}
+    heap = [(0.0, 0, d)]
+    done = set()
+    while heap:
+        cu, hu, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == s:
+            break
+        step = cost[u] if u != d else 0.0
+        for v in nbrs[u]:
+            if v in done:
+                continue
+            cand = (cu + step, hu + 1)
+            if cand < label.get(v, (math.inf, 0)):
+                label[v] = cand
+                heapq.heappush(heap, (cand[0], cand[1], v))
+    if s not in label:
+        return None
+    path = [s]
+    u = s
+    while u != d:
+        cu, hu = label[u]
+        u = min(v for v in nbrs[u]
+                if label.get(v) is not None
+                and label[v][0] + (cost[v] if v != d else 0.0) == cu
+                and label[v][1] + 1 == hu)
+        path.append(u)
+    return tuple(path), label[s][0]
+
+
+def small_width(rng):
+    # few distinct values, so that ties must be broken identically
+    return math.inf if rng.random() < 0.15 else float(rng.randint(1, 4))
+
+
+def random_graph(rng):
+    """A random graph with link widths that are the same both ways, as
+    {node: {neighbour: width}}, and two distinct endpoints."""
+    n = rng.randint(2, 12)
+    p = rng.uniform(0.1, 0.7)
+    adj = {u: {} for u in range(n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u][v] = adj[v][u] = small_width(rng)
+    s, d = rng.sample(range(n), 2)
+    return adj, s, d
+
+
+class TestKernelsAgainstDictOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), node_weighted=st.booleans())
+    def test_widest_path(self, seed, node_weighted):
+        rng = random.Random(seed)
+        adj, s, d = random_graph(rng)
+        nbrs, widths = rows(adj)
+        if node_weighted:
+            # MMBCR's form: entering v costs its weight, the endpoints none
+            weight = [small_width(rng) for _ in nbrs]
+            weight[s] = weight[d] = math.inf
+            widths = [[weight[v] for v in row] for row in nbrs]
+        expected = widest_path_oracle(lambda u: zip(nbrs[u], widths[u]), s, d)
+        assert widest_path(nbrs, widths, s, d) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_least_cost_path(self, seed):
+        rng = random.Random(seed)
+        adj, s, d = random_graph(rng)
+        nbrs, _ = rows(adj)
+        cost = [float(rng.randint(0, 3)) for _ in nbrs]
+        assert _least_cost_path(nbrs, cost, s, d) == \
+            least_cost_path_oracle(nbrs, cost, s, d)
 
 
 class TestProperties:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manetsim.config import ScenarioConfig
 from manetsim.mobility import init_mobility
@@ -27,6 +29,24 @@ def full_snapshot(nodes, dead=()):
     the dead ones."""
     residual = [0.0 if i in dead else 1500.0 for i in range(len(nodes.x))]
     return snapshot(nodes, residual, 250.0, 0.0)
+
+
+def dense_let_matrix(snap):
+    """Pairwise link expiration times as an n x n matrix, the formula over
+    every pair: the oracle for TopologySnapshot.let, which evaluates it on
+    the in-range pairs only. Only in-range entries are meaningful."""
+    vx = snap.speed * np.cos(snap.heading)
+    vy = snap.speed * np.sin(snap.heading)
+    a = vx[:, None] - vx[None, :]
+    c = vy[:, None] - vy[None, :]
+    b = snap.x[:, None] - snap.x[None, :]
+    d = snap.y[:, None] - snap.y[None, :]
+    k = a * a + c * c
+    radicand = np.clip(k * snap.r * snap.r - (a * d - b * c) ** 2, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        let = (-(a * b + c * d) + np.sqrt(radicand)) / k
+    let[k == 0.0] = np.inf
+    return let
 
 
 def traffic_interference(snap, activity, node):
@@ -78,16 +98,18 @@ class TestSnapshotEdges:
             i, j = np.nonzero(snap.in_range)
             assert (snap.dist[i, j] <= 250.0).all()
             assert (snap.dist[i, j] == snap.dist[j, i]).all()
-            assert (snap.let[i, j] == snap.let[j, i]).all()
+            lets = {(u, v): w for u, row in enumerate(snap.let)
+                    for v, w in zip(snap.neighbor_lists[u], row)}
+            assert all(lets[u, v] == lets[v, u] for u, v in lets)
 
     def test_let_matrix_matches_scalar_formula(self):
         rng = random.Random(9)
         nodes = random_nodes(rng)
         snap = full_snapshot(nodes)
         for i in range(snap.n):
-            for j in snap.neighbor_lists[i]:
+            assert len(snap.let[i]) == len(snap.neighbor_lists[i])
+            for j, got in zip(snap.neighbor_lists[i], snap.let[i]):
                 expected = link_expiration_time(nodes, i, j, 250.0)
-                got = snap.let[i, j]
                 if math.isinf(expected):
                     assert math.isinf(got)
                 else:
@@ -115,7 +137,7 @@ class TestSnapshotEdges:
 
 
 class TestSharedNeighbourStructures:
-    def random_snapshot(self, rng):
+    def random_snapshot(self, rng, same_velocity_pairs=False):
         # some dead nodes, and a few far out so that they are isolated
         nodes = random_nodes(rng, n=rng.randint(2, 40), area=800.0)
         dead = set()
@@ -124,6 +146,15 @@ class TestSharedNeighbourStructures:
                 dead.add(i)
             elif rng.random() < 0.1:
                 nodes.x[i], nodes.y[i] = 5000.0 + 1000.0 * i, 5000.0
+        if same_velocity_pairs:
+            # some nodes take a neighbour's velocity, some stand still:
+            # links with no relative motion, whose LET is +inf
+            for i in range(1, len(nodes.x)):
+                if rng.random() < 0.2:
+                    nodes.speed[i] = nodes.speed[i - 1]
+                    nodes.heading[i] = nodes.heading[i - 1]
+                elif rng.random() < 0.1:
+                    nodes.speed[i] = 0.0
         return full_snapshot(nodes, dead)
 
     def test_neighbor_lists_match_in_range_rows(self):
@@ -137,21 +168,23 @@ class TestSharedNeighbourStructures:
                 if not snap.alive[i]:
                     assert expected == []
 
-    def test_let_adjacency_matches_let_matrix(self):
-        rng = random.Random(22)
-        for _ in range(50):
-            snap = self.random_snapshot(rng)
-            adj = snap.let_adjacency
-            assert sorted(adj) == list(range(snap.n))
-            for i in range(snap.n):
-                assert list(adj[i]) == snap.neighbor_lists[i]
-            for i, j in zip(*np.nonzero(snap.in_range)):
-                assert adj[i][j] == snap.let[i, j]
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_edge_lets_equal_the_dense_let_matrix(self, seed):
+        rng = random.Random(seed)
+        snap = self.random_snapshot(rng, same_velocity_pairs=True)
+        dense = dense_let_matrix(snap)
+        assert len(snap.let) == snap.n
+        for i in range(snap.n):
+            assert len(snap.let[i]) == len(snap.neighbor_lists[i])
+            for j, let in zip(snap.neighbor_lists[i], snap.let[i]):
+                assert type(let) is float
+                assert let == dense[i, j]  # the same bits, +inf included
 
     def test_built_once_per_snapshot(self):
         snap = self.random_snapshot(random.Random(23))
         assert snap.neighbor_lists is snap.neighbor_lists
-        assert snap.let_adjacency is snap.let_adjacency
+        assert snap.let is snap.let
 
 
 class TestLazyMatrices:
