@@ -68,6 +68,7 @@ class EnergyLedger:
 
     A debit that would overdraw a node's battery is truncated so the battery
     reaches exactly zero; the node is then dead and rejects further debits.
+    `died[i]` is the time node i died, None while it is alive.
     """
 
     def __init__(self, node_count, initial_battery):
@@ -76,6 +77,7 @@ class EnergyLedger:
         self.entries = {cat: [0.0] * node_count for cat in CATEGORIES}
         self._residual = [initial_battery] * node_count
         self.newly_dead = deque()
+        self.died = [None] * node_count
 
     def alive(self, node):
         return self._residual[node] > 0.0
@@ -114,6 +116,14 @@ class EnergyLedger:
             residual[node] = remaining - j
             entries[category][node] += j
 
+    def note_deaths(self, t):
+        """Record t as the death time of each node in newly_dead, emptying
+        it; True if there was one."""
+        any_died = bool(self.newly_dead)
+        while self.newly_dead:
+            self.died[self.newly_dead.popleft()] = t
+        return any_died
+
     def total(self, node):
         # derived from the residual accumulator, so that
         # initial - residual == total holds exactly; the per-category
@@ -130,10 +140,11 @@ class EnergyLedger:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(("node_id", *(f"{cat}_J" for cat in CATEGORIES),
-                             "total_J", "residual_J"))
-            for i in range(self.node_count):
+                             "total_J", "residual_J", "died_s"))
+            for i, died in enumerate(self.died):
                 row = [i] + [repr(self.entries[cat][i]) for cat in CATEGORIES]
-                row += [repr(self.total(i)), repr(self._residual[i])]
+                row += [repr(self.total(i)), repr(self._residual[i]),
+                        "" if died is None else repr(died)]
                 writer.writerow(row)
 
 
@@ -215,21 +226,26 @@ def flood_depths(snap, source):
 
 def charge_route_discovery(ledger, snap, source, route, model):
     """Charge one flood-based discovery: an RREQ rebroadcast from every live
-    node (sized by its recorded hop count from the source) plus, when a route
-    was found, RREP unicast hops back along it. On no-route only the flood is
-    charged."""
-    # a node the flood does not reach is charged as if it recorded no hops
-    hops = np.maximum(flood_depths(snap, source), 0)
-    # airtime of every node's RREQ, which has recorded h hops
-    airtimes = 8.0 * (model.rreq_base_bytes + model.rreq_hop_bytes * hops) \
-        / model.bitrate
-    alive = ledger.alive_mask()
-    # reception energy from every live neighbor's rebroadcast, one debit each
-    rx_sum = snap.in_range @ (airtimes * alive)
-    charges = broadcast_tx_power(model) * airtimes + model.rx_power * rx_sum
-    payers = np.flatnonzero(alive)
+    node the flood reaches (sized by its recorded hop count from the source)
+    plus, when a route was found, RREP unicast hops back along it. On
+    no-route only the flood is charged.
+
+    A reached node pays for its own rebroadcast and for hearing each live
+    neighbour's; a node the flood does not reach hears nothing and pays
+    nothing. The bytes heard are integer sums, so exact in any order.
+    """
+    depths = np.array(flood_depths(snap, source))
+    payers = np.flatnonzero((depths >= 0) & ledger.alive_mask())
+    # bytes of each payer's RREQ, which has recorded its depth in hops
+    sent = np.zeros(snap.n, dtype=np.int64)
+    sent[payers] = model.rreq_base_bytes + model.rreq_hop_bytes * depths[payers]
+    heard = snap.neighbor_sums(sent)[payers]
+    # airtimes as airtime() computes them; a source with no live
+    # neighbour hears 0 bytes, which airtime() would reject
+    charges = (broadcast_tx_power(model) * (8.0 * sent[payers] / model.bitrate)
+               + model.rx_power * (8.0 * heard / model.bitrate))
     ledger.debit_all(payers.tolist(), ("discovery",) * len(payers),
-                     charges[payers].tolist())
+                     charges.tolist())
     if route is None:
         return
     # the RREP travels back from the destination; a hop with a dead end at

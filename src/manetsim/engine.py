@@ -58,8 +58,13 @@ class RunResult:
     packets: list
     routes: list
     sessions: list
-    first_failure_time: float = None
     end_time: float = 0.0
+
+    @property
+    def first_failure_time(self):
+        """When the first node died, None if none did."""
+        return min((t for t in self.ledger.died if t is not None),
+                   default=None)
 
 
 def make_sessions(config, rng):
@@ -146,7 +151,6 @@ class Simulation:
         self.activity = [0] * config.node_count
         self.packets = []
         self.routes = []
-        self.first_failure_time = None
 
     def _check_trace(self, trace):
         cfg = self.config
@@ -190,10 +194,10 @@ class Simulation:
                 self._maintain_routes(snap, t)
                 self._discover_routes(snap, t)
                 self._send_traffic(snap, t)
-                self._note_failures(t)
+                died = self.ledger.note_deaths(t)
                 k += 1
-                if cfg.until_first_failure and self.first_failure_time is not None:
-                    end = self.first_failure_time
+                if cfg.until_first_failure and died:
+                    end = t
                     break
                 if k == self.ticks:
                     break
@@ -203,7 +207,7 @@ class Simulation:
         return RunResult(config=cfg, ledger=self.ledger, packets=self.packets,
                          routes=self.routes,
                          sessions=[st.session for st in self.sessions],
-                         first_failure_time=self.first_failure_time, end_time=end)
+                         end_time=end)
 
     # --- per-tick phases ---
 
@@ -353,12 +357,6 @@ class Simulation:
         pkt.hops_traversed = hops
         # total_delay's association: (buffering + service) + propagation
         pkt.delivered_at = pkt.created_at + ((wait + service) + prop)
-
-    def _note_failures(self, t):
-        while self.ledger.newly_dead:
-            self.ledger.newly_dead.popleft()
-            if self.first_failure_time is None:
-                self.first_failure_time = t
 
 
 def run(config, trace=None, trace_out=None) -> RunResult:

@@ -122,7 +122,6 @@ def recompute_from_csv(packets_path, routes_path, ledger_path, end_time):
     counts = defaultdict(int)
     weighted = defaultdict(float)
     lifetime = defaultdict(float)
-    first_failure = None
     with open(routes_path, newline="") as f:
         for row in csv.DictReader(f):
             sid = int(row["session"])
@@ -131,13 +130,13 @@ def recompute_from_csv(packets_path, routes_path, ledger_path, end_time):
             life = torn - float(row["discovered_s"])
             weighted[sid] += int(row["hops"]) * life
             lifetime[sid] += life
-    totals, metered = [], []
+    totals, metered, deaths = [], [], []
     with open(ledger_path, newline="") as f:
         for row in csv.DictReader(f):
             totals.append(float(row["total_J"]))
             metered += (float(row[f"{cat}_J"]) for cat in METERED_CATEGORIES)
-            if float(row["residual_J"]) == 0.0 and first_failure is None:
-                first_failure = True
+            if row["died_s"]:
+                deaths.append(float(row["died_s"]))
     per_session = [weighted[sid] / lifetime[sid]
                    for sid in sorted(lifetime) if lifetime[sid] > 0.0]
     n_sessions = len(sessions) if sessions else 1
@@ -147,7 +146,7 @@ def recompute_from_csv(packets_path, routes_path, ledger_path, end_time):
         delay_per_packet=statistics.fmean(delays) if delays else None,
         energy_per_packet=(math.fsum(metered) / delivered) if delivered else None,
         fairness_stddev=statistics.pstdev(totals),
-        first_failure_time=first_failure,
+        first_failure_time=min(deaths, default=None),
     )
 
 

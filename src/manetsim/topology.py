@@ -111,6 +111,12 @@ class TopologySnapshot:
     def degrees(self):
         return self.in_range.sum(axis=1)
 
+    def neighbor_sums(self, values):
+        """Per node, the sum of values[v] over its neighbours v; exact in
+        any order when the values are integers."""
+        rows, cols, _ = self._edges
+        return np.bincount(rows, weights=values[cols], minlength=self.n)
+
 
 def snapshot(nodes, residual, r, t):
     """Build the topology snapshot of the given node kinematics and residual

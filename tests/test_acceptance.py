@@ -171,26 +171,31 @@ def test_criterion_06_power_constants():
 
 
 def test_criterion_07_metric_recomputation(tmp_path):
-    result = run(set1_config(protocol="LBR", v_max=50.0, seed=2,
-                             duration=300.0))
-    pk, rt, lg = (tmp_path / n
-                  for n in ("packets.csv", "routes.csv", "ledger.csv"))
-    write_packets_csv(result, pk)
-    write_routes_csv(result, rt)
-    result.ledger.write_csv(lg)
-    reference = compute_report(result)
-    recomputed = recompute_from_csv(pk, rt, lg, result.end_time)
-    ok = (relative_close(recomputed.hop_count, reference.hop_count)
-          and relative_close(recomputed.fairness_stddev,
-                             reference.fairness_stddev)
-          and relative_close(recomputed.delay_per_packet,
-                             reference.delay_per_packet)
-          and relative_close(recomputed.energy_per_packet,
-                             reference.energy_per_packet))
-    verdict("criterion-07 metric recomputation", ok,
-            f"hop {recomputed.hop_count} vs {reference.hop_count}, "
-            f"fairness {recomputed.fairness_stddev} vs "
-            f"{reference.fairness_stddev}")
+    # a fixed-horizon run, and a run until its first death
+    configs = (set1_config(protocol="LBR", v_max=50.0, seed=2, duration=300.0),
+               set2_config(protocol="MMBCR", v_max=SET2_VMAX, tpc=True,
+                           initial_battery=3.0, seed=2))
+    mismatches = []
+    for k, cfg in enumerate(configs):
+        result = run(cfg)
+        pk, rt, lg = (tmp_path / f"{k}-{n}"
+                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
+        write_packets_csv(result, pk)
+        write_routes_csv(result, rt)
+        result.ledger.write_csv(lg)
+        reference = compute_report(result)
+        recomputed = recompute_from_csv(pk, rt, lg, result.end_time)
+        mismatches += [
+            (k, name, getattr(recomputed, name), getattr(reference, name))
+            for name in ("hop_count", "fairness_stddev", "delay_per_packet",
+                         "energy_per_packet", "first_failure_time")
+            if not relative_close(getattr(recomputed, name),
+                                  getattr(reference, name))]
+        if k == 1 and reference.first_failure_time is None:
+            mismatches.append((k, "no node died", None, None))
+    verdict("criterion-07 metric recomputation", not mismatches,
+            f"{len(mismatches)} mismatches in 2 runs"
+            + (f"; first: {mismatches[0]}" if mismatches else ""))
 
 
 # --- soft criteria ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DISCOVERY_EXCHANGE,
 from manetsim.protocols import Route
 
 from test_mobility import make_nodes
-from test_topology import full_snapshot
+from test_topology import dense_in_range, full_snapshot
 
 
 def rreq_bytes(recorded_hops, model):
@@ -108,6 +109,17 @@ class TestLedger:
         assert ledger.total(0) == 1.0
         assert list(ledger.newly_dead) == [0]
 
+    def test_each_death_is_recorded_once_at_its_tick(self):
+        ledger = EnergyLedger(3, 1.0)
+        assert not ledger.note_deaths(0.5)
+        ledger.debit_all([1, 0], ["mac", "mac"], [2.0, 0.5])
+        assert ledger.note_deaths(1.0)
+        assert not ledger.newly_dead
+        ledger.debit_all([0], ["mac"], [0.5])
+        assert ledger.note_deaths(2.0)
+        assert not ledger.note_deaths(3.0)
+        assert ledger.died == [2.0, 1.0, None]
+
     def test_dead_node_rejects_debits(self):
         ledger = EnergyLedger(1, 1.0)
         ledger.debit_all([0], ["mac"], [1.0])
@@ -125,6 +137,8 @@ class TestLedger:
         for _ in range(50):
             ledger.debit_all([rng.randrange(4)], [rng.choice(CATEGORIES)],
                              [rng.uniform(0, 0.5)])
+        ledger.debit_all([2], ["mac"], [100.0])
+        ledger.note_deaths(2.5)
         path = tmp_path / "ledger.csv"
         ledger.write_csv(path)
         with open(path, newline="") as f:
@@ -134,6 +148,7 @@ class TestLedger:
             assert int(row["node_id"]) == node
             assert float(row["total_J"]) == ledger.total(node)
             assert float(row["residual_J"]) == ledger.residual(node)
+            assert row["died_s"] == ("" if ledger.alive(node) else "2.5")
             parts = sum(float(row[c + "_J"]) for c in CATEGORIES)
             assert parts == pytest.approx(ledger.total(node), abs=1e-12)
 
@@ -510,21 +525,28 @@ class TestRouteDiscovery:
         assert grand_total(without) < grand_total(with_route)
 
     def test_flood_matches_degree_sequence_recount(self):
-        # independent recount from BFS depths and the degree sequence
+        # independent recount from BFS depths and the neighbour lists, on
+        # 50-node snapshots with a few nodes moved out of everyone's range:
+        # the flood reaches a node or charges it nothing
         rng = random.Random(6)
         for trial in range(5):
             nodes = random_nodes(rng, n=50)
+            for i in rng.sample(range(50), 3):
+                nodes.x[i], nodes.y[i] = 5000.0 + 1000.0 * i, 5000.0
             snap = full_snapshot(nodes)
             source = rng.randrange(50)
             ledger = EnergyLedger(50, 1500.0)
             charge_route_discovery(ledger, snap, source, None, FIXED)
-            # a node the flood does not reach is charged for a 0-hop RREQ
-            hops = [max(h, 0) for h in flood_depths(snap, source)]
+            hops = flood_depths(snap, source)
+            assert hops.count(-1) >= 3
             for node in range(50):
-                tx = 1.4 * airtime(rreq_bytes(hops[node], FIXED), FIXED)
-                rx = sum(0.967 * airtime(rreq_bytes(hops[j], FIXED), FIXED)
-                         for j in snap.neighbor_lists[node])
-                assert ledger.total(node) == pytest.approx(tx + rx, rel=1e-12)
+                expected = 0.0
+                if hops[node] >= 0:
+                    heard = sum(rreq_bytes(hops[j], FIXED)
+                                for j in snap.neighbor_lists[node])
+                    expected = (1.4 * (8.0 * rreq_bytes(hops[node], FIXED) / 2e6)
+                                + 0.967 * (8.0 * heard / 2e6))
+                assert ledger.entries["discovery"][node] == expected
 
     def test_flood_reception_scales_with_degree_sum(self):
         # with constant-size RREQs, total reception energy is
@@ -539,3 +561,99 @@ class TestRouteDiscovery:
         expected_rx = 0.967 * t * snap.degrees().sum()
         expected_tx = 1.4 * t * 40
         assert grand_total(ledger) == pytest.approx(expected_tx + expected_rx)
+
+
+def flood_oracle(snap, alive, source, model):
+    """The discovery joules of one RREQ flood from source, per node, from a
+    BFS over the dense adjacency and byte counts in Python integers: a node
+    alive in the ledger that the flood reaches sends an RREQ of its recorded
+    hops and hears the RREQs of its neighbours; every other node pays 0."""
+    near = dense_in_range(snap)
+    depth = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in np.flatnonzero(near[u]).tolist():
+            if v not in depth:
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    sent = [rreq_bytes(depth[u], model) if u in depth and alive[u] else 0
+            for u in range(snap.n)]
+    joules = []
+    for u in range(snap.n):
+        heard = sum(sent[v] for v in np.flatnonzero(near[u]).tolist())
+        joules.append(0.0 if not sent[u] else
+                      broadcast_tx_power(model) * (8.0 * sent[u] / model.bitrate)
+                      + model.rx_power * (8.0 * heard / model.bitrate))
+    return joules
+
+
+def flood_charges(snap, source, model, ledger_dead=()):
+    """Discovery joules of one flood from source, as the ledger records
+    them, with the ledger_dead nodes emptied beforehand."""
+    ledger = EnergyLedger(snap.n, 1500.0)
+    for node in ledger_dead:
+        debit(ledger, node, "mac", 1500.0)
+    charge_route_discovery(ledger, snap, source, None, model)
+    assert ledger.entries["mac"] == [1500.0 if i in ledger_dead else 0.0
+                                     for i in range(snap.n)]
+    return ledger.entries["discovery"]
+
+
+# multiples of 50 m put some pairs at exactly r
+_COORD = st.integers(0, 24).map(lambda k: 50.0 * k)
+
+
+class TestFloodOracle:
+    def test_unreached_node_pays_nothing(self):
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (100.0, 0.0),
+                                         (900.0, 900.0)]))
+        got = flood_charges(snap, 0, FIXED)
+        assert got[2] == 0.0
+        assert got == flood_oracle(snap, [True] * 3, 0, FIXED)
+        t64, t72 = 8.0 * 64 / 2e6, 8.0 * 72 / 2e6
+        assert got[:2] == [1.4 * t64 + 0.967 * t72, 1.4 * t72 + 0.967 * t64]
+
+    @pytest.mark.parametrize("model", [FIXED, TPC])
+    def test_isolated_source_pays_only_its_own_request(self, model):
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (900.0, 0.0),
+                                         (1000.0, 0.0)]))
+        got = flood_charges(snap, 0, model)
+        assert got == [broadcast_tx_power(model) * (8.0 * 64 / 2e6), 0.0, 0.0]
+        assert got == flood_oracle(snap, [True] * 3, 0, model)
+
+    @pytest.mark.parametrize("model", [FIXED, TPC])
+    def test_ledger_dead_relay_neither_sends_nor_pays(self, model):
+        # node 1 is alive in the snapshot, so the flood's depths pass it,
+        # but its battery ran out earlier in the tick
+        snap = full_snapshot(make_nodes([(0.0, 0.0), (200.0, 0.0),
+                                         (400.0, 0.0)]))
+        got = flood_charges(snap, 0, model, ledger_dead={1})
+        t64, t80 = 8.0 * 64 / 2e6, 8.0 * 80 / 2e6
+        tx = broadcast_tx_power(model)
+        assert got == [tx * t64, 0.0, tx * t80]
+        assert got == flood_oracle(snap, [True, False, True], 0, model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), model=st.sampled_from([FIXED, TPC]))
+    def test_equals_the_integer_oracle(self, data, model):
+        # a random graph plus a component of two nodes far away, which no
+        # flood from the rest reaches; some nodes dead in the snapshot and
+        # some only in the ledger
+        n = data.draw(st.integers(1, 14))
+        points = data.draw(st.lists(st.tuples(_COORD, _COORD),
+                                    min_size=n, max_size=n))
+        points += [(5000.0, 5000.0), (5000.0, 5100.0)]
+        n += 2
+        dead = data.draw(st.sets(st.integers(0, n - 1), max_size=n // 3))
+        source = data.draw(st.integers(0, n - 1).filter(
+            lambda i: i not in dead))
+        ledger_dead = data.draw(st.sets(st.integers(0, n - 1).filter(
+            lambda i: i not in dead and i != source), max_size=3))
+        snap = full_snapshot(make_nodes(points), dead)
+        alive = [i not in dead and i not in ledger_dead for i in range(n)]
+        got = flood_charges(snap, source, model, dead | ledger_dead)
+        expected = flood_oracle(snap, alive, source, model)
+        assert got == expected
+        unreached = n - 2 if source < n - 2 else 0
+        assert got[unreached] == 0.0

@@ -74,7 +74,7 @@ def output_digests(cfg, out_dir):
 GOLDEN = {
     "set1-FORP-tpc0": {
         "ledger.csv":
-            "7267affe2dfeb555b971fcf86454065afb24a7bc9165cea7cf5e0faf863657b4",
+            "e93a9559b28810f53c9577f5489b7a9329a99be26aa2b8992e373b7947fd411e",
         "routes.csv":
             "f6e70e0a7c69a4c12c8e9be081558f6bfaf70cc6ac0a3f3e5c448c998f146a56",
         "packets.csv":
@@ -82,7 +82,7 @@ GOLDEN = {
     },
     "set1-FORP-tpc1": {
         "ledger.csv":
-            "6da2050d56095e837ae3205364ce07dc98c7194dc1fdc4fc46bd44b874c35b19",
+            "9a96b9ed6099b251a289b0c9c15379ea5f7131306055df228e341cdc91a59589",
         "routes.csv":
             "f6e70e0a7c69a4c12c8e9be081558f6bfaf70cc6ac0a3f3e5c448c998f146a56",
         "packets.csv":
@@ -90,7 +90,7 @@ GOLDEN = {
     },
     "set1-LBR-tpc0": {
         "ledger.csv":
-            "2640a9a9209c592269a8ce7e9e5cfe81a1850dba80219e2e5dad8c7f60530a94",
+            "cd031a5bbabf8ca7ae507b298f00ec6c8397c8dc2ea552a0df995d22fa6981bf",
         "routes.csv":
             "d426eee69d343d09bf6a20a38b112595a5efcb0205c2f4223dcdebfdb6179f61",
         "packets.csv":
@@ -98,7 +98,7 @@ GOLDEN = {
     },
     "set1-LBR-tpc1": {
         "ledger.csv":
-            "7b7307da14777f2b4e17a871817b80535c295c5cc79ad04896876abd06dfab41",
+            "bd4fa9148296ef2128aad9d0a25d9324579ba81dccea5527085fa1c9403f6825",
         "routes.csv":
             "d426eee69d343d09bf6a20a38b112595a5efcb0205c2f4223dcdebfdb6179f61",
         "packets.csv":
@@ -106,7 +106,7 @@ GOLDEN = {
     },
     "set1-MMBCR-tpc0": {
         "ledger.csv":
-            "400a62abf8d3434f0de318b16e2916cf23ead1c21430ac7dd9b6a654ca5c99cc",
+            "52d2cab47d4126efb5e8fdf028dc631cf6e7f89ab459501a59d988f65c197b3b",
         "routes.csv":
             "d9981f012f651b3f6ec07e1591e4883592f2ec0e6b6c22077c56f1f8255c0f0a",
         "packets.csv":
@@ -114,7 +114,7 @@ GOLDEN = {
     },
     "set1-MMBCR-tpc1": {
         "ledger.csv":
-            "7f0f1badf1c670715d6d877004ce4e1a7c5dabeb6290fdac965a6b62d3858e62",
+            "d7e428bcc2ae074ba612d31059374e2c052146de7c0ec21667f05a7df6eb123a",
         "routes.csv":
             "c7305ff9cc554e6d5c837f4494f10a739bde9ca29b5c347a13dda78353ddd750",
         "packets.csv":
@@ -122,7 +122,7 @@ GOLDEN = {
     },
     "set1v50-FORP-tpc0": {
         "ledger.csv":
-            "5e0a27c3ca5e92676900cd9a36ca4af731f3176e1ce2bd8926e9b7e5edaa2631",
+            "18c560dc95fccdcec4dd7e6ab983bb5b05930ba490fc9388726aba77e6797689",
         "routes.csv":
             "371e5d38a7f18aaa5f1661c2169e7ec3180bc716a9b07301dec37be084b516c9",
         "packets.csv":
@@ -130,7 +130,7 @@ GOLDEN = {
     },
     "set1v50-LBR-tpc0": {
         "ledger.csv":
-            "e5680d23c9d1c5997b781c3300c297833d415c96481474b7cadd108ce2e3e0c8",
+            "03c06d3c8e43e9980beefbcfceab2318288b7487a8035f49653831f359f7af4d",
         "routes.csv":
             "035696b9649acd2e0f51cd40207871583c796e93c2394b19816acb6e780dfd8d",
         "packets.csv":
@@ -138,7 +138,7 @@ GOLDEN = {
     },
     "set1v50-MMBCR-tpc0": {
         "ledger.csv":
-            "a74da3e0a14160615daec55324814cce2eb6f1b23eec8f1dd2129435e0033fd5",
+            "d7ff90aef8d33c9ebbdbd04773cb622e4294f7e03184698df19e112300e9dfb2",
         "routes.csv":
             "49fb8e04d1f82efbfae4813ba13ef228f765bd03a8dcde6b4ac9e35c0daa8bf6",
         "packets.csv":
@@ -146,7 +146,7 @@ GOLDEN = {
     },
     "set1n200-FORP-tpc0": {
         "ledger.csv":
-            "5743cca74ffc4d005c2f950bd0fd9090d17a3ab63e1c62b2bdd3ea65d42f2ec4",
+            "600b6be7b0d2159c64b834b480fc94e9355f8ab9885aad6e1ecde41c66a2a99a",
         "routes.csv":
             "516dd9fa36fe9d3fac7c6ca7f5de68a58d7da20d91dc0b7d19f7a343f0c95c57",
         "packets.csv":
@@ -154,7 +154,7 @@ GOLDEN = {
     },
     "set1n200-FORP-tpc1": {
         "ledger.csv":
-            "a9fc8e24dcd833adfdde176560a0c0cea4e82bf566a2cea707fc2cb4e694e5ee",
+            "7f796c359beb66436ce50235e7bfc9fcde8676b2c300042d5893e7506b8cb53b",
         "routes.csv":
             "516dd9fa36fe9d3fac7c6ca7f5de68a58d7da20d91dc0b7d19f7a343f0c95c57",
         "packets.csv":
@@ -162,7 +162,7 @@ GOLDEN = {
     },
     "set1n200-LBR-tpc0": {
         "ledger.csv":
-            "8b79ed4342391238a634b45ac2d7f7677918f7ad135ad009054687b0746b124b",
+            "fa03508535f918614b5564d7ca63d0e065d238e2960a4242af1c300cc04eab52",
         "routes.csv":
             "cd8f7b5968e89646d5e31beb787d9aa610301082ba65dd16a81eefa2b313de15",
         "packets.csv":
@@ -170,7 +170,7 @@ GOLDEN = {
     },
     "set1n200-LBR-tpc1": {
         "ledger.csv":
-            "e21d9536496e20e52f042b929068c2ab4f39b7178f856597b89e40afc7a51280",
+            "fcee2fcb0cb4fedbe3b96be9814206550824142c346e94b364cc62b1810d9299",
         "routes.csv":
             "cd8f7b5968e89646d5e31beb787d9aa610301082ba65dd16a81eefa2b313de15",
         "packets.csv":
@@ -178,7 +178,7 @@ GOLDEN = {
     },
     "set1n200-MMBCR-tpc0": {
         "ledger.csv":
-            "ef48ece31b87d592aeb392291711e770de41fd78ef0f1e5b5d3e649d27eae12f",
+            "2bc14bcd40db663a1343242a201dc17e71bb2bf2a70b66e1f127f67036aaae9e",
         "routes.csv":
             "bea8c68a97463d7d8dc84dac1fef0b45c8224698c15c9fbe6cc3750b3c09e1a8",
         "packets.csv":
@@ -186,7 +186,7 @@ GOLDEN = {
     },
     "set1n200-MMBCR-tpc1": {
         "ledger.csv":
-            "80474664cfad68da1baffee810d3c1ebee9c2a0d35a6e685c607b1ff5c757367",
+            "b68251a76d228f73d9254bf8ac2d3c47ff486173c8964f8bb2cce1fcc2405a54",
         "routes.csv":
             "08656cd4bcf9b29802c0883236586e2d9801c6fbcb443fbdef932d77d35ff37d",
         "packets.csv":
@@ -194,7 +194,7 @@ GOLDEN = {
     },
     "set2-FORP": {
         "ledger.csv":
-            "aeda631fd7d90cd73a4d489ce0f0248bbf1bf2b0f522bb22d1bcef07295f296c",
+            "f17bba9b9610edd6b439fac8f5614c507a1af8a248b8ef31fd30466259fad6a2",
         "routes.csv":
             "8ac82de66e2281c4132d8c9ca7a3e22bf141b38ac1a8b072b857293afea7e879",
         "packets.csv":
@@ -202,7 +202,7 @@ GOLDEN = {
     },
     "set2-LBR": {
         "ledger.csv":
-            "a6ce9f86f3ea45bfe91d956772df9f49794604b472932f420e26747b93b81351",
+            "d7644f80732a33a1fb286cbc2d79205943e08056d04478a33e7516e657470acb",
         "routes.csv":
             "2a8beafc5604b900ab5e3bd27abd2ab538b171c81b2b326890e4921f37c6a4b1",
         "packets.csv":
@@ -210,9 +210,9 @@ GOLDEN = {
     },
     "set2-MMBCR": {
         "ledger.csv":
-            "ba44ac35601a19364424db01e2814460c6e6720cab000b12705e6116a0e949a9",
+            "7e71222dfaa4a09516a4f6f0cb05ac1b1f38d96ee761530257ed97b31ac32532",
         "routes.csv":
-            "a881c889db46b1bc2e4cba9c30bf775262e152cb99ab03142605905acb7151e9",
+            "0803c92885e10c2297290aa60b4b91658d91736dd35904f6eb398202e495db06",
         "packets.csv":
             "0b8da47d127772a35ade63e75d7ab6b99d53c9da5f552296e283a776e7c19ea5",
     },

@@ -1,5 +1,6 @@
 """Run-level metric formulas, aggregation, and CSV recomputation."""
 
+import csv
 import statistics
 from dataclasses import fields
 
@@ -201,11 +202,37 @@ class TestComputeReport:
         reference = compute_report(result)
         recomputed = recompute_from_csv(pk, rt, lg, result.end_time)
         for fld in fields(MetricsReport):
-            if fld.name == "first_failure_time":
-                continue
             assert relative_close(getattr(recomputed, fld.name),
                                   getattr(reference, fld.name), tol=1e-9), \
                 fld.name
+
+
+class TestDeathTimes:
+    def test_first_failure_is_recomputed_from_the_death_times(self, tmp_path):
+        # node 7 of this 10-node, 0.3 J run dies first, at t = 17.7 s
+        result = run(ScenarioConfig(node_count=10, session_count=3,
+                                    initial_battery=0.3,
+                                    until_first_failure=True, seed=1))
+        assert result.first_failure_time == result.end_time == 17.7
+        pk, rt, lg = (tmp_path / n
+                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
+        write_packets_csv(result, pk)
+        write_routes_csv(result, rt)
+        result.ledger.write_csv(lg)
+        with open(lg, newline="") as f:
+            died = [row["died_s"] for row in csv.DictReader(f)]
+        assert died == ["17.7" if i == 7 else "" for i in range(10)]
+        report = recompute_from_csv(pk, rt, lg, result.end_time)
+        assert report.first_failure_time == 17.7
+
+    def test_no_death_recomputes_to_none(self, result, tmp_path):
+        pk, rt, lg = (tmp_path / n
+                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
+        write_packets_csv(result, pk)
+        write_routes_csv(result, rt)
+        result.ledger.write_csv(lg)
+        assert result.first_failure_time is None
+        assert recompute_from_csv(pk, rt, lg, 60.0).first_failure_time is None
 
 
 class TestExactSums:
@@ -240,8 +267,8 @@ class TestExactSums:
         rt.write_text("session,discovered_s,torn_down_s,hops,metric_value,"
                       "node_list\n0,0.0,,1,0.0,0 1\n")
         lg.write_text("node_id,data_tx_J,data_rx_J,mac_J,beacon_J,"
-                      "discovery_J,total_J,residual_J\n"
-                      + "".join(f"{i},0.1,0.0,0.0,0.0,0.0,0.1,0.9\n"
+                      "discovery_J,total_J,residual_J,died_s\n"
+                      + "".join(f"{i},0.1,0.0,0.0,0.0,0.0,0.1,0.9,\n"
                                 for i in range(10)))
         report = recompute_from_csv(pk, rt, lg, end_time=1.0)
         assert report.delay_per_packet == 0.1

@@ -31,6 +31,23 @@ def full_snapshot(nodes, dead=()):
     return snapshot(nodes, residual, 250.0, 0.0)
 
 
+def dense_dist(snap):
+    """Pairwise distances as an n x n matrix, the one distance formula over
+    every pair: the oracle for what the snapshot answers per pair."""
+    dx = snap.x[:, None] - snap.x[None, :]
+    dy = snap.y[:, None] - snap.y[None, :]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def dense_in_range(snap):
+    """Boolean n x n adjacency: distance <= r, both ends alive, no self
+    loops. The oracle for the snapshot's edge list."""
+    near = dense_dist(snap) <= snap.r
+    near &= snap.alive[:, None] & snap.alive[None, :]
+    np.fill_diagonal(near, False)
+    return near
+
+
 def dense_let_matrix(snap):
     """Pairwise link expiration times as an n x n matrix, the formula over
     every pair: the oracle for TopologySnapshot.let, which evaluates it on
