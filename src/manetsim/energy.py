@@ -225,23 +225,16 @@ def flood_depths(snap, source):
 
 
 def charge_route_discovery(ledger, snap, source, route, model):
-    """Charge one flood-based discovery: an RREQ rebroadcast from every live
-    node the flood reaches (sized by its recorded hop count from the source)
-    plus, when a route was found, RREP unicast hops back along it. On
-    no-route only the flood is charged.
-
-    A reached node pays for its own rebroadcast and for hearing each live
-    neighbour's; a node the flood does not reach hears nothing and pays
-    nothing. The bytes heard are integer sums, so exact in any order.
-    """
+    """Charge one flood-based discovery, plus, when a route was found, RREP
+    unicast hops back along it. Every live node the flood reaches rebroadcasts
+    the RREQ, sized by its recorded hop count, and hears each live neighbour's
+    rebroadcast; the bytes heard are integer sums, so exact in any order."""
     depths = np.array(flood_depths(snap, source))
     payers = np.flatnonzero((depths >= 0) & ledger.alive_mask())
-    # bytes of each payer's RREQ, which has recorded its depth in hops
-    sent = np.zeros(snap.n, dtype=np.int64)
+    sent = np.zeros(snap.n, dtype=np.int64)  # bytes of each payer's RREQ
     sent[payers] = model.rreq_base_bytes + model.rreq_hop_bytes * depths[payers]
     heard = snap.neighbor_sums(sent)[payers]
-    # airtimes as airtime() computes them; a source with no live
-    # neighbour hears 0 bytes, which airtime() would reject
+    # not airtime(), which rejects the 0 bytes an isolated source hears
     charges = (broadcast_tx_power(model) * (8.0 * sent[payers] / model.bitrate)
                + model.rx_power * (8.0 * heard / model.bitrate))
     ledger.debit_all(payers.tolist(), ("discovery",) * len(payers),

@@ -224,8 +224,8 @@ class Simulation:
         live = [st for st in self.sessions if st.route is not None]
         if not live:
             return
-        # a hop holds while both ends are alive and within range: in_range's
-        # rule for the pair, answered from the positions of the hop ends only
+        # a hop holds while both ends are alive and within range: the edge
+        # list's rule for the pair, answered from the hop ends' positions
         tails, heads = np.concatenate([st.hop_ends for st in live], axis=1)
         holds = snap.alive[tails] & snap.alive[heads]
         holds &= snap.distance(tails, heads) <= snap.r

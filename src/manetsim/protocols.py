@@ -165,7 +165,7 @@ def select_route(protocol, snap, activity, s, d, session=-1):
                             s, d)
     elif protocol == "LBR":
         act = np.array(activity, dtype=float)
-        cost = (act + snap.in_range @ act).tolist()
+        cost = (act + snap.neighbor_sums(act)).tolist()
         found = _least_cost_path(nbrs, cost, s, d)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")

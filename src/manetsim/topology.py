@@ -10,19 +10,19 @@ class TopologySnapshot:
 
     Edges are pairs at Euclidean distance <= r (inclusive); dead nodes
     (battery exhausted) carry no edges. Each edge is annotated with its
-    distance and predicted link expiration time.
+    predicted link expiration time.
 
     `residual` holds every node's battery at the start of the tick, as
     Python floats: MMBCR weighs it, and a node with none left is dead for
     the whole tick, however the ledger moves on within it.
 
-    Only positions, residuals and kinematics are captured eagerly. The n x n
-    matrices (`dist`, `in_range`), the neighbour lists and the per-link
-    LETs are built lazily, at most once per snapshot, by the readers of the
-    whole graph: the beacon round, route discovery and selection. Most
-    ticks only ask about the hops of live routes, which `distance` answers
-    from the positions with the same formula and so the same bits as
-    `dist`.
+    Only positions, residuals and kinematics are captured eagerly. The graph
+    is one edge list (`_edges`), built lazily, at most once per snapshot, by
+    the readers of the whole graph: the beacon round, route discovery and
+    selection. Degrees, neighbour lists, neighbour sums and the per-link
+    LETs all come from it. Most ticks only ask about the hops of live
+    routes, which `distance` answers from the positions with the formula
+    the edge list is built with.
     """
 
     def __init__(self, nodes, residual, r, t):
@@ -41,7 +41,7 @@ class TopologySnapshot:
 
     def distance(self, a, b):
         """Distances between nodes a and b, element-wise over broadcast
-        index arrays: the one distance formula, which `dist` shares."""
+        index arrays: the one distance formula."""
         dx = self.x[a] - self.x[b]
         dy = self.y[a] - self.y[b]
         # in place: dx * dx + dy * dy without the temporaries
@@ -51,26 +51,18 @@ class TopologySnapshot:
         return np.sqrt(dx, out=dx)
 
     @cached_property
-    def dist(self):
-        """Pairwise distances, an n x n matrix."""
-        ids = np.arange(self.n)
-        return self.distance(ids[:, None], ids[None, :])
-
-    @cached_property
-    def in_range(self):
-        """Boolean n x n adjacency: distance <= r and both ends alive."""
-        near = self.dist <= self.r
+    def _edges(self):
+        """The in-range pairs (distance <= r, both ends alive) in row-major
+        order, as row and column id arrays, and the (start, end) of each
+        node's run of them. The one n x n build."""
+        n = self.n
+        ids = np.arange(n)
+        near = self.distance(ids[:, None], ids[None, :]) <= self.r
         near &= self.alive[:, None]
         near &= self.alive[None, :]
         np.fill_diagonal(near, False)
-        return near
-
-    @cached_property
-    def _edges(self):
-        """The in-range pairs in row-major order, as row and column id
-        arrays, and the (start, end) of each node's run of them."""
-        rows, cols = np.nonzero(self.in_range)
-        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
+        rows, cols = np.divmod(np.flatnonzero(near), n)
+        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
         return rows, cols, list(zip([0] + ends, ends))
 
     def _by_node(self, flat):
@@ -109,7 +101,7 @@ class TopologySnapshot:
         return self._let
 
     def degrees(self):
-        return self.in_range.sum(axis=1)
+        return np.bincount(self._edges[0], minlength=self.n)
 
     def neighbor_sums(self, values):
         """Per node, the sum of values[v] over its neighbours v; exact in

@@ -22,7 +22,7 @@ from manetsim.topology import snapshot
 
 from test_energy import debit, grand_total
 from test_mobility import make_nodes
-from test_topology import full_snapshot
+from test_topology import dense_dist, dense_in_range, full_snapshot
 
 
 def small_config(**overrides):
@@ -189,9 +189,9 @@ class TestLazySnapshot:
         beacon_every = round(cfg.beacon_interval / cfg.tick)
         quiet = 0
         for k, snap in enumerate(snaps):
-            built = {"dist", "in_range"} & set(vars(snap))
+            built = "_edges" in vars(snap)
             if k % beacon_every == 0 or id(snap) in discovering:
-                assert "in_range" in built
+                assert built
             else:
                 assert not built
                 quiet += 1
@@ -221,9 +221,10 @@ class TestLazySnapshot:
                                metric_value=0.0, discovered_at=0.0))
         snap = snapshot(make_nodes(positions),
                         [1.0 if a else 0.0 for a in alive], 250.0, 0.0)
-        # the rule before the matrices went lazy, on the dense matrix
+        # the rule before the matrices went lazy, on the dense oracle
+        near = dense_in_range(snap)
         broken = [not (snap.alive[list(r)].all()
-                       and snap.in_range[list(r[:-1]), list(r[1:])].all())
+                       and near[list(r[:-1]), list(r[1:])].all())
                   for r in routes]
         sim._maintain_routes(snap, 1.0)
         assert [state.route is None for state in sim.sessions] == broken
@@ -246,9 +247,10 @@ class CheckedSimulation(Simulation):
                 expected[node] += 1
         assert self.activity == expected, \
             f"activity drift: {self.activity} != {expected}"
+        near = dense_in_range(snap)
         for r in live:
             for u, v in zip(r.nodes[:-1], r.nodes[1:]):
-                assert snap.in_range[u, v], f"stale route edge {u}-{v}"
+                assert near[u, v], f"stale route edge {u}-{v}"
 
 
 class TestInvariantsDuringRun:
@@ -420,20 +422,21 @@ class TestDelayModel:
         service, charges = tick_tables(snap, routes, tpc)
 
         model = PowerModel(tpc=tpc)
+        dist = dense_dist(snap)
         transmitters = {u for nodes in routes for u in nodes[:-1]}
         for nodes, (base, cont, prop), got in zip(routes, service, charges):
             hops = list(zip(nodes[:-1], nodes[1:]))
-            hop_d = snap.dist[nodes[:-1], nodes[1:]]
+            hop_d = dist[nodes[:-1], nodes[1:]]
             if len(hops) >= 8:  # a left-to-right sum would round differently
                 assert reduce(add, hop_d.tolist()) != float(np.sum(hop_d))
             assert prop == float(np.sum(hop_d)) / 3.0e8
             assert base == EXCHANGE * len(hops)
             counts = []
             for u, v in hops:
-                radius = snap.dist[u, v] if tpc else 250.0
+                radius = dist[u, v] if tpc else 250.0
                 counts.append(sum(
                     1 for w in transmitters if w not in (u, v)
-                    and (snap.dist[u, w] <= radius or snap.dist[v, w] <= radius)))
+                    and (dist[u, w] <= radius or dist[v, w] <= radius)))
             assert cont == EXCHANGE * float(sum(counts))
             expected = []
             for (u, v), d in zip(hops, hop_d.tolist()):

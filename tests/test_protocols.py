@@ -4,6 +4,7 @@ import heapq
 import math
 import random
 from collections import deque
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from manetsim.protocols import (Route, _least_cost_path, select_route,
 from manetsim.topology import TopologySnapshot, snapshot
 
 from test_mobility import make_nodes
-from test_topology import traffic_interference
+from test_topology import dense_in_range, traffic_interference
 
 
 class GraphSnap:
@@ -24,14 +25,16 @@ class GraphSnap:
     (+inf each by default) and residual batteries (1500 J each by default,
     0 for the dead).
 
-    The neighbour lists select_route reads are the engine's own
-    TopologySnapshot code, run on this edge list; the LETs are rows
-    parallel to them, the form TopologySnapshot.let has.
+    Its dense mask `near` is the oracle; `_edges` cuts it into runs as
+    TopologySnapshot does, and the neighbour lists and neighbour sums
+    select_route reads are the engine's own TopologySnapshot code, run on
+    that edge list. The LETs are rows parallel to the neighbour lists, the
+    form TopologySnapshot.let has.
     """
 
-    _edges = TopologySnapshot._edges
     _by_node = TopologySnapshot._by_node
     neighbor_lists = TopologySnapshot.neighbor_lists
+    neighbor_sums = TopologySnapshot.neighbor_sums
 
     def __init__(self, n, edges, lets=None, residual=None, time=0.0,
                  dead=()):
@@ -43,15 +46,27 @@ class GraphSnap:
         self.residual = [0.0 if i in dead else b for i, b in
                          enumerate(residual or [1500.0] * n)]
         self.alive = np.array(self.residual) > 0.0
-        self.in_range = np.zeros((n, n), dtype=bool)
+        self.near = np.zeros((n, n), dtype=bool)
         width = {}
         for idx, (i, j) in enumerate(edges):
-            self.in_range[i, j] = self.in_range[j, i] = True
+            self.near[i, j] = self.near[j, i] = True
             w = math.inf if lets is None else lets[idx]
             width[i, j] = width[j, i] = w
-        self.in_range &= self.alive[:, None] & self.alive[None, :]
+        self.near &= self.alive[:, None] & self.alive[None, :]
         self.let = [[width[u, v] for v in nbrs]
                     for u, nbrs in enumerate(self.neighbor_lists)]
+
+    @cached_property
+    def _edges(self):
+        rows, cols = np.nonzero(self.near)
+        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
+        return rows, cols, list(zip([0] + ends, ends))
+
+
+def adjacency(snap):
+    """The dense oracle of a snapshot's edge list: a GraphSnap's own mask,
+    or dense_in_range of a TopologySnapshot."""
+    return snap.near if isinstance(snap, GraphSnap) else dense_in_range(snap)
 
 
 def edge_let(snap, u, v):
@@ -101,7 +116,8 @@ def oracle_lbr(snap, activity, s, d):
     paths = all_simple_paths(snap, s, d)
     if not paths:
         return None
-    scored = [(sum(activity[m] + traffic_interference(snap, activity, m)
+    near = adjacency(snap)
+    scored = [(sum(activity[m] + traffic_interference(near, activity, m)
                    for m in p[1:-1]), p)
               for p in paths]
     best = min(scored, key=lambda sp: (sp[0], len(sp[1]), sp[1]))
@@ -322,7 +338,7 @@ class TestLeastCostEarlyStop:
         snap = snapshot(nodes, residual, 250.0, 0.0)
         activity = [rng.randint(0, max_activity) for _ in range(n)]
         act = np.array(activity, dtype=float)
-        cost = (act + snap.in_range @ act).tolist()  # LBR's weights
+        cost = (act + dense_in_range(snap) @ act).tolist()  # LBR's weights
         s, d = rng.sample(range(n), 2)
         assert _least_cost_path(snap.neighbor_lists, cost, s, d) == \
             least_cost_path_full(snap.neighbor_lists, cost, s, d)
@@ -501,7 +517,7 @@ class TestProperties:
                 continue
             assert route.metric_value >= 0.0
             idle = all(activity[m] == 0
-                       and traffic_interference(snap, activity, m) == 0
+                       and traffic_interference(snap.near, activity, m) == 0
                        for m in route.intermediates)
             assert (route.metric_value == 0.0) == idle
 
@@ -520,7 +536,7 @@ class TestProperties:
                 assert route.torn_down_at is None
                 assert route.hops == len(route.nodes) - 1
                 for u, v in zip(route.nodes[:-1], route.nodes[1:]):
-                    assert snap.in_range[u, v]
+                    assert snap.near[u, v]
 
     def test_select_route_dispatch(self):
         # one link, LET 5: each protocol scores it with its own metric

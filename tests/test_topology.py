@@ -66,27 +66,29 @@ def dense_let_matrix(snap):
     return let
 
 
-def traffic_interference(snap, activity, node):
-    """Sum of the activities of the node's current neighbors: the scalar
-    oracle for LBR's `in_range @ act`."""
-    if not 0 <= node < snap.n:
+def traffic_interference(near, activity, node):
+    """Sum of the activities of the node's current neighbors in the dense
+    adjacency near: the scalar oracle for LBR's `neighbor_sums(act)`."""
+    if not 0 <= node < len(near):
         raise KeyError(f"unknown node id {node}")
-    return sum(activity[j] for j in np.nonzero(snap.in_range[node])[0])
+    return sum(activity[j] for j in np.nonzero(near[node])[0])
 
 
 class TestSnapshotEdges:
     def test_boundary_distance_inclusive(self):
         snap = full_snapshot(make_nodes([(0.0, 0.0), (0.0, 250.0)]))
-        assert snap.in_range[0, 1]
-        assert snap.dist[0, 1] == pytest.approx(250.0)
+        assert dense_in_range(snap)[0, 1]
+        assert dense_dist(snap)[0, 1] == pytest.approx(250.0)
+        assert snap.neighbor_lists == [[1], [0]]
 
     def test_boundary_distance_exclusive(self):
         snap = full_snapshot(make_nodes([(0.0, 0.0), (0.0, 250.01)]))
-        assert not snap.in_range[0, 1]
+        assert not dense_in_range(snap)[0, 1]
+        assert snap.neighbor_lists == [[], []]
 
     def test_no_self_loops(self):
         snap = full_snapshot(make_nodes([(0.0, 0.0), (10.0, 0.0)]))
-        assert not snap.in_range[0, 0]
+        assert not dense_in_range(snap)[0, 0]
         assert 0 not in snap.neighbor_lists[0]
 
     def test_dead_nodes_carry_no_edges(self):
@@ -111,10 +113,14 @@ class TestSnapshotEdges:
         rng = random.Random(8)
         for _ in range(10):
             snap = full_snapshot(random_nodes(rng))
-            assert (snap.in_range == snap.in_range.T).all()
-            i, j = np.nonzero(snap.in_range)
-            assert (snap.dist[i, j] <= 250.0).all()
-            assert (snap.dist[i, j] == snap.dist[j, i]).all()
+            near, dist = dense_in_range(snap), dense_dist(snap)
+            assert (near == near.T).all()
+            i, j = np.nonzero(near)
+            assert (dist[i, j] <= 250.0).all()
+            assert (dist[i, j] == dist[j, i]).all()
+            rows, cols, _ = snap._edges
+            assert sorted(zip(rows.tolist(), cols.tolist())) == \
+                sorted(zip(cols.tolist(), rows.tolist()))
             lets = {(u, v): w for u, row in enumerate(snap.let)
                     for v, w in zip(snap.neighbor_lists[u], row)}
             assert all(lets[u, v] == lets[v, u] for u, v in lets)
@@ -179,8 +185,9 @@ class TestSharedNeighbourStructures:
         for _ in range(50):
             snap = self.random_snapshot(rng)
             assert len(snap.neighbor_lists) == snap.n
+            near = dense_in_range(snap)
             for i in range(snap.n):
-                expected = np.nonzero(snap.in_range[i])[0].tolist()
+                expected = np.nonzero(near[i])[0].tolist()
                 assert snap.neighbor_lists[i] == expected
                 if not snap.alive[i]:
                     assert expected == []
@@ -227,15 +234,16 @@ class TestLazyMatrices:
         rng = random.Random(31)
         for _ in range(30):
             snap = self.edge_case_snapshot(rng)
+            dist = dense_dist(snap)
             ids = np.arange(snap.n)
-            assert (snap.distance(ids[:, None], ids[None, :]) == snap.dist).all()
+            assert (snap.distance(ids[:, None], ids[None, :]) == dist).all()
             a = np.array([rng.randrange(snap.n) for _ in range(60)])
             b = np.array([rng.randrange(snap.n) for _ in range(60)])
-            assert (snap.distance(a, b) == snap.dist[a, b]).all()
-            assert (snap.distance(a[:, None], b) == snap.dist[a[:, None], b]).all()
-            assert snap.dist[0, 1] == 0.0 and snap.in_range[0, 1]
-            assert snap.dist[2, 3] == self.R and snap.in_range[2, 3]
-            assert snap.dist[3, 4] > self.R and not snap.in_range[3, 4]
+            assert (snap.distance(a, b) == dist[a, b]).all()
+            assert (snap.distance(a[:, None], b) == dist[a[:, None], b]).all()
+            assert dist[0, 1] == 0.0 and 1 in snap.neighbor_lists[0]
+            assert dist[2, 3] == self.R and 3 in snap.neighbor_lists[2]
+            assert dist[3, 4] > self.R and 4 not in snap.neighbor_lists[3]
 
     def test_in_range_is_the_hop_rule(self):
         # the rule route maintenance applies to a hop, over every pair
@@ -246,32 +254,61 @@ class TestLazyMatrices:
             a, b = ids[:, None], ids[None, :]
             rule = (snap.alive[a] & snap.alive[b]
                     & (snap.distance(a, b) <= snap.r) & (a != b))
-            assert (rule == snap.in_range).all()
+            assert (rule == dense_in_range(snap)).all()
+            rows, cols, _ = snap._edges
+            assert [rows.tolist(), cols.tolist()] == \
+                [x.tolist() for x in np.nonzero(rule)]
 
     def test_matrices_built_once_and_only_when_read(self):
         snap = self.edge_case_snapshot(random.Random(33))
         snap.distance(np.array([0, 2]), np.array([1, 3]))
-        assert "dist" not in vars(snap) and "in_range" not in vars(snap)
-        assert snap.in_range is snap.in_range
-        assert snap.dist is snap.dist
-        assert snap.in_range.dtype == bool and snap.in_range.shape == (snap.n,) * 2
+        assert "_edges" not in vars(snap)
+        snap.degrees()
+        assert "_edges" in vars(snap)
+        assert snap._edges is snap._edges
+        assert not hasattr(snap, "dist") and not hasattr(snap, "in_range")
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edge_list_equals_the_dense_oracle(self, data):
+        # a 50 m grid: pairs at exactly r, coincident nodes, dead nodes
+        n = data.draw(st.integers(1, 16))
+        coord = st.integers(0, 12).map(lambda k: 50.0 * k)
+        points = data.draw(st.lists(st.tuples(coord, coord),
+                                    min_size=n, max_size=n))
+        dead = data.draw(st.sets(st.integers(0, n - 1)))
+        values = np.array(data.draw(st.lists(st.integers(-1000, 1000),
+                                             min_size=n, max_size=n)),
+                          dtype=np.int64)
+        snap = full_snapshot(make_nodes(points), dead)
+        near = dense_in_range(snap)
+        rows, cols, _ = snap._edges
+        assert [rows.tolist(), cols.tolist()] == \
+            [x.tolist() for x in np.nonzero(near)]
+        assert snap.neighbor_lists == [np.flatnonzero(row).tolist()
+                                       for row in near]
+        assert snap.degrees().tolist() == near.sum(axis=1).tolist()
+        sums = snap.neighbor_sums(values)
+        assert sums.tolist() == [float(sum(values[row].tolist()))
+                                 for row in near]
 
 
 class TestTrafficInterference:
     def test_isolated_node(self):
         snap = full_snapshot(make_nodes([(0.0, 0.0), (900.0, 900.0)]))
-        assert traffic_interference(snap, [0, 0], 0) == 0
+        assert traffic_interference(dense_in_range(snap), [0, 0], 0) == 0
 
     def test_direct_sum(self):
         nodes = make_nodes([(0.0, 0.0), (100.0, 0.0), (0.0, 100.0),
                             (-100.0, 0.0), (900.0, 900.0)])
         snap = full_snapshot(nodes)
-        assert traffic_interference(snap, [0, 2, 0, 3, 0], 0) == 5
+        assert traffic_interference(dense_in_range(snap), [0, 2, 0, 3, 0],
+                                    0) == 5
 
     def test_unknown_node_rejected(self):
         snap = full_snapshot(make_nodes([(0.0, 0.0), (10.0, 0.0)]))
         with pytest.raises(KeyError):
-            traffic_interference(snap, [0, 0], 7)
+            traffic_interference(dense_in_range(snap), [0, 0], 7)
 
     def test_matches_recount_from_route_table(self):
         # activities derived from a random live-route list, then interference
@@ -288,5 +325,6 @@ class TestTrafficInterference:
         for node in range(8):
             expected = sum(sum(1 for r in routes if m in r[1:-1])
                            for m in snap.neighbor_lists[node])
-            assert traffic_interference(snap, activity, node) == expected
+            assert traffic_interference(dense_in_range(snap), activity,
+                                        node) == expected
 
