@@ -8,11 +8,12 @@ them in the same commit, and says so in CHANGES.md:
     PYTHONPATH=src python tests/test_golden.py
 
 prints a fresh GOLDEN table in this file's format to paste over the one
-below.
+below, and on stderr, per scenario, which CSVs differ from that table.
 """
 
 import hashlib
 import os
+import sys
 import tempfile
 
 import pytest
@@ -227,17 +228,37 @@ def test_outputs_match_golden_digests(name, tmp_path):
     assert digests == GOLDEN[name]
 
 
+def test_moved_csvs_names_each_digest_that_differs():
+    digests = dict(GOLDEN["set2-LBR"])
+    assert moved_csvs("set2-LBR", digests) == []
+    digests["packets.csv"] = "0" * 64
+    assert moved_csvs("set2-LBR", digests) == ["packets.csv"]
+    assert moved_csvs("new-scenario", digests) == list(digests)
+
+
+def moved_csvs(name, digests):
+    """The CSVs of scenario `name` whose digests differ from GOLDEN's."""
+    golden = GOLDEN.get(name, {})
+    return [csv_name for csv_name, digest in digests.items()
+            if golden.get(csv_name) != digest]
+
+
 def main():
     print("GOLDEN = {")
+    moved = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in SCENARIOS.items():
             digests, _ = output_digests(cfg, tmp)
+            moved[name] = moved_csvs(name, digests)
             print(f'    "{name}": {{')
             for csv_name, digest in digests.items():
                 print(f'        "{csv_name}":')
                 print(f'            "{digest}",')
             print("    },")
     print("}")
+    for name, csvs in moved.items():
+        print(f"{name}: {' '.join(csvs) if csvs else 'unchanged'}",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":
