@@ -333,10 +333,9 @@ class Simulation:
         for st in senders:
             h = st.route.hops
             end = off + h
-            # numpy sums a slice of under 8 floats left to right, and from 8
-            # on in another order; builtin sum() compensates from Python 3.12
-            prop = (reduce(add, lengths[off:end]) if h < 8
-                    else float(hop_d[off:end].sum())) / SPEED_OF_LIGHT
+            # left to right: numpy's slice sum goes pairwise from 8 terms,
+            # and builtin sum() compensates from Python 3.12
+            prop = reduce(add, lengths[off:end]) / SPEED_OF_LIGHT
             base = exchange * h
             cont = exchange * float(sum(counts[off:end]))
             tables[st.session.id] = (h, base, cont, prop, base + kappa * cont,

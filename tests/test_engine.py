@@ -427,9 +427,9 @@ class TestDelayModel:
         for nodes, (base, cont, prop), got in zip(routes, service, charges):
             hops = list(zip(nodes[:-1], nodes[1:]))
             hop_d = dist[nodes[:-1], nodes[1:]]
-            if len(hops) >= 8:  # a left-to-right sum would round differently
+            if len(hops) >= 8:  # numpy's pairwise sum would round differently
                 assert reduce(add, hop_d.tolist()) != float(np.sum(hop_d))
-            assert prop == float(np.sum(hop_d)) / 3.0e8
+            assert prop == reduce(add, hop_d.tolist()) / 3.0e8
             assert base == EXCHANGE * len(hops)
             counts = []
             for u, v in hops:
@@ -452,10 +452,11 @@ class TestDelayModel:
                                    min_size=1, max_size=12),
                           min_size=1, max_size=4),
            tpc=st.booleans())
-    def test_propagation_is_numpys_slice_sum(self, walks, tpc):
+    def test_propagation_sums_hop_lengths_left_to_right(self, walks, tpc):
         # routes of 1-12 hops, one walk each from a common start: the
-        # propagation of each is numpy's sum of its slice of the tick's hop
-        # lengths, which the send table takes left to right under 8 hops
+        # propagation of each is the left-to-right sum of its slice of the
+        # tick's hop lengths, also from 8 hops on, where numpy's slice sum
+        # goes pairwise
         points, routes = [], []
         for steps in walks:
             x = y = 500.0
@@ -473,7 +474,7 @@ class TestDelayModel:
         off = 0
         for nodes, (_, _, prop) in zip(routes, service):
             end = off + len(nodes) - 1
-            assert prop == float(hop_d[off:end].sum()) / 3.0e8
+            assert prop == reduce(add, hop_d[off:end].tolist()) / 3.0e8
             off = end
 
     def test_tpc_strictly_reduces_contention_delay(self):

@@ -79,7 +79,7 @@ GOLDEN = {
         "routes.csv":
             "f6e70e0a7c69a4c12c8e9be081558f6bfaf70cc6ac0a3f3e5c448c998f146a56",
         "packets.csv":
-            "40612aba65b9f5dabf6c685ba2fd500271d5f56577c8d575e0c75a6e906bed0b",
+            "398558e7884777da36d92d5482b578ac7223bf7b6e7234b1388ed73d2ee0a82b",
     },
     "set1-FORP-tpc1": {
         "ledger.csv":
@@ -87,7 +87,7 @@ GOLDEN = {
         "routes.csv":
             "f6e70e0a7c69a4c12c8e9be081558f6bfaf70cc6ac0a3f3e5c448c998f146a56",
         "packets.csv":
-            "141463a371a3dff7b2f00a3339ccc55d170e71b3a85917c89254d91a80d71888",
+            "1ef863d5074cdabb486471bbc2ae948a815cba2300e9f903a2ab45c0350f598f",
     },
     "set1-LBR-tpc0": {
         "ledger.csv":
@@ -95,7 +95,7 @@ GOLDEN = {
         "routes.csv":
             "d426eee69d343d09bf6a20a38b112595a5efcb0205c2f4223dcdebfdb6179f61",
         "packets.csv":
-            "9ddd38e028c65e25042edf198fb945c7685a85e4604ff9684375229e99c18a32",
+            "b279aa4530fef1e5888bf06bac0ea1a54086b13cbbc51e021d2ed410b5bd8da6",
     },
     "set1-LBR-tpc1": {
         "ledger.csv":
@@ -103,7 +103,7 @@ GOLDEN = {
         "routes.csv":
             "d426eee69d343d09bf6a20a38b112595a5efcb0205c2f4223dcdebfdb6179f61",
         "packets.csv":
-            "69959560f431f3bede6e8d3785df84be03c0170773a766190bb233e9b9c7e0cb",
+            "0b1f993237df7ff7c05f2625d33dd3e97cf4dd110b6b834d097c45508e3e4aa7",
     },
     "set1-MMBCR-tpc0": {
         "ledger.csv":
@@ -111,7 +111,7 @@ GOLDEN = {
         "routes.csv":
             "d9981f012f651b3f6ec07e1591e4883592f2ec0e6b6c22077c56f1f8255c0f0a",
         "packets.csv":
-            "99ad256e8d9c3d5c6200d44a557b10e51154884b15fea1d194b361ff4dbecda8",
+            "efc63023e1e498e48b65d8224473b44d29ecb48ae994a01d934e510901e8f232",
     },
     "set1-MMBCR-tpc1": {
         "ledger.csv":
@@ -119,7 +119,7 @@ GOLDEN = {
         "routes.csv":
             "c7305ff9cc554e6d5c837f4494f10a739bde9ca29b5c347a13dda78353ddd750",
         "packets.csv":
-            "275caba83b0c58b1612942b75b91e31d04bcf2063e3e1f7ae26622b0a704b88d",
+            "a0877ed8b6d7b2eaa80e0ef4913a6372f0844cfe5395268e4ceb6c7b6ce90f6b",
     },
     "set1v50-FORP-tpc0": {
         "ledger.csv":
@@ -127,7 +127,7 @@ GOLDEN = {
         "routes.csv":
             "371e5d38a7f18aaa5f1661c2169e7ec3180bc716a9b07301dec37be084b516c9",
         "packets.csv":
-            "a549a38329a0fb9478175715e1f7a0e259cc6a83e9d6bd3c900a3a540458485c",
+            "2159f87a6235018dcd90e161a1e911653b60b45125152801210282af507365b4",
     },
     "set1v50-LBR-tpc0": {
         "ledger.csv":
@@ -135,7 +135,7 @@ GOLDEN = {
         "routes.csv":
             "035696b9649acd2e0f51cd40207871583c796e93c2394b19816acb6e780dfd8d",
         "packets.csv":
-            "7a1f6b06011fdd99405ea2c5c81b8e1373bbef0155d97e3cb1a76213c1410645",
+            "7f3a0f05d004977164ac6e64d00004d35f7e3e33c105d7794a9a136913dbcc9c",
     },
     "set1v50-MMBCR-tpc0": {
         "ledger.csv":
@@ -143,7 +143,7 @@ GOLDEN = {
         "routes.csv":
             "49fb8e04d1f82efbfae4813ba13ef228f765bd03a8dcde6b4ac9e35c0daa8bf6",
         "packets.csv":
-            "9cef50fd00c5fd1de6ef1ecdd4e458d8693e92b35703d41e432fe4ab2a23a756",
+            "50d2cdf1c3fbef88b1e84b1be6da11d618e4504183ac57286feb84f6c3aff65a",
     },
     "set1n200-FORP-tpc0": {
         "ledger.csv":
@@ -151,7 +151,7 @@ GOLDEN = {
         "routes.csv":
             "516dd9fa36fe9d3fac7c6ca7f5de68a58d7da20d91dc0b7d19f7a343f0c95c57",
         "packets.csv":
-            "77b2eac139e3147248bf3cef61852e160149f032aab35b83a362177aa4525536",
+            "c1f3dc46e057f0e25996dfd37e24687e528ee588e7edf99a2692a9d7dbff5abf",
     },
     "set1n200-FORP-tpc1": {
         "ledger.csv":
@@ -159,7 +159,7 @@ GOLDEN = {
         "routes.csv":
             "516dd9fa36fe9d3fac7c6ca7f5de68a58d7da20d91dc0b7d19f7a343f0c95c57",
         "packets.csv":
-            "e31d7e0c9c437fd8bcc36b131f4e6fb16fc65d410f26cb4011a1a0bf0f0e517b",
+            "8474d7051d6e5eaedc6020c8c5b56d3dd39f968a1a5a62c2587dfb4190d5dbf0",
     },
     "set1n200-LBR-tpc0": {
         "ledger.csv":
@@ -167,7 +167,7 @@ GOLDEN = {
         "routes.csv":
             "cd8f7b5968e89646d5e31beb787d9aa610301082ba65dd16a81eefa2b313de15",
         "packets.csv":
-            "e9e34e088cf0f3baea541870c7a59396a4d032ab9cf5a849c531b19bec15f77a",
+            "eaf42ad6838957fec0ee85632b91ff0472fc7d28eec33437656b43b999d51dd2",
     },
     "set1n200-LBR-tpc1": {
         "ledger.csv":
@@ -175,7 +175,7 @@ GOLDEN = {
         "routes.csv":
             "cd8f7b5968e89646d5e31beb787d9aa610301082ba65dd16a81eefa2b313de15",
         "packets.csv":
-            "12fa3a471143c40c873d352441b15d3931b61cefb1497616514fb7c90e042d32",
+            "4014d2d41886b954de3f39775edf5370a678e37df535b0f945748a2dc7af0594",
     },
     "set1n200-MMBCR-tpc0": {
         "ledger.csv":
@@ -183,7 +183,7 @@ GOLDEN = {
         "routes.csv":
             "bea8c68a97463d7d8dc84dac1fef0b45c8224698c15c9fbe6cc3750b3c09e1a8",
         "packets.csv":
-            "fe28ba40df2c11b58b976364c071a2d48deb5734fb15e35754f4076ab03fe0b2",
+            "29e30c7bce10f9590ce4e50623c5599970e153f8f1d48ceb6029f051fc0d9560",
     },
     "set1n200-MMBCR-tpc1": {
         "ledger.csv":
@@ -191,7 +191,7 @@ GOLDEN = {
         "routes.csv":
             "08656cd4bcf9b29802c0883236586e2d9801c6fbcb443fbdef932d77d35ff37d",
         "packets.csv":
-            "1dab81e7e60d2ce45bc89b2593a04b3ffcc9605a486e4c1b8e1c35462b91eee9",
+            "5360e25fa0c611bb9b6b71d7b58da06a07157cbde6611f21c4b332805ba2d39c",
     },
     "set2-FORP": {
         "ledger.csv":
@@ -199,7 +199,7 @@ GOLDEN = {
         "routes.csv":
             "8ac82de66e2281c4132d8c9ca7a3e22bf141b38ac1a8b072b857293afea7e879",
         "packets.csv":
-            "de182bd0e489c90d6a116af93c3fb740d2c958059297316475efa6ee8806a18c",
+            "b135c8c90f650c09ce0b7d53a9d5c277310a9ab80016a5e1d5eb2dd42c78201b",
     },
     "set2-LBR": {
         "ledger.csv":
@@ -215,7 +215,7 @@ GOLDEN = {
         "routes.csv":
             "0803c92885e10c2297290aa60b4b91658d91736dd35904f6eb398202e495db06",
         "packets.csv":
-            "0b8da47d127772a35ade63e75d7ab6b99d53c9da5f552296e283a776e7c19ea5",
+            "044b76dcab271bbf6044eb198cdd79d7e4f378c73b0c7e8554dde92a5bfcbd96",
     },
 }
 
