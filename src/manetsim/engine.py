@@ -109,7 +109,6 @@ class _SessionState:
     buffer: deque = field(default_factory=deque)
     next_pkt_time: float = None
     next_retry_time: float = 0.0
-    discovery_wait: float = 0.0      # latency of a discovery made this tick
     seq: int = 0
 
     def follow(self, route):
@@ -216,9 +215,6 @@ class Simulation:
         for node in st.route.intermediates:
             self.activity[node] -= 1
         st.route = None
-        st.hop_ends = None
-        st.payer_nodes = st.payer_categories = None
-        st.next_retry_time = t
 
     def _maintain_routes(self, snap, t):
         live = [st for st in self.sessions if st.route is not None]
@@ -241,7 +237,6 @@ class Simulation:
     def _discover_routes(self, snap, t):
         cfg = self.config
         for st in self.sessions:
-            st.discovery_wait = 0.0
             sess = st.session
             if st.route is not None or t < sess.start - 1e-9 or t < st.next_retry_time - 1e-9:
                 continue
@@ -256,17 +251,16 @@ class Simulation:
                 st.next_retry_time = t + cfg.discovery_retry_interval
                 continue
             st.follow(route)
-            st.discovery_wait = discovery_latency(route.hops, self.model,
-                                                  cfg.forwarding_overhead)
             self.routes.append(route)
             for node in route.intermediates:
                 self.activity[node] += 1
 
     def _send_traffic(self, snap, t):
         cfg = self.config
-        to_send = []
+        sending = []  # (session state, its (packet, wait) pairs in order)
         for st in self.sessions:
             sess = st.session
+            batch = []
             while st.next_pkt_time <= t + 1e-9:
                 pkt = PacketRecord(session=sess.id, seq=st.seq,
                                    created_at=st.next_pkt_time)
@@ -275,31 +269,29 @@ class Simulation:
                 st.next_pkt_time += 1.0 / cfg.cbr_rate
                 if (st.route is not None
                         and st.route.discovered_at < pkt.created_at - 1e-9):
-                    to_send.append((st, pkt, 0.0))
+                    batch.append((pkt, 0.0))
                 else:
                     st.buffer.append(pkt)
                     while len(st.buffer) > cfg.buffer_cap:
                         st.buffer.popleft()  # oldest dropped, stays undelivered
+            # a buffer meets a route only in the tick that found the route
             if st.route is not None and st.buffer:
-                for pkt in st.buffer:
-                    wait = max(0.0, t - pkt.created_at) + st.discovery_wait
-                    to_send.append((st, pkt, wait))
+                found = discovery_latency(st.route.hops, self.model,
+                                          cfg.forwarding_overhead)
+                batch += [(pkt, max(0.0, t - pkt.created_at) + found)
+                          for pkt in st.buffer]
                 st.buffer.clear()
-        if not to_send:
+            if batch:
+                sending.append((st, batch))
+        if not sending:
             return
-        tables = self._tick_send_tables(snap, to_send)
-        for st, pkt, wait in to_send:
-            route = st.route
-            if route is None or (self.ledger.newly_dead
-                                 and not all(self.ledger.alive(n)
-                                             for n in route.nodes)):
-                st.buffer.append(pkt)  # mid-tick death; retried after teardown
-                continue
-            self._deliver(st, pkt, wait, tables[st.session.id])
+        tables = self._tick_send_tables(snap, [st for st, _ in sending])
+        for (st, batch), table in zip(sending, tables):
+            self._deliver(st, batch, table)
 
-    def _tick_send_tables(self, snap, to_send):
-        """Per-session send tables for this tick; every packet of a session
-        reuses its table.
+    def _tick_send_tables(self, snap, senders):
+        """The send table of each session in senders, in that order, for this
+        tick; every packet of a session reuses its table.
 
         A session's table is (hops, base, contention, propagation, service,
         joules): its route's hop count, the sum of the per-hop exchange
@@ -312,7 +304,6 @@ class Simulation:
         either endpoint: the hop length with TPC, the transmission range
         without.
         """
-        senders = list({st.session.id: st for st, _, _ in to_send}.values())
         tails, heads = ends = np.concatenate([st.hop_ends for st in senders],
                                              axis=1)
         is_tx = np.zeros(snap.n, dtype=bool)
@@ -328,7 +319,7 @@ class Simulation:
         lengths = hop_d.tolist()
         joules = unicast_exchange(lengths, self.model.data_bytes, self.model)
         exchange, kappa = self._exchange, self.config.kappa
-        tables = {}
+        tables = []
         off = 0
         for st in senders:
             h = st.route.hops
@@ -338,24 +329,30 @@ class Simulation:
             prop = reduce(add, lengths[off:end]) / SPEED_OF_LIGHT
             base = exchange * h
             cont = exchange * float(sum(counts[off:end]))
-            tables[st.session.id] = (h, base, cont, prop, base + kappa * cont,
-                                     joules[4 * off:4 * end])
+            tables.append((h, base, cont, prop, base + kappa * cont,
+                           joules[4 * off:4 * end]))
             off = end
         return tables
 
-    def _deliver(self, st, pkt, wait, table):
+    def _deliver(self, st, batch, table):
+        """Send one session's (packet, wait) pairs over its route, in order."""
         hops, base, cont, prop, service, joules = table
-        try:
-            self.ledger.debit_all(st.payer_nodes, st.payer_categories, joules)
-        except DeadNodeError:
-            return  # forwarder died mid-path; packet lost
-        pkt.buffering = wait
-        pkt.base_service = base
-        pkt.contention_service = cont
-        pkt.propagation = prop
-        pkt.hops_traversed = hops
-        # total_delay's association: (buffering + service) + propagation
-        pkt.delivered_at = pkt.created_at + ((wait + service) + prop)
+        ledger, nodes = self.ledger, st.route.nodes
+        for pkt, wait in batch:
+            if ledger.newly_dead and not all(map(ledger.alive, nodes)):
+                st.buffer.append(pkt)  # mid-tick death; retried after teardown
+                continue
+            try:
+                ledger.debit_all(st.payer_nodes, st.payer_categories, joules)
+            except DeadNodeError:
+                continue  # forwarder died mid-path; packet lost
+            pkt.buffering = wait
+            pkt.base_service = base
+            pkt.contention_service = cont
+            pkt.propagation = prop
+            pkt.hops_traversed = hops
+            # total_delay's association: (buffering + service) + propagation
+            pkt.delivered_at = pkt.created_at + ((wait + service) + prop)
 
 
 def run(config, trace=None, trace_out=None) -> RunResult:

@@ -47,18 +47,17 @@ def send_tables(xs, routes, tpc=False):
 def tick_tables(snap, routes, tpc=False):
     """send_tables over any snapshot."""
     sim = Simulation(small_config(tpc=tpc))
-    to_send = []
+    senders = []
     for sid, nodes in enumerate(routes):
         st = _SessionState(Session(id=sid, source=nodes[0],
                                    destination=nodes[-1], start=0.0))
         st.follow(Route(session=sid, nodes=tuple(nodes), metric_value=0.0,
                         discovered_at=0.0))
-        to_send.append((st, PacketRecord(session=sid, seq=0, created_at=0.0),
-                        0.0))
-    tables = sim._tick_send_tables(snap, to_send)
+        senders.append(st)
+    tables = sim._tick_send_tables(snap, senders)
+    assert len(tables) == len(senders)
     service, charges = [], []
-    for st, _, _ in to_send:
-        hops, base, cont, prop, total, joules = tables[st.session.id]
+    for st, (hops, base, cont, prop, total, joules) in zip(senders, tables):
         assert hops == st.route.hops
         assert total == base + sim.config.kappa * cont
         service.append((base, cont, prop))
@@ -231,13 +230,24 @@ class TestLazySnapshot:
 
 
 class CheckedSimulation(Simulation):
-    """A run that asserts its invariants every tick, once traffic is sent:
-    activity counts exactly the intermediates of the live routes, and every
-    live route edge is in range."""
+    """A run that asserts its invariants every tick. Before traffic is sent,
+    a session that holds both a route and buffered packets found the route
+    in this tick, which is when the engine charges the packets the
+    discovery's latency. Once traffic is sent, activity counts exactly the
+    intermediates of the live routes, and every live route edge is in
+    range."""
 
     def _send_traffic(self, snap, t):
+        self.check_flush(t)
         super()._send_traffic(snap, t)
         self.check_invariants(snap)
+
+    def check_flush(self, t):
+        for st in self.sessions:
+            if st.route is not None and st.buffer:
+                assert st.route.discovered_at == t, \
+                    (f"session {st.session.id} flushes at t={t!r} over a "
+                     f"route found at t={st.route.discovered_at!r}")
 
     def check_invariants(self, snap):
         live = [st.route for st in self.sessions if st.route is not None]
@@ -275,6 +285,16 @@ class TestInvariantsDuringRun:
         sim.activity[1], sim.activity[3] = 0, 1
         with pytest.raises(AssertionError, match="activity drift"):
             sim.check_invariants(snap)
+
+    def test_buffer_over_an_older_route_is_caught(self):
+        sim = CheckedSimulation(small_config(node_count=4, session_count=1))
+        st = sim.sessions[0]
+        st.follow(Route(session=0, nodes=(0, 1), metric_value=0.0,
+                        discovered_at=0.5))
+        st.buffer.append(PacketRecord(session=0, seq=0, created_at=0.4))
+        sim.check_flush(0.5)
+        with pytest.raises(AssertionError, match="route found at t=0.5"):
+            sim.check_flush(0.6)
 
     def test_stale_route_edge_is_caught(self):
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
@@ -633,3 +653,52 @@ class TestMidTickDeath:
         assert result.end_time == route.discovered_at
         # the third packet was lost; the later ones wait for a new route
         assert [p.seq for p in st.buffer] == [p.seq for p in sent[3:]]
+
+    def test_rebuffered_packet_waits_for_the_next_route(self):
+        # nodes 0, 1 and 2 at 0, 200 and 400 m on a line, relays 3 and 4
+        # above them: the route 0 -> 1 -> 2 exists from t = 2 s, when node 2
+        # arrives, and 0 -> 3 -> 4 -> 2 from t = 2.1 s, when nodes 3 and 4
+        # arrive; node 1 pays for one packet and dies within the second
+        tick, arrive = 0.1, 20
+        rows = [[(0.0, 0.0, 0.0, 0.0), (200.0, 0.0, 0.0, 0.0),
+                 (400.0 if k >= arrive else 1000.0, 0.0, 0.0, 0.0),
+                 (130.0, 150.0 if k > arrive else 1000.0, 0.0, 0.0),
+                 (270.0, 150.0 if k > arrive else 1000.0, 0.0, 0.0)]
+                for k in range(30)]
+        trace = Trace([k * tick for k in range(30)], rows)
+        cfg = ScenarioConfig(node_count=5, session_count=1, tick=tick,
+                             area=(2000.0, 2000.0), start_window=(0.0, 0.0),
+                             duration=2.5, protocol="LBR", seed=1)
+        sim = CheckedSimulation(cfg, trace=trace)
+        st = sim.sessions[0]
+        st.session.source, st.session.destination = 0, 2
+        m = PowerModel()
+        t_pay, t_rts = airtime(512, m), airtime(20, m)
+        t_cts_ack = airtime(14, m) + airtime(14, m)
+        receive = 0.967 * t_pay + 0.967 * t_rts + 1.4 * t_cts_ack
+        send = 1.4 * t_pay + 1.4 * t_rts + 0.967 * t_cts_ack
+        budget = (receive + send) + receive + 0.5 * 1.4 * t_pay
+        discover = sim._discover_routes
+
+        def discover_then_drain_relay(snap, t):
+            discover(snap, t)
+            if st.route is not None and st.route.nodes == (0, 1, 2):
+                debit(sim.ledger, 1, "mac", sim.ledger.residual(1) - budget)
+        sim._discover_routes = discover_then_drain_relay
+        result = sim.run()
+
+        first, second = result.routes
+        assert (first.nodes, second.nodes) == ((0, 1, 2), (0, 3, 4, 2))
+        assert first.discovered_at == arrive * tick
+        assert first.torn_down_at == second.discovered_at == (arrive + 1) * tick
+        assert result.ledger.died[1] == first.discovered_at
+        sent = [p for p in result.packets if p.created_at <= first.discovered_at]
+        assert [p.delivered for p in sent] == [True, False] + [True] * 7
+        def latency(hops):
+            return discovery_latency(hops, m, cfg.forwarding_overhead)
+        assert sent[0].buffering == (arrive * tick - 0.0) + latency(2)
+        # the rebuffered packets wait for the new route's discovery
+        for pkt in sent[2:]:
+            assert pkt.hops_traversed == 3
+            assert pkt.buffering == \
+                ((arrive + 1) * tick - pkt.created_at) + latency(3)
