@@ -114,6 +114,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.kappa < 0:
             raise ConfigError("kappa must be >= 0")
+        if self.forwarding_overhead < 0:
+            raise ConfigError("forwarding_overhead must be >= 0")
+        if self.discovery_retry_interval < 0:
+            raise ConfigError("discovery_retry_interval must be >= 0")
         lo, hi = self.start_window
         if lo < 0 or hi < lo:
             raise ConfigError(f"bad start_window {self.start_window}")

@@ -70,6 +70,19 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("line, name", [
+        ("forwarding_overhead = -1", "forwarding_overhead"),
+        ("discovery_retry_interval = -3", "discovery_retry_interval")])
+    def test_negative_discovery_timing_rejected_on_load(self, tmp_path, line,
+                                                        name):
+        # before, such a run exited 0 with packets delivered before they
+        # were created and a negative delay per packet
+        path = tmp_path / "scenario.cfg"
+        path.write_text("node_count = 20\nsession_count = 5\nduration = 20\n"
+                        f"start_window = 0, 2\n{line}\n")
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            load_config(path)
+
     def test_invalid_values_rejected_on_load(self, tmp_path):
         path = tmp_path / "scenario.cfg"
         for line in ("node_count = 1", "buffer_cap = -1", "v_max = inf",
@@ -125,6 +138,51 @@ def test_pair_values_need_exactly_two_numbers(name, bad):
 def test_non_numeric_real_values_rejected(name, bad):
     with pytest.raises(ConfigError, match=f"{name} must be a number"):
         ScenarioConfig(**{name: bad}).validate()
+
+
+# one row per range check of validate(): the fields set, and a fragment of
+# the message
+RANGE_CHECKS = [
+    (dict(area=(0.0, 1000.0)), "zero-area rectangle"),
+    (dict(area=(1000.0, -5.0)), "zero-area rectangle"),
+    (dict(node_count=1), "need at least 2 nodes"),
+    (dict(tx_range=0.0), "tx_range must be positive"),
+    (dict(v_max=-1.0), "v_max must be positive"),
+    (dict(min_speed=0.0), "min_speed must lie in (0, v_max]"),
+    (dict(min_speed=11.0, v_max=10.0), "min_speed must lie in (0, v_max]"),
+    (dict(tick=0.0), "tick must be positive"),
+    (dict(session_count=-1), "session_count must be >= 0"),
+    (dict(cbr_rate=0.0), "cbr_rate and packet_size must be positive"),
+    (dict(packet_size=0), "cbr_rate and packet_size must be positive"),
+    (dict(buffer_cap=-1), "buffer_cap must be >= 0"),
+    (dict(initial_battery=0.0), "initial_battery must be positive"),
+    (dict(bitrate=-2.0e6), "bitrate must be positive"),
+    (dict(beacon_interval=0.0), "beacon_interval must be positive"),
+    (dict(beacon_interval=0.25), "not a whole number of ticks"),
+    (dict(duration=0.0), "duration must be positive"),
+    (dict(until_first_failure=True, max_duration=-1.0),
+     "max_duration must be positive"),
+    (dict(protocol="AODV"), "unknown protocol 'AODV'"),
+    (dict(kappa=-0.5), "kappa must be >= 0"),
+    (dict(start_window=(-1.0, 2.0)), "bad start_window"),
+    (dict(start_window=(3.0, 2.0)), "bad start_window"),
+    (dict(forwarding_overhead=-1.0), "forwarding_overhead must be >= 0"),
+    (dict(discovery_retry_interval=-3.0),
+     "discovery_retry_interval must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("fields, fragment", RANGE_CHECKS,
+                         ids=[",".join(f) + f"-{i}" for i, (f, _)
+                              in enumerate(RANGE_CHECKS)])
+def test_range_checks(fields, fragment):
+    with pytest.raises(ConfigError, match=re.escape(fragment)):
+        ScenarioConfig(**fields).validate()
+
+
+def test_zero_forwarding_overhead_and_retry_interval_accepted():
+    ScenarioConfig(forwarding_overhead=0.0,
+                   discovery_retry_interval=0.0).validate()
 
 
 @pytest.mark.parametrize("interval, whole", [(0.25, False), (0.05, False),
@@ -383,6 +441,35 @@ class TestCommandLine:
             code = self.run_cli("run", "--config", str(bad), "--seed", "1",
                                 "--out-dir", str(tmp_path / "out"))
             assert code == 2
+
+    @pytest.mark.parametrize("line, name", [
+        ("forwarding_overhead = -1", "forwarding_overhead"),
+        ("discovery_retry_interval = -3", "discovery_retry_interval")])
+    def test_negative_discovery_timing_exit_code(self, tmp_path, capsys, line,
+                                                 name):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"node_count = 20\nsession_count = 5\n{line}\n")
+        code = self.run_cli("run", "--config", str(bad), "--seed", "1",
+                            "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"configuration error: {name} must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_from_a_preset(self, tmp_path):
+        # set1's 1500 J battery, with the scenario flags on top
+        out = tmp_path / "out"
+        code = self.run_cli("run", "--preset", "set1", "--nodes", "15",
+                            "--sessions", "3", "--duration", "8",
+                            "--seed", "1", "--out-dir", str(out))
+        assert code == 0
+        with open(out / "ledger.csv", newline="") as f:
+            ledger = list(csv.DictReader(f))
+        assert len(ledger) == 15
+        for row in ledger:
+            assert float(row["total_J"]) > 0.0
+            assert float(row["total_J"]) + float(row["residual_J"]) == \
+                pytest.approx(1500.0, rel=1e-12)
 
     def test_non_finite_flag_exit_code(self, tmp_path):
         code = self.run_cli("run", "--nodes", "15", "--sessions", "3",

@@ -136,6 +136,13 @@ class TestStopConditions:
         with pytest.raises(ConfigError):
             run(small_config(node_count=1))
 
+    @pytest.mark.parametrize("horizon, ticks", [
+        (0.30000000100000007, 3),  # ceil gives 4: one step down
+        (0.9000000010000001, 10),  # ceil gives 9, but 9 * 0.1 < 0.9: one up
+    ])
+    def test_tick_count_corrects_the_rounded_ceiling(self, horizon, ticks):
+        assert tick_count(horizon, 0.1) == ticks
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(1e-3, 1e4), st.floats(1e-3, 10.0))
     def test_tick_count_is_the_first_tick_at_the_horizon(self, horizon, tick):
@@ -355,6 +362,27 @@ class TestPerTickView:
         sim._discover_routes(snap, 0.0)
         assert sim.sessions[0].route.nodes == (0, 2, 1)
         return snap, sim, live
+
+    @pytest.mark.parametrize("source_dead", [False, True])
+    def test_a_source_dead_in_the_ledger_does_not_discover(self, source_dead):
+        # the snapshot still sees the source alive: it died in this tick
+        sim = Simulation(ScenarioConfig(node_count=6, session_count=1,
+                                        protocol="LBR", seed=1))
+        st = sim.sessions[0]
+        st.session.source, st.session.destination = 0, 1
+        st.session.start = 0.0
+        snap = snapshot(make_nodes(self.POSITIONS), sim.ledger.residuals(),
+                        250.0, 0.0)
+        if source_dead:
+            debit(sim.ledger, 0, "mac", sim.ledger.residual(0))
+        sim._discover_routes(snap, 0.0)
+        if source_dead:
+            assert st.route is None and sim.routes == []
+            assert sim.ledger.category_total("discovery") == 0.0
+            assert st.next_retry_time == 0.0
+        else:
+            assert st.route.nodes == (0, 2, 1)
+            assert sim.ledger.category_total("discovery") > 0.0
 
     def test_mmbcr_weighs_the_residuals_of_the_tick_start(self, monkeypatch):
         snap, sim, live = self.discover_two("MMBCR", monkeypatch)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -434,6 +435,21 @@ class TestTraceFiles:
         path = tmp_path / "bogus.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
+            Trace.load(path)
+
+    def test_rejects_node_rows_out_of_order(self, tmp_path):
+        cfg = ScenarioConfig(node_count=3)
+        nodes = init_mobility(cfg, random.Random(1))
+        path = tmp_path / "trace.csv"
+        writer = TraceWriter(path)
+        for k in range(2):
+            writer.record(k * cfg.tick, nodes)
+        writer.close()
+        header, *rows = path.read_text().splitlines()
+        rows[3], rows[4] = rows[4], rows[3]  # nodes 0 and 1 of the 2nd tick
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:5: node rows out of order at t=")):
             Trace.load(path)
 
     def test_rejects_ticks_with_other_node_counts(self, tmp_path):

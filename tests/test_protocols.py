@@ -202,6 +202,12 @@ class TestSelectForp:
         with pytest.raises(ValueError):
             select_route("FORP", snap, None, 0, 1)
 
+    @pytest.mark.parametrize("protocol", ["FORP", "LBR", "MMBCR"])
+    def test_source_equal_to_destination_rejected(self, protocol):
+        snap = GraphSnap(2, [(0, 1)], [5.0])
+        with pytest.raises(ValueError, match="source equals destination"):
+            select_route(protocol, snap, [0, 0], 1, 1)
+
 
 class TestSelectMmbcr:
     def test_max_min_battery(self):
