@@ -228,7 +228,13 @@ def charge_route_discovery(ledger, snap, source, route, model):
     """Charge one flood-based discovery, plus, when a route was found, RREP
     unicast hops back along it. Every live node the flood reaches rebroadcasts
     the RREQ, sized by its recorded hop count, and hears each live neighbour's
-    rebroadcast; the bytes heard are integer sums, so exact in any order."""
+    rebroadcast; the bytes heard are integer sums, so exact in any order.
+
+    The RREP hops are debited from the source end first: the hop between
+    the source and the first relay, then on towards the destination,
+    although the reply travels from the destination. The order decides
+    which hops a node that runs out during the reply still takes part in,
+    and the rounding of each relay's two debits."""
     depths = np.array(flood_depths(snap, source))
     payers = np.flatnonzero((depths >= 0) & ledger.alive_mask())
     sent = np.zeros(snap.n, dtype=np.int64)  # bytes of each payer's RREQ
