@@ -138,7 +138,7 @@ class TestStopConditions:
 
     @pytest.mark.parametrize("horizon, ticks", [
         (0.30000000100000007, 3),  # ceil gives 4: one step down
-        (0.9000000010000001, 10),  # ceil gives 9, but 9 * 0.1 < 0.9: one up
+        (0.9000000010000001, 10),  # ceil gives 9, which falls short: one up
     ])
     def test_tick_count_corrects_the_rounded_ceiling(self, horizon, ticks):
         assert tick_count(horizon, 0.1) == ticks
