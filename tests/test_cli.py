@@ -457,19 +457,23 @@ class TestCommandLine:
         assert not (tmp_path / "out").exists()
 
     def test_run_from_a_preset(self, tmp_path):
-        # set1's 1500 J battery, with the scenario flags on top
+        # set2 runs until the first death, which the defaults do not; the
+        # scenario flags go on top
         out = tmp_path / "out"
-        code = self.run_cli("run", "--preset", "set1", "--nodes", "15",
-                            "--sessions", "3", "--duration", "8",
-                            "--seed", "1", "--out-dir", str(out))
+        code = self.run_cli("run", "--preset", "set2", "--nodes", "15",
+                            "--sessions", "3", "--battery", "0.5",
+                            "--seed", "1", "--out-dir", str(out),
+                            "--emit-packets")
         assert code == 0
+        with open(out / "metrics.csv", newline="") as f:
+            metrics = {row["metric"]: row["value"] for row in csv.DictReader(f)}
         with open(out / "ledger.csv", newline="") as f:
-            ledger = list(csv.DictReader(f))
-        assert len(ledger) == 15
-        for row in ledger:
-            assert float(row["total_J"]) > 0.0
-            assert float(row["total_J"]) + float(row["residual_J"]) == \
-                pytest.approx(1500.0, rel=1e-12)
+            died = {row["died_s"] for row in csv.DictReader(f)} - {""}
+        with open(out / "packets.csv", newline="") as f:
+            created = [float(row["created_s"]) for row in csv.DictReader(f)]
+        first = float(metrics["first_failure_time"])
+        assert died == {repr(first)}
+        assert created and max(created) <= first + 1e-9
 
     def test_non_finite_flag_exit_code(self, tmp_path):
         code = self.run_cli("run", "--nodes", "15", "--sessions", "3",
