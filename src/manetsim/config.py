@@ -38,10 +38,9 @@ class ScenarioConfig:
     bitrate: float = 2.0e6              # bits/s
     beacon_interval: float = 1.0        # s
 
-    # stop condition: exactly one of the two modes
-    duration: float = 1000.0            # s; ignored when until_first_failure
-    until_first_failure: bool = False
-    max_duration: float = 20000.0       # safety cap for until_first_failure runs
+    # stop condition: the horizon, and optionally the first node death
+    duration: float = 1000.0            # s; the horizon in both modes
+    until_first_failure: bool = False   # also stop at the first death's tick
 
     # routing / delay model
     protocol: str = "FORP"
@@ -106,10 +105,8 @@ class ScenarioConfig:
         if round(ticks) < 1 or abs(ticks - round(ticks)) > 1e-9:
             raise ConfigError(f"beacon_interval {self.beacon_interval!r} is "
                               f"not a whole number of ticks of {self.tick!r}")
-        if not self.until_first_failure and self.duration <= 0:
+        if self.duration <= 0:
             raise ConfigError("duration must be positive")
-        if self.until_first_failure and self.max_duration <= 0:
-            raise ConfigError("max_duration must be positive")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.kappa < 0:
@@ -151,8 +148,10 @@ def set1_config(**overrides):
 
 
 def set2_config(**overrides):
-    """Experiment set 2: 100 J per node, run until the first node dies."""
-    cfg = ScenarioConfig(initial_battery=100.0, until_first_failure=True)
+    """Experiment set 2: 100 J per node, run until the first node dies or
+    for 20000 s."""
+    cfg = ScenarioConfig(initial_battery=100.0, duration=20000.0,
+                         until_first_failure=True)
     return cfg.replace(**overrides)
 
 

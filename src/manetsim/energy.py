@@ -150,7 +150,6 @@ class EnergyLedger:
 
 # categories of an exchange's four joules, in unicast_exchange's order
 DATA_EXCHANGE = ("data_tx", "mac", "data_rx", "mac")
-DISCOVERY_EXCHANGE = ("discovery",) * 4
 
 
 def exchange_payers(senders, receivers, categories):
@@ -247,18 +246,18 @@ def charge_route_discovery(ledger, snap, source, route, model):
                      charges.tolist())
     if route is None:
         return
-    # the RREP travels back from the destination; a hop with a dead end at
-    # its start is skipped
+    # each RREP hop is sent by its head to its tail; a hop with a dead end
+    # at its start is skipped
     tails, heads = route.nodes[:-1], route.nodes[1:]
     lengths = snap.distance(list(tails), list(heads)).tolist()
-    nodes, categories = exchange_payers(heads, tails, DISCOVERY_EXCHANGE)
     joules = unicast_exchange(lengths, model.rrep_bytes, model)
-    for k in range(0, len(nodes), 4):  # one hop: sender's two, receiver's two
-        if not (ledger.alive(nodes[k]) and ledger.alive(nodes[k + 2])):
+    for i, (tail, head) in enumerate(zip(tails, heads)):  # source end first
+        if not (ledger.alive(head) and ledger.alive(tail)):
             continue
-        for pair in (slice(k, k + 2), slice(k + 2, k + 4)):
+        for node, k in ((head, 4 * i), (tail, 4 * i + 2)):
             try:
-                ledger.debit_all(nodes[pair], categories[pair], joules[pair])
+                ledger.debit_all((node, node), ("discovery",) * 2,
+                                 joules[k:k + 2])
             except DeadNodeError:
                 # its first debit exhausted the node, which pays nothing
                 # more in this hop; its partner still pays

@@ -3,7 +3,7 @@
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -106,7 +106,7 @@ class _SessionState:
     hop_ends: np.ndarray = None      # (2, hops) array: each hop's tail, head
     payer_nodes: list = None         # node and category of each debit of a
     payer_categories: list = None    # packet, as exchange_payers lays them out
-    buffer: deque = field(default_factory=deque)
+    buffer: deque = None             # maxlen buffer_cap: drops the oldest
     next_pkt_time: float = None
     next_retry_time: float = 0.0
     seq: int = 0
@@ -136,15 +136,14 @@ class Simulation:
         self.mob_rng = random.Random(f"mobility:{config.seed}")
         traffic_rng = random.Random(f"traffic:{config.seed}")
         self.nodes = mob.init_mobility(config, self.mob_rng)
-        self.horizon = (config.max_duration if config.until_first_failure
-                        else config.duration)
-        self.ticks = tick_count(self.horizon, config.tick)
+        self.ticks = tick_count(config.duration, config.tick)
         if trace is not None:
             self._check_trace(trace)
             trace.apply(0, self.nodes)
-        self.sessions = [_SessionState(s) for s in make_sessions(config, traffic_rng)]
-        for st in self.sessions:
-            st.next_pkt_time = st.session.start
+        self.sessions = [
+            _SessionState(s, buffer=deque(maxlen=config.buffer_cap),
+                          next_pkt_time=s.start)
+            for s in make_sessions(config, traffic_rng)]
         self.ledger = EnergyLedger(config.node_count, config.initial_battery)
         # per node, the live routes it forwards for as an intermediate
         self.activity = [0] * config.node_count
@@ -170,10 +169,9 @@ class Simulation:
         cfg = self.config
         beacon_every = round(cfg.beacon_interval / cfg.tick)
         writer = mob.TraceWriter(self.trace_out) if self.trace_out else None
-        end = self.horizon
-        k = 0
+        end = cfg.duration
         try:
-            while True:
+            for k in range(self.ticks):
                 t = k * cfg.tick
                 if k > 0:
                     if self.trace is not None:
@@ -193,12 +191,8 @@ class Simulation:
                 self._maintain_routes(snap, t)
                 self._discover_routes(snap, t)
                 self._send_traffic(snap, t)
-                died = self.ledger.note_deaths(t)
-                k += 1
-                if cfg.until_first_failure and died:
+                if self.ledger.note_deaths(t) and cfg.until_first_failure:
                     end = t
-                    break
-                if k == self.ticks:
                     break
         finally:
             if writer:
@@ -271,9 +265,7 @@ class Simulation:
                         and st.route.discovered_at < pkt.created_at - 1e-9):
                     batch.append((pkt, 0.0))
                 else:
-                    st.buffer.append(pkt)
-                    while len(st.buffer) > cfg.buffer_cap:
-                        st.buffer.popleft()  # oldest dropped, stays undelivered
+                    st.buffer.append(pkt)  # a full buffer drops its oldest
             # a buffer meets a route only in the tick that found the route
             if st.route is not None and st.buffer:
                 found = discovery_latency(st.route.hops, self.model,

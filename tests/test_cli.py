@@ -4,13 +4,16 @@ import csv
 import dataclasses
 import math
 import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manetsim.cli import (Cell, _apply_flags, build_parser, cell_config, main,
                           matrix_cells, run_matrix)
-from manetsim.config import (ConfigError, ScenarioConfig, load_config,
-                             set1_config, set2_config)
+from manetsim.config import (PROTOCOLS, ConfigError, ScenarioConfig,
+                             load_config, set1_config, set2_config)
 
 
 def save_config(cfg, path):
@@ -43,6 +46,15 @@ class TestConfigFiles:
         path = tmp_path / "scenario.cfg"
         path.write_text("warp_speed = 9\n")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_removed_max_duration_key_rejected(self, tmp_path):
+        # duration is the horizon in both modes; the old cap of a run
+        # until the first death is an unknown key, not silently ignored
+        path = tmp_path / "scenario.cfg"
+        path.write_text("until_first_failure = on\nmax_duration = 500\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{path}:2: unknown key 'max_duration'")):
             load_config(path)
 
     def test_malformed_line_rejected(self, tmp_path):
@@ -160,8 +172,8 @@ RANGE_CHECKS = [
     (dict(beacon_interval=0.0), "beacon_interval must be positive"),
     (dict(beacon_interval=0.25), "not a whole number of ticks"),
     (dict(duration=0.0), "duration must be positive"),
-    (dict(until_first_failure=True, max_duration=-1.0),
-     "max_duration must be positive"),
+    (dict(until_first_failure=True, duration=-1.0),
+     "duration must be positive"),
     (dict(protocol="AODV"), "unknown protocol 'AODV'"),
     (dict(kappa=-0.5), "kappa must be >= 0"),
     (dict(start_window=(-1.0, 2.0)), "bad start_window"),
@@ -169,6 +181,9 @@ RANGE_CHECKS = [
     (dict(forwarding_overhead=-1.0), "forwarding_overhead must be >= 0"),
     (dict(discovery_retry_interval=-3.0),
      "discovery_retry_interval must be >= 0"),
+    # duration is the horizon in both modes
+    (dict(until_first_failure=True, duration=0.0),
+     "duration must be positive"),
 ]
 
 
@@ -194,6 +209,107 @@ def test_beacon_interval_is_a_whole_number_of_ticks(interval, whole):
     else:
         with pytest.raises(ConfigError, match="beacon_interval"):
             cfg.validate()
+
+
+_FIELD_NAMES = {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
+@st.composite
+def valid_configs(draw):
+    """A valid ScenarioConfig with every field drawn on its own, a field
+    that validate() checks against another after that one."""
+    v_max = draw(st.floats(1e-3, 1e3))
+    tick = draw(st.floats(1e-3, 10.0))
+    lo = draw(st.floats(0.0, 1e4))
+    positive = st.floats(1e-3, 1e6)
+    values = dict(
+        area=(draw(positive), draw(positive)),
+        node_count=draw(st.integers(2, 10**4)),
+        tx_range=draw(positive),
+        tpc=draw(st.booleans()),
+        v_max=v_max,
+        min_speed=draw(st.floats(0.0, v_max, exclude_min=True)),
+        tick=tick,
+        session_count=draw(st.integers(0, 10**4)),
+        cbr_rate=draw(positive),
+        packet_size=draw(st.integers(1, 10**5)),
+        start_window=(lo, draw(st.floats(lo, 1e4))),
+        buffer_cap=draw(st.integers(0, 10**4)),
+        initial_battery=draw(positive),
+        bitrate=draw(positive),
+        beacon_interval=tick * draw(st.integers(1, 100)),
+        duration=draw(positive),
+        until_first_failure=draw(st.booleans()),
+        protocol=draw(st.sampled_from(PROTOCOLS)),
+        kappa=draw(st.floats(0.0, 1e3)),
+        forwarding_overhead=draw(st.floats(0.0, 1.0)),
+        discovery_retry_interval=draw(st.floats(0.0, 1e3)),
+        seed=draw(st.integers(-2**63, 2**63)),
+    )
+    assert values.keys() == _FIELD_NAMES  # a new field is drawn here too
+    return ScenarioConfig(**values).validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=valid_configs())
+def test_config_file_round_trip_of_any_valid_config(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+
+
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_NOT_POSITIVE = st.floats(max_value=0.0) | _NON_FINITE
+_NEGATIVE = st.floats(max_value=-math.ulp(0.0)) | _NON_FINITE
+_POSITIVE = st.floats(1e-3, 1e6)
+# a config file reads 0 and 1 as booleans
+_NOT_BOOLEAN = st.integers().filter(lambda i: i not in (0, 1)) | _NON_FINITE
+# per field, values validate() rejects whatever the other fields hold; each
+# is also bad in the text save_config writes for it
+_BAD_VALUES = dict(
+    area=st.tuples(_NOT_POSITIVE, _POSITIVE) | st.tuples(_POSITIVE,
+                                                          _NOT_POSITIVE),
+    node_count=st.integers(max_value=1) | _NON_FINITE,
+    tx_range=_NOT_POSITIVE,
+    tpc=_NOT_BOOLEAN,
+    v_max=_NOT_POSITIVE,
+    # above the default v_max of 10 m/s
+    min_speed=_NOT_POSITIVE | st.floats(min_value=10.0, exclude_min=True),
+    tick=_NOT_POSITIVE,
+    session_count=st.integers(max_value=-1) | _NON_FINITE,
+    cbr_rate=_NOT_POSITIVE,
+    packet_size=st.integers(max_value=0) | _NON_FINITE,
+    start_window=st.tuples(_NEGATIVE, _POSITIVE) | st.tuples(_POSITIVE,
+                                                            _NEGATIVE),
+    buffer_cap=st.integers(max_value=-1) | _NON_FINITE,
+    initial_battery=_NOT_POSITIVE,
+    bitrate=_NOT_POSITIVE,
+    beacon_interval=_NOT_POSITIVE,
+    duration=_NOT_POSITIVE,
+    until_first_failure=_NOT_BOOLEAN,
+    protocol=st.text(string.ascii_letters).filter(
+        lambda p: p not in PROTOCOLS) | _NON_FINITE,
+    kappa=_NEGATIVE,
+    forwarding_overhead=_NEGATIVE,
+    discovery_retry_interval=_NEGATIVE,
+    seed=st.floats() | _NON_FINITE,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bad_value_of_any_field_rejected(tmp_path_factory, data):
+    assert _BAD_VALUES.keys() == _FIELD_NAMES
+    name = data.draw(st.sampled_from(sorted(_BAD_VALUES)))
+    # duration in both modes, as every field
+    cfg = ScenarioConfig(until_first_failure=data.draw(st.booleans()))
+    cfg = cfg.replace(**{name: data.draw(_BAD_VALUES[name])})
+    with pytest.raises(ConfigError):
+        cfg.validate()
+    path = tmp_path_factory.getbasetemp() / "bad_value.cfg"
+    save_config(cfg, path)
+    with pytest.raises(ConfigError):
+        load_config(path)
 
 
 class TestMatrixCells:
@@ -441,6 +557,16 @@ class TestCommandLine:
             code = self.run_cli("run", "--config", str(bad), "--seed", "1",
                                 "--out-dir", str(tmp_path / "out"))
             assert code == 2
+
+    def test_max_duration_config_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("node_count = 20\nmax_duration = 500\n")
+        code = self.run_cli("run", "--config", str(bad), "--seed", "1",
+                            "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (f"configuration error: {bad}:2: "
+                                           f"unknown key 'max_duration'\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line, name", [
         ("forwarding_overhead = -1", "forwarding_overhead"),

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DISCOVERY_EXCHANGE,
-                             DeadNodeError, EnergyLedger, PowerModel, airtime,
+from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DeadNodeError,
+                             EnergyLedger, PowerModel, airtime,
                              broadcast_tx_power, charge_beacon_round,
                              charge_route_discovery, exchange_payers,
                              flood_depths, tx_power,
@@ -356,7 +356,7 @@ class TestUnicastHop:
             *((0, "data_tx"), (0, "mac"), (1, "data_rx"), (1, "mac")),
             *((1, "data_tx"), (1, "mac"), (2, "data_rx"), (2, "mac"))]
         # a reply hop runs from the route's head back to its tail
-        assert pairs([2, 1], [1, 0], DISCOVERY_EXCHANGE) == [
+        assert pairs([2, 1], [1, 0], ("discovery",) * 4) == [
             *((2, "discovery"),) * 2 + ((1, "discovery"),) * 2,
             *((1, "discovery"),) * 2 + ((0, "discovery"),) * 2]
         assert exchange_payers([], [], DATA_EXCHANGE) == ([], [])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import deque
 from functools import reduce
 from operator import add
 
@@ -95,7 +96,8 @@ class TestSessions:
         s1, s2 = set1_config(), set2_config()
         assert (s1.initial_battery, s1.duration, s1.until_first_failure) == \
             (1500.0, 1000.0, False)
-        assert (s2.initial_battery, s2.until_first_failure) == (100.0, True)
+        assert (s2.initial_battery, s2.duration, s2.until_first_failure) == \
+            (100.0, 20000.0, True)
 
 
 class TestStopConditions:
@@ -106,7 +108,7 @@ class TestStopConditions:
 
     def test_until_first_failure(self):
         cfg = small_config(initial_battery=0.5, until_first_failure=True,
-                           max_duration=500.0)
+                           duration=500.0)
         result = run(cfg)
         assert result.first_failure_time is not None
         assert result.end_time == result.first_failure_time
@@ -118,10 +120,15 @@ class TestStopConditions:
 
     def test_failure_cap(self):
         cfg = small_config(initial_battery=1e6, until_first_failure=True,
-                           max_duration=3.0)
+                           duration=3.0)
         result = run(cfg)
         assert result.first_failure_time is None
         assert result.end_time == 3.0
+        # without a death, the run is the fixed-duration run tick for tick
+        fixed = run(cfg.replace(until_first_failure=False))
+        assert [(p.created_at, p.delivered_at) for p in result.packets] == \
+            [(p.created_at, p.delivered_at) for p in fixed.packets]
+        assert result.ledger.node_totals() == fixed.ledger.node_totals()
 
     def test_zero_sessions_idle_network(self):
         result = run(small_config(session_count=0, duration=10.0))
@@ -240,9 +247,9 @@ class CheckedSimulation(Simulation):
     """A run that asserts its invariants every tick. Before traffic is sent,
     a session that holds both a route and buffered packets found the route
     in this tick, which is when the engine charges the packets the
-    discovery's latency. Once traffic is sent, activity counts exactly the
-    intermediates of the live routes, and every live route edge is in
-    range."""
+    discovery's latency. Once traffic is sent, no session buffers more than
+    buffer_cap packets, activity counts exactly the intermediates of the
+    live routes, and every live route edge is in range."""
 
     def _send_traffic(self, snap, t):
         self.check_flush(t)
@@ -257,6 +264,10 @@ class CheckedSimulation(Simulation):
                      f"route found at t={st.route.discovered_at!r}")
 
     def check_invariants(self, snap):
+        for st in self.sessions:
+            assert len(st.buffer) <= self.config.buffer_cap, \
+                (f"session {st.session.id} buffers {len(st.buffer)} packets, "
+                 f"over buffer_cap {self.config.buffer_cap}")
         live = [st.route for st in self.sessions if st.route is not None]
         expected = [0] * self.config.node_count
         for r in live:
@@ -302,6 +313,19 @@ class TestInvariantsDuringRun:
         sim.check_flush(0.5)
         with pytest.raises(AssertionError, match="route found at t=0.5"):
             sim.check_flush(0.6)
+
+    def test_overfull_buffer_is_caught(self):
+        sim = CheckedSimulation(small_config(node_count=4, session_count=1,
+                                             buffer_cap=1))
+        snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 300.0]))
+        sim.sessions[0].buffer.append(PacketRecord(session=0, seq=0,
+                                                   created_at=0.0))
+        sim.check_invariants(snap)
+        sim.sessions[0].buffer = deque(sim.sessions[0].buffer)  # no maxlen
+        sim.sessions[0].buffer.append(PacketRecord(session=0, seq=1,
+                                                   created_at=0.1))
+        with pytest.raises(AssertionError, match="over buffer_cap 1"):
+            sim.check_invariants(snap)
 
     def test_stale_route_edge_is_caught(self):
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
@@ -621,7 +645,7 @@ class TestTraceReplay:
         trace = Trace([k * 0.1 for k in range(5)], rows)
         sim = Simulation(ScenarioConfig(node_count=2, session_count=1,
                                         until_first_failure=True,
-                                        max_duration=10.0, seed=1),
+                                        duration=10.0, seed=1),
                          trace=trace)
         with pytest.raises(ConfigError, match="trace ends at t=0.5"):
             sim.run()
@@ -633,6 +657,19 @@ class TestTraceReplay:
         with pytest.raises(ValueError):
             run(cfg.replace(node_count=10), trace=Trace.load(trace_path))
 
+
+
+def relay_budget(packets):
+    """Joules with which node 1, the relay of a 2-hop route, pays for
+    `packets` 512-byte packets with TPC off, receiving each on hop 0 and
+    sending it on hop 1, then dies at its payload debit of the next packet,
+    which a further debit to it makes the engine drop."""
+    m = PowerModel()
+    t_pay, t_rts = airtime(512, m), airtime(20, m)
+    t_cts_ack = airtime(14, m) + airtime(14, m)
+    receive = 0.967 * t_pay + 0.967 * t_rts + 1.4 * t_cts_ack
+    send = 1.4 * t_pay + 1.4 * t_rts + 0.967 * t_cts_ack
+    return packets * (receive + send) + receive + 0.5 * 1.4 * t_pay
 
 
 class TestMidTickDeath:
@@ -647,20 +684,12 @@ class TestMidTickDeath:
         trace = Trace([k * tick for k in range(40)], rows)
         cfg = ScenarioConfig(node_count=3, session_count=1, tick=tick,
                              area=(2000.0, 2000.0), start_window=(0.0, 0.0),
-                             until_first_failure=True, max_duration=3.9,
+                             until_first_failure=True, duration=3.9,
                              protocol="LBR", seed=1)
         sim = Simulation(cfg, trace=trace)
         st = sim.sessions[0]
         st.session.source, st.session.destination = 0, 2
-        # node 1 receives on hop 0 and sends on hop 1 of every packet; it
-        # can pay for two packets, then dies at its payload debit of the
-        # third, which a further debit to it makes the engine drop
-        m = PowerModel()
-        t_pay, t_rts = airtime(512, m), airtime(20, m)
-        t_cts_ack = airtime(14, m) + airtime(14, m)
-        receive = 0.967 * t_pay + 0.967 * t_rts + 1.4 * t_cts_ack
-        send = 1.4 * t_pay + 1.4 * t_rts + 0.967 * t_cts_ack
-        budget = 2 * (receive + send) + receive + 0.5 * 1.4 * t_pay
+        budget = relay_budget(2)  # node 1 pays for two, dies in the third
         discover = sim._discover_routes
 
         def discover_then_drain_forwarder(snap, t):
@@ -701,11 +730,7 @@ class TestMidTickDeath:
         st = sim.sessions[0]
         st.session.source, st.session.destination = 0, 2
         m = PowerModel()
-        t_pay, t_rts = airtime(512, m), airtime(20, m)
-        t_cts_ack = airtime(14, m) + airtime(14, m)
-        receive = 0.967 * t_pay + 0.967 * t_rts + 1.4 * t_cts_ack
-        send = 1.4 * t_pay + 1.4 * t_rts + 0.967 * t_cts_ack
-        budget = (receive + send) + receive + 0.5 * 1.4 * t_pay
+        budget = relay_budget(1)
         discover = sim._discover_routes
 
         def discover_then_drain_relay(snap, t):
@@ -730,3 +755,51 @@ class TestMidTickDeath:
             assert pkt.hops_traversed == 3
             assert pkt.buffering == \
                 ((arrive + 1) * tick - pkt.created_at) + latency(3)
+
+    def test_rebuffering_keeps_the_newest_buffer_cap_packets(self):
+        # nodes at 0, 200, 400 m: 0 -> 1 -> 2 is found at t = 0, and at 32
+        # packets per second every 0.125 s tick sends four fresh packets.
+        # At t = 0.5 s node 1 pays for the first, dies in the second, and
+        # the last two go back to a buffer that holds one
+        tick = 0.125
+        rows = [[(0.0, 0.0, 0.0, 0.0), (200.0, 0.0, 0.0, 0.0),
+                 (400.0, 0.0, 0.0, 0.0)]] * 10
+        trace = Trace([k * tick for k in range(10)], rows)
+        cfg = ScenarioConfig(node_count=3, session_count=1, tick=tick,
+                             cbr_rate=32.0, buffer_cap=1,
+                             area=(2000.0, 2000.0), start_window=(0.0, 0.0),
+                             until_first_failure=True, protocol="LBR", seed=1)
+        sim = Simulation(cfg, trace=trace)
+        st = sim.sessions[0]
+        st.session.source, st.session.destination = 0, 2
+        budget = relay_budget(1)
+        discover = sim._discover_routes
+
+        def discover_then_drain_relay(snap, t):
+            discover(snap, t)
+            if t == 4 * tick:
+                debit(sim.ledger, 1, "mac", sim.ledger.residual(1) - budget)
+        sim._discover_routes = discover_then_drain_relay
+        result = sim.run()
+
+        assert result.end_time == result.ledger.died[1] == 4 * tick
+        last = [p for p in result.packets if p.created_at > 3 * tick]
+        assert len(last) == 4
+        assert [p.delivered for p in last] == [True, False, False, False]
+        assert list(st.buffer) == last[-1:]
+
+    def test_no_packet_waits_when_buffer_cap_is_zero(self):
+        # small networks on tiny batteries, where deaths in the middle of a
+        # tick send packets back to the buffer; with no room in it, every
+        # delivered packet went out in the tick that made it
+        rng = random.Random(5)
+        for _ in range(8):
+            cfg = ScenarioConfig(node_count=rng.randint(8, 30),
+                                 initial_battery=rng.uniform(0.3, 1.0),
+                                 duration=30.0, area=(500.0, 500.0),
+                                 buffer_cap=0, seed=rng.randrange(10**6))
+            result = CheckedSimulation(cfg).run()
+            assert any(d is not None for d in result.ledger.died)
+            assert sum(p.delivered for p in result.packets) > 0
+            assert all(p.buffering == 0.0 for p in result.packets
+                       if p.delivered), cfg
