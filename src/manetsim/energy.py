@@ -99,11 +99,12 @@ class EnergyLedger:
 
         A debit of at least its node's remaining battery is truncated to
         what remains, so the battery reaches exactly zero, and the node joins
-        newly_dead. A negative debit raises ValueError, a debit against a
-        dead node DeadNodeError; the debits before it stay applied.
+        newly_dead. A negative debit, or a sequence that ends before the
+        others, raises ValueError, a debit against a dead node DeadNodeError;
+        the debits before it stay applied.
         """
         residual, entries = self._residual, self.entries
-        for node, category, j in zip(nodes, categories, joules):
+        for node, category, j in zip(nodes, categories, joules, strict=True):
             j = float(j)  # keep numpy scalars out of the ledger
             if j < 0.0:
                 raise ValueError("negative debit")
@@ -152,16 +153,16 @@ class EnergyLedger:
 DATA_EXCHANGE = ("data_tx", "mac", "data_rx", "mac")
 
 
-def exchange_payers(senders, receivers, categories):
+def exchange_payers(senders, receivers):
     """Who pays each of unicast_exchange's joules, and under which category,
-    for the hops sent by senders[i] to receivers[i]: two parallel lists,
-    payer nodes and their categories, four entries per hop in
+    for the data hops sent by senders[i] to receivers[i]: two parallel lists,
+    payer nodes and their DATA_EXCHANGE categories, four entries per hop in
     unicast_exchange's order.
     """
     nodes = []
     for s, r in zip(senders, receivers, strict=True):
         nodes += (s, s, r, r)
-    return nodes, list(categories) * len(senders)
+    return nodes, list(DATA_EXCHANGE) * len(senders)
 
 
 def unicast_exchange(hop_lengths, nbytes, model):

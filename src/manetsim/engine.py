@@ -3,7 +3,7 @@
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
@@ -11,8 +11,8 @@ import numpy as np
 
 from . import mobility as mob
 from .config import ConfigError, ScenarioConfig
-from .energy import (DATA_EXCHANGE, DeadNodeError, EnergyLedger, PowerModel,
-                     airtime, charge_beacon_round, charge_route_discovery,
+from .energy import (DeadNodeError, EnergyLedger, PowerModel, airtime,
+                     charge_beacon_round, charge_route_discovery,
                      exchange_payers, unicast_exchange)
 from .protocols import select_route
 from .topology import snapshot
@@ -20,12 +20,35 @@ from .topology import snapshot
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
 
+def _run_state(default=None):
+    """A field of a session's run state: left out of == and repr."""
+    return field(default=default, compare=False, repr=False)
+
+
 @dataclass
 class Session:
+    """One CBR session and the state the run keeps for it; equality and
+    repr are those of the first four fields."""
     id: int
     source: int
     destination: int
     start: float
+    route: object = _run_state()
+    hop_ends: np.ndarray = _run_state()   # (2, hops): each hop's tail, head
+    payer_nodes: list = _run_state()      # node and category of each debit
+    payer_categories: list = _run_state()  # of a packet, as exchange_payers
+    buffer: deque = _run_state()          # maxlen buffer_cap: drops the oldest
+    next_pkt_time: float = _run_state()
+    next_retry_time: float = _run_state(0.0)
+    seq: int = _run_state(0)
+
+    def follow(self, route):
+        """Adopt a freshly discovered route and cache what every tick that
+        sends over it reads."""
+        self.route = route
+        tails, heads = route.nodes[:-1], route.nodes[1:]
+        self.hop_ends = np.array((tails, heads))
+        self.payer_nodes, self.payer_categories = exchange_payers(tails, heads)
 
 
 @dataclass
@@ -75,8 +98,10 @@ def make_sessions(config, rng):
         d = rng.randrange(config.node_count)
         while d == s:
             d = rng.randrange(config.node_count)
-        sessions.append(Session(id=sid, source=s, destination=d,
-                                start=rng.uniform(lo, hi)))
+        start = rng.uniform(lo, hi)
+        sessions.append(Session(id=sid, source=s, destination=d, start=start,
+                                buffer=deque(maxlen=config.buffer_cap),
+                                next_pkt_time=start))
     return sessions
 
 
@@ -99,28 +124,6 @@ def discovery_latency(hops, model, forwarding_overhead):
     return 2.0 * hops * (airtime(model.rreq_base_bytes, model) + forwarding_overhead)
 
 
-@dataclass
-class _SessionState:
-    session: Session
-    route: object = None
-    hop_ends: np.ndarray = None      # (2, hops) array: each hop's tail, head
-    payer_nodes: list = None         # node and category of each debit of a
-    payer_categories: list = None    # packet, as exchange_payers lays them out
-    buffer: deque = None             # maxlen buffer_cap: drops the oldest
-    next_pkt_time: float = None
-    next_retry_time: float = 0.0
-    seq: int = 0
-
-    def follow(self, route):
-        """Adopt a freshly discovered route and cache what every tick that
-        sends over it reads."""
-        self.route = route
-        tails, heads = route.nodes[:-1], route.nodes[1:]
-        self.hop_ends = np.array((tails, heads))
-        self.payer_nodes, self.payer_categories = exchange_payers(
-            tails, heads, DATA_EXCHANGE)
-
-
 class Simulation:
     """One isolated run; owns all mutable state."""
 
@@ -140,10 +143,7 @@ class Simulation:
         if trace is not None:
             self._check_trace(trace)
             trace.apply(0, self.nodes)
-        self.sessions = [
-            _SessionState(s, buffer=deque(maxlen=config.buffer_cap),
-                          next_pkt_time=s.start)
-            for s in make_sessions(config, traffic_rng)]
+        self.sessions = make_sessions(config, traffic_rng)
         self.ledger = EnergyLedger(config.node_count, config.initial_battery)
         # per node, the live routes it forwards for as an intermediate
         self.activity = [0] * config.node_count
@@ -198,8 +198,7 @@ class Simulation:
             if writer:
                 writer.close()
         return RunResult(config=cfg, ledger=self.ledger, packets=self.packets,
-                         routes=self.routes,
-                         sessions=[st.session for st in self.sessions],
+                         routes=self.routes, sessions=self.sessions,
                          end_time=end)
 
     # --- per-tick phases ---
@@ -231,16 +230,15 @@ class Simulation:
     def _discover_routes(self, snap, t):
         cfg = self.config
         for st in self.sessions:
-            sess = st.session
-            if st.route is not None or t < sess.start - 1e-9 or t < st.next_retry_time - 1e-9:
+            if st.route is not None or t < st.start - 1e-9 or t < st.next_retry_time - 1e-9:
                 continue
-            if not self.ledger.alive(sess.source):
+            if not self.ledger.alive(st.source):
                 continue
             route = None
-            if self.ledger.alive(sess.destination):
+            if self.ledger.alive(st.destination):
                 route = select_route(cfg.protocol, snap, self.activity,
-                                     sess.source, sess.destination, session=sess.id)
-            charge_route_discovery(self.ledger, snap, sess.source, route, self.model)
+                                     st.source, st.destination, session=st.id)
+            charge_route_discovery(self.ledger, snap, st.source, route, self.model)
             if route is None:
                 st.next_retry_time = t + cfg.discovery_retry_interval
                 continue
@@ -251,12 +249,11 @@ class Simulation:
 
     def _send_traffic(self, snap, t):
         cfg = self.config
-        sending = []  # (session state, its (packet, wait) pairs in order)
+        sending = []  # (session, its (packet, wait) pairs in order)
         for st in self.sessions:
-            sess = st.session
             batch = []
             while st.next_pkt_time <= t + 1e-9:
-                pkt = PacketRecord(session=sess.id, seq=st.seq,
+                pkt = PacketRecord(session=st.id, seq=st.seq,
                                    created_at=st.next_pkt_time)
                 st.seq += 1
                 self.packets.append(pkt)
@@ -285,11 +282,12 @@ class Simulation:
         """The send table of each session in senders, in that order, for this
         tick; every packet of a session reuses its table.
 
-        A session's table is (hops, base, contention, propagation, service,
-        joules): its route's hop count, the sum of the per-hop exchange
-        airtimes, the same weighted by each hop's contention count, the
-        propagation time, base + kappa * contention, and the joules of one
-        packet's debits in the order of the session's payer lists.
+        A session's table is (base, contention, propagation, joules): the
+        sum of its route's per-hop exchange airtimes, the same weighted by
+        each hop's contention count, the propagation time, and the joules of
+        one packet's debits in the order of the session's payer lists. A
+        delivered packet carries the first three, and PacketRecord.total_delay
+        turns them into its delay.
 
         A hop's contention count is the number of this tick's transmitters,
         other than the hop's own endpoints, within the contention radius of
@@ -310,7 +308,7 @@ class Simulation:
         counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
         lengths = hop_d.tolist()
         joules = unicast_exchange(lengths, self.model.data_bytes, self.model)
-        exchange, kappa = self._exchange, self.config.kappa
+        exchange = self._exchange
         tables = []
         off = 0
         for st in senders:
@@ -321,15 +319,14 @@ class Simulation:
             prop = reduce(add, lengths[off:end]) / SPEED_OF_LIGHT
             base = exchange * h
             cont = exchange * float(sum(counts[off:end]))
-            tables.append((h, base, cont, prop, base + kappa * cont,
-                           joules[4 * off:4 * end]))
+            tables.append((base, cont, prop, joules[4 * off:4 * end]))
             off = end
         return tables
 
     def _deliver(self, st, batch, table):
         """Send one session's (packet, wait) pairs over its route, in order."""
-        hops, base, cont, prop, service, joules = table
-        ledger, nodes = self.ledger, st.route.nodes
+        base, cont, prop, joules = table
+        ledger, nodes, kappa = self.ledger, st.route.nodes, self.config.kappa
         for pkt, wait in batch:
             if ledger.newly_dead and not all(map(ledger.alive, nodes)):
                 st.buffer.append(pkt)  # mid-tick death; retried after teardown
@@ -342,9 +339,8 @@ class Simulation:
             pkt.base_service = base
             pkt.contention_service = cont
             pkt.propagation = prop
-            pkt.hops_traversed = hops
-            # total_delay's association: (buffering + service) + propagation
-            pkt.delivered_at = pkt.created_at + ((wait + service) + prop)
+            pkt.hops_traversed = st.route.hops
+            pkt.delivered_at = pkt.created_at + pkt.total_delay(kappa)
 
 
 def run(config, trace=None, trace_out=None) -> RunResult:

@@ -29,7 +29,7 @@ def route_transitions(routes, sessions):
     return sum(counts[s.id] for s in sessions) / len(sessions)
 
 
-def time_averaged_hop_count(routes, sessions, end_time):
+def time_averaged_hop_count(routes, end_time):
     """Per-session lifetime-weighted mean hop count, then mean over sessions.
 
     Sessions with zero total route lifetime are excluded.
@@ -76,8 +76,7 @@ def compute_report(result, kappa=None):
     delivered = sum(1 for p in result.packets if p.delivered)
     return MetricsReport(
         route_transitions=route_transitions(result.routes, result.sessions),
-        hop_count=time_averaged_hop_count(result.routes, result.sessions,
-                                          result.end_time),
+        hop_count=time_averaged_hop_count(result.routes, result.end_time),
         delay_per_packet=delay_per_packet(result.packets, kappa),
         energy_per_packet=energy_per_packet(result.ledger, delivered),
         fairness_stddev=fairness_stddev(result.ledger.node_totals()),

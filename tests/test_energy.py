@@ -131,6 +131,17 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.debit_all([0], ["mac"], [-0.1])
 
+    @pytest.mark.parametrize("nodes, categories, joules", [
+        ([0, 1], ["mac"], [1.0, 2.0]),
+        ([0], ["mac", "mac"], [1.0, 2.0]),
+        ([0, 1], ["mac", "mac"], [1.0]),
+    ])
+    def test_lists_of_unequal_length_rejected(self, nodes, categories,
+                                              joules):
+        ledger = EnergyLedger(2, 10.0)
+        with pytest.raises(ValueError, match="zip"):
+            ledger.debit_all(nodes, categories, joules)
+
     def test_csv_round_trip(self, tmp_path):
         rng = random.Random(3)
         ledger = EnergyLedger(4, 100.0)
@@ -240,7 +251,7 @@ class TestDebitAll:
 def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
     """Apply one hop's exchange table to a ledger, as the data path does."""
     joules = unicast_exchange([d], nbytes, model)
-    nodes, categories = exchange_payers([sender], [receiver], DATA_EXCHANGE)
+    nodes, categories = exchange_payers([sender], [receiver])
     ledger.debit_all(nodes, categories, joules)
 
 
@@ -352,14 +363,15 @@ class TestUnicastHop:
         def pairs(*args):
             return list(zip(*exchange_payers(*args)))
 
-        assert pairs([0, 1], [1, 2], DATA_EXCHANGE) == [
+        assert pairs([0, 1], [1, 2]) == [
             *((0, "data_tx"), (0, "mac"), (1, "data_rx"), (1, "mac")),
             *((1, "data_tx"), (1, "mac"), (2, "data_rx"), (2, "mac"))]
-        # a reply hop runs from the route's head back to its tail
-        assert pairs([2, 1], [1, 0], ("discovery",) * 4) == [
-            *((2, "discovery"),) * 2 + ((1, "discovery"),) * 2,
-            *((1, "discovery"),) * 2 + ((0, "discovery"),) * 2]
-        assert exchange_payers([], [], DATA_EXCHANGE) == ([], [])
+        # hops from a route's head back to its tail: each sender pays first
+        assert pairs([2, 1], [1, 0]) == [
+            *((2, "data_tx"), (2, "mac"), (1, "data_rx"), (1, "mac")),
+            *((1, "data_tx"), (1, "mac"), (0, "data_rx"), (0, "mac"))]
+        assert exchange_payers([], []) == ([], [])
+        assert DATA_EXCHANGE == ("data_tx", "mac", "data_rx", "mac")
 
     def test_total_equals_sum_of_debits(self):
         ledger = EnergyLedger(2, 1500.0)

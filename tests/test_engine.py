@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from manetsim import engine
 from manetsim.config import ConfigError, ScenarioConfig, set1_config, set2_config
 from manetsim.energy import PowerModel, airtime, unicast_exchange
-from manetsim.engine import (PacketRecord, Session, Simulation, _SessionState,
+from manetsim.engine import (PacketRecord, Session, Simulation,
                              discovery_latency, make_sessions, run, tick_count,
                              write_packets_csv, write_routes_csv)
 from manetsim.mobility import Trace
@@ -50,17 +50,14 @@ def tick_tables(snap, routes, tpc=False):
     sim = Simulation(small_config(tpc=tpc))
     senders = []
     for sid, nodes in enumerate(routes):
-        st = _SessionState(Session(id=sid, source=nodes[0],
-                                   destination=nodes[-1], start=0.0))
+        st = Session(id=sid, source=nodes[0], destination=nodes[-1], start=0.0)
         st.follow(Route(session=sid, nodes=tuple(nodes), metric_value=0.0,
                         discovered_at=0.0))
         senders.append(st)
     tables = sim._tick_send_tables(snap, senders)
     assert len(tables) == len(senders)
     service, charges = [], []
-    for st, (hops, base, cont, prop, total, joules) in zip(senders, tables):
-        assert hops == st.route.hops
-        assert total == base + sim.config.kappa * cont
+    for st, (base, cont, prop, joules) in zip(senders, tables):
         service.append((base, cont, prop))
         charges.append(list(zip(st.payer_nodes, st.payer_categories, joules)))
     return service, charges
@@ -91,6 +88,37 @@ class TestSessions:
             for a, b in zip(created, created[1:]):
                 assert b - a == pytest.approx(0.5)
         assert len(result.packets) > 2 * len(result.sessions)
+
+    def test_result_holds_the_engines_session_records(self):
+        cfg = small_config(duration=20.0, area=(500.0, 500.0),
+                           start_window=(0.0, 5.0))
+        sim = Simulation(cfg)
+        result = sim.run()
+        assert result.sessions is sim.sessions
+        for sess in result.sessions:
+            assert sess.seq == sum(1 for p in result.packets
+                                   if p.session == sess.id)
+            assert sess.buffer.maxlen == result.config.buffer_cap
+        # run state differs between protocols; the sessions compare equal
+        other = run(cfg.replace(protocol="MMBCR"))
+        assert [s.seq for s in other.sessions] == \
+            [s.seq for s in result.sessions]
+        assert any(a.route is not None and b.route is not None
+                   and a.route.nodes != b.route.nodes
+                   for a, b in zip(result.sessions, other.sessions))
+        assert other.sessions == result.sessions
+
+    def test_session_equality_and_repr_ignore_run_state(self):
+        a = Session(id=0, source=1, destination=2, start=3.0)
+        b = Session(id=0, source=1, destination=2, start=3.0,
+                    buffer=deque([PacketRecord(0, 0, 3.0)], maxlen=4),
+                    next_pkt_time=3.5, next_retry_time=9.0, seq=1)
+        b.follow(Route(session=0, nodes=(1, 4, 2), metric_value=0.0,
+                       discovered_at=3.0))
+        assert a == b
+        assert repr(a) == repr(b) == \
+            "Session(id=0, source=1, destination=2, start=3.0)"
+        assert a != Session(id=0, source=1, destination=2, start=3.5)
 
     def test_presets(self):
         s1, s2 = set1_config(), set2_config()
@@ -230,7 +258,7 @@ class TestLazySnapshot:
         sim = Simulation(ScenarioConfig(node_count=n,
                                         session_count=len(routes), seed=1))
         for state, nodes in zip(sim.sessions, routes):
-            state.follow(Route(session=state.session.id, nodes=nodes,
+            state.follow(Route(session=state.id, nodes=nodes,
                                metric_value=0.0, discovered_at=0.0))
         snap = snapshot(make_nodes(positions),
                         [1.0 if a else 0.0 for a in alive], 250.0, 0.0)
@@ -260,13 +288,13 @@ class CheckedSimulation(Simulation):
         for st in self.sessions:
             if st.route is not None and st.buffer:
                 assert st.route.discovered_at == t, \
-                    (f"session {st.session.id} flushes at t={t!r} over a "
+                    (f"session {st.id} flushes at t={t!r} over a "
                      f"route found at t={st.route.discovered_at!r}")
 
     def check_invariants(self, snap):
         for st in self.sessions:
             assert len(st.buffer) <= self.config.buffer_cap, \
-                (f"session {st.session.id} buffers {len(st.buffer)} packets, "
+                (f"session {st.id} buffers {len(st.buffer)} packets, "
                  f"over buffer_cap {self.config.buffer_cap}")
         live = [st.route for st in self.sessions if st.route is not None]
         expected = [0] * self.config.node_count
@@ -337,16 +365,27 @@ class TestInvariantsDuringRun:
             sim.check_invariants(snap)
 
     def test_packet_record_consistency(self):
-        result = run(small_config(duration=40.0))
-        delivered = [p for p in result.packets if p.delivered]
-        assert delivered
-        kappa = result.config.kappa
-        for p in delivered:
-            assert p.hops_traversed >= 1
-            assert p.buffering >= 0.0
-            assert p.delivered_at >= p.created_at
-            assert p.delivered_at - p.created_at == pytest.approx(
-                p.total_delay(kappa), rel=1e-12)
+        for overrides in (
+                dict(duration=40.0),
+                # deaths in the middle of a tick, and packets buffered
+                dict(initial_battery=3.0, until_first_failure=True,
+                     duration=500.0),
+                dict(initial_battery=0.5, start_window=(0.0, 5.0))):
+            result = run(small_config(**overrides))
+            delivered = [p for p in result.packets if p.delivered]
+            assert delivered
+            if "initial_battery" in overrides:
+                assert result.first_failure_time is not None
+                assert any(p.buffering > 0.0 for p in delivered)
+            kappa = result.config.kappa
+            hops = {}
+            for r in result.routes:
+                hops.setdefault(r.session, set()).add(r.hops)
+            for p in delivered:
+                assert p.hops_traversed in hops[p.session]
+                assert p.buffering >= 0.0
+                assert p.delivered_at >= p.created_at
+                assert p.delivered_at == p.created_at + p.total_delay(kappa)
 
     def test_conservation_at_end_of_run(self):
         result = run(small_config(duration=20.0))
@@ -371,8 +410,8 @@ class TestPerTickView:
         sim = Simulation(ScenarioConfig(node_count=6, session_count=2,
                                         protocol=protocol, seed=1))
         for st, (s, d) in zip(sim.sessions, ((0, 1), (3, 4))):
-            st.session.source, st.session.destination = s, d
-            st.session.start = 0.0
+            st.source, st.destination = s, d
+            st.start = 0.0
         debit(sim.ledger, 5, "mac", 1e-6)
         live = []
         select = engine.select_route
@@ -393,8 +432,8 @@ class TestPerTickView:
         sim = Simulation(ScenarioConfig(node_count=6, session_count=1,
                                         protocol="LBR", seed=1))
         st = sim.sessions[0]
-        st.session.source, st.session.destination = 0, 1
-        st.session.start = 0.0
+        st.source, st.destination = 0, 1
+        st.start = 0.0
         snap = snapshot(make_nodes(self.POSITIONS), sim.ledger.residuals(),
                         250.0, 0.0)
         if source_dead:
@@ -688,7 +727,7 @@ class TestMidTickDeath:
                              protocol="LBR", seed=1)
         sim = Simulation(cfg, trace=trace)
         st = sim.sessions[0]
-        st.session.source, st.session.destination = 0, 2
+        st.source, st.destination = 0, 2
         budget = relay_budget(2)  # node 1 pays for two, dies in the third
         discover = sim._discover_routes
 
@@ -728,7 +767,7 @@ class TestMidTickDeath:
                              duration=2.5, protocol="LBR", seed=1)
         sim = CheckedSimulation(cfg, trace=trace)
         st = sim.sessions[0]
-        st.session.source, st.session.destination = 0, 2
+        st.source, st.destination = 0, 2
         m = PowerModel()
         budget = relay_budget(1)
         discover = sim._discover_routes
@@ -771,7 +810,7 @@ class TestMidTickDeath:
                              until_first_failure=True, protocol="LBR", seed=1)
         sim = Simulation(cfg, trace=trace)
         st = sim.sessions[0]
-        st.session.source, st.session.destination = 0, 2
+        st.source, st.destination = 0, 2
         budget = relay_budget(1)
         discover = sim._discover_routes
 

@@ -50,25 +50,24 @@ class TestTimeAveragedHopCount:
     def test_lifetime_weighted(self):
         # 2 hops for 10 s then 4 hops for 30 s: (20 + 120) / 40 = 3.5
         routes = [make_route(0, 0.0, 10.0, 2), make_route(0, 10.0, 40.0, 4)]
-        assert time_averaged_hop_count(routes, [make_session(0)], 40.0) == 3.5
+        assert time_averaged_hop_count(routes, 40.0) == 3.5
 
     def test_single_route(self):
         routes = [make_route(0, 5.0, None, 3)]
-        assert time_averaged_hop_count(routes, [make_session(0)], 100.0) == 3.0
+        assert time_averaged_hop_count(routes, 100.0) == 3.0
 
     def test_constant_hops_independent_of_lifetimes(self):
         routes = [make_route(0, 0.0, 7.0, 4), make_route(0, 9.0, 11.5, 4),
                   make_route(0, 20.0, None, 4)]
-        assert time_averaged_hop_count(routes, [make_session(0)], 60.0) == 4.0
+        assert time_averaged_hop_count(routes, 60.0) == 4.0
 
     def test_open_route_uses_end_time(self):
         routes = [make_route(0, 90.0, None, 5)]
-        assert time_averaged_hop_count(routes, [make_session(0)], 100.0) == 5.0
+        assert time_averaged_hop_count(routes, 100.0) == 5.0
 
     def test_zero_lifetime_sessions_excluded(self):
         routes = [make_route(0, 10.0, 10.0, 2), make_route(1, 0.0, 10.0, 3)]
-        sessions = [make_session(0), make_session(1)]
-        assert time_averaged_hop_count(routes, sessions, 10.0) == 3.0
+        assert time_averaged_hop_count(routes, 10.0) == 3.0
 
 
 class TestDelayAndEnergyPerPacket:
