@@ -46,6 +46,17 @@ def _run_cell(args):
     return cell, seed, metrics.compute_report(result)
 
 
+def run_jobs(fn, jobs, workers=1):
+    """fn applied to each job, on a pool of `workers` processes when that is
+    more than one; the results come back in job order."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers!r}")
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def run_matrix(base, replications, out_dir, cells, base_seed=1, workers=1):
     """Run every cell of the matrix over the base config with paired seeds
     and write CSV tables.
@@ -57,16 +68,10 @@ def run_matrix(base, replications, out_dir, cells, base_seed=1, workers=1):
     if replications < 1:
         raise ConfigError(f"replications must be at least 1, "
                           f"got {replications!r}")
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers!r}")
-    os.makedirs(out_dir, exist_ok=True)
     jobs = [(cell, base, base_seed + rep)
             for cell in cells for rep in range(replications)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, jobs))  # preserves job order
-    else:
-        rows = [_run_cell(job) for job in jobs]
+    rows = run_jobs(_run_cell, jobs, workers)
+    os.makedirs(out_dir, exist_ok=True)
     write_run_rows(rows, os.path.join(out_dir, "runs.csv"))
     write_comparison_table(rows, os.path.join(out_dir, "comparison.csv"))
     return rows

@@ -70,14 +70,13 @@ def fairness_stddev(node_energies):
     return statistics.pstdev(node_energies)
 
 
-def compute_report(result, kappa=None):
-    if kappa is None:
-        kappa = result.config.kappa
+def compute_report(result):
     delivered = sum(1 for p in result.packets if p.delivered)
     return MetricsReport(
         route_transitions=route_transitions(result.routes, result.sessions),
         hop_count=time_averaged_hop_count(result.routes, result.end_time),
-        delay_per_packet=delay_per_packet(result.packets, kappa),
+        delay_per_packet=delay_per_packet(result.packets,
+                                          result.config.kappa),
         energy_per_packet=energy_per_packet(result.ledger, delivered),
         fairness_stddev=fairness_stddev(result.ledger.node_totals()),
         first_failure_time=result.first_failure_time,

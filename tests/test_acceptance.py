@@ -2,26 +2,31 @@
 
 The desk matrix is 50 nodes, 15 sessions, v_max in {5, 50} m/s, TPC on/off,
 all three protocols, seeds 1-5, for both experiment presets (1500 J / 1000 s
-and 100 J / run-to-first-failure). Soft ordering criteria must hold in at
-least 4 of the 5 seeds per cell and be insensitive to the contention
-coefficient kappa in {0.1, 0.5, 1.0}.
+and 100 J / run-to-first-failure), built from the matrix runner's cells and
+run on its process pool. Soft ordering criteria must hold in at least 4 of
+the 5 seeds per cell. Only the delay depends on the contention coefficient
+kappa, and its ordering must hold at each kappa in {0.1, 0.5, 1.0}.
 
 Only the criteria that read the desk matrix (03, 04, 08-14) are marked
 slow; the hard property suites (01, 02, 05-07) run in the fast suite.
 """
 
-import math
+import os
 import random
 from dataclasses import dataclass
 
 import pytest
 
-from manetsim import compute_report, run, set1_config, set2_config
+from manetsim import (MetricsReport, compute_report, run, set1_config,
+                      set2_config)
+from manetsim.cli import cell_config, matrix_cells, run_jobs
 from manetsim.energy import PowerModel, tx_power
 from manetsim.engine import write_packets_csv, write_routes_csv
-from manetsim.metrics import recompute_from_csv, relative_close
+from manetsim.metrics import (delay_per_packet, recompute_from_csv,
+                              relative_close)
 from manetsim.protocols import select_route
 
+from test_energy import ledger_balances
 from test_mobility import _random_in_range_pair, stepping_let_oracle
 from test_mobility import link_expiration_time
 from test_protocols import oracle_route, random_instance
@@ -36,42 +41,56 @@ SET2_VMAX = 5.0
 
 @dataclass
 class RunSummary:
-    reports: dict          # kappa -> MetricsReport
+    report: MetricsReport  # at the run's own kappa
+    delays: dict           # kappa -> mean delay per delivered packet
     total_energy: float
     conservation_ok: bool
-    first_failure_time: float
 
 
-def summarize(result):
-    cfg = result.config
-    ledger = result.ledger
-    conservation_ok = all(
-        cfg.initial_battery - ledger.residual(n) == ledger.total(n)
-        for n in range(cfg.node_count))
-    return RunSummary(reports={k: compute_report(result, kappa=k)
-                               for k in KAPPAS},
-                      total_energy=sum(ledger.node_totals()),
-                      conservation_ok=conservation_ok,
-                      first_failure_time=result.first_failure_time)
+def summarize(cfg):
+    """Run cfg and keep what the criteria read."""
+    result = run(cfg)
+    return RunSummary(report=compute_report(result),
+                      delays={k: delay_per_packet(result.packets, k)
+                              for k in KAPPAS},
+                      total_energy=sum(result.ledger.node_totals()),
+                      conservation_ok=ledger_balances(result.ledger))
+
+
+def desk_configs():
+    """The 90 desk runs: each preset's matrix cells, under paired seeds."""
+    return [cell_config(cell, preset(), seed)
+            for preset, vmaxes in ((set1_config, VMAXES),
+                                   (set2_config, (SET2_VMAX,)))
+            for cell in matrix_cells(nodes=(50,), vmax=vmaxes,
+                                     sessions=(15,))
+            for seed in SEEDS]
 
 
 @pytest.fixture(scope="session")
 def desk():
-    """All desk-scale runs, summarized. Takes several minutes."""
+    """All desk-scale runs, summarized, on up to two processes. Takes a few
+    minutes."""
+    configs = desk_configs()
+    summaries = run_jobs(summarize, configs, min(2, os.cpu_count() or 1))
     set1, set2 = {}, {}
-    for proto in PROTOCOLS:
-        for vmax in VMAXES:
-            for tpc in TPC_MODES:
-                for seed in SEEDS:
-                    cfg = set1_config(protocol=proto, v_max=vmax, tpc=tpc,
-                                      seed=seed)
-                    set1[proto, vmax, tpc, seed] = summarize(run(cfg))
-        for tpc in TPC_MODES:
-            for seed in SEEDS:
-                cfg = set2_config(protocol=proto, v_max=SET2_VMAX, tpc=tpc,
-                                  seed=seed)
-                set2[proto, tpc, seed] = summarize(run(cfg))
+    for cfg, summary in zip(configs, summaries):
+        if cfg.until_first_failure:
+            set2[cfg.protocol, cfg.tpc, cfg.seed] = summary
+        else:
+            set1[cfg.protocol, cfg.v_max, cfg.tpc, cfg.seed] = summary
     return set1, set2
+
+
+def test_pooled_summaries_equal_serial_ones():
+    configs = [set1_config(protocol="FORP", seed=1, duration=20.0),
+               set1_config(protocol="LBR", v_max=50.0, tpc=True, seed=3,
+                           duration=20.0),
+               set2_config(protocol="MMBCR", v_max=SET2_VMAX, tpc=True,
+                           initial_battery=3.0, seed=2)]
+    serial = run_jobs(summarize, configs, 1)
+    assert serial[2].report.first_failure_time is not None
+    assert run_jobs(summarize, configs, 2) == serial
 
 
 def verdict(name, ok, detail=""):
@@ -200,13 +219,6 @@ def test_criterion_07_metric_recomputation(tmp_path):
 
 # --- soft criteria ------------------------------------------------------------
 
-def kappa_free(summary, metric):
-    """Metrics other than delay must not depend on kappa at all."""
-    values = {getattr(summary.reports[k], metric) for k in KAPPAS}
-    assert len(values) == 1
-    return values.pop()
-
-
 @pytest.mark.slow
 def test_criterion_08_route_transitions(desk):
     set1, _ = desk
@@ -215,8 +227,8 @@ def test_criterion_08_route_transitions(desk):
         for tpc in TPC_MODES:
             oks = []
             for seed in SEEDS:
-                t = {p: kappa_free(set1[p, vmax, tpc, seed],
-                                   "route_transitions") for p in PROTOCOLS}
+                t = {p: set1[p, vmax, tpc, seed].report.route_transitions
+                     for p in PROTOCOLS}
                 oks.append(t["FORP"] < t["LBR"] <= t["MMBCR"]
                            and t["MMBCR"] <= 1.5 * t["LBR"])
             holds_in_enough_seeds(oks, (vmax, tpc), failures)
@@ -231,7 +243,7 @@ def test_criterion_09_hop_count(desk):
         for tpc in TPC_MODES:
             oks = []
             for seed in SEEDS:
-                h = {p: kappa_free(set1[p, vmax, tpc, seed], "hop_count")
+                h = {p: set1[p, vmax, tpc, seed].report.hop_count
                      for p in PROTOCOLS}
                 oks.append(h["LBR"] <= h["MMBCR"] < h["FORP"])
             holds_in_enough_seeds(oks, (vmax, tpc), failures)
@@ -248,8 +260,8 @@ def test_criterion_10_delay(desk):
             for seed in SEEDS:
                 per_kappa = []
                 for kappa in KAPPAS:
-                    d = {p: set1[p, vmax, tpc, seed].reports[kappa]
-                         .delay_per_packet for p in PROTOCOLS}
+                    d = {p: set1[p, vmax, tpc, seed].delays[kappa]
+                         for p in PROTOCOLS}
                     per_kappa.append(d["LBR"] < d["FORP"]
                                      and d["LBR"] < d["MMBCR"])
                 oks.append(all(per_kappa))
@@ -264,8 +276,8 @@ def test_criterion_11_energy_per_packet(desk):
     for vmax in VMAXES:
         oks = []
         for seed in SEEDS:
-            e = {p: kappa_free(set1[p, vmax, False, seed],
-                               "energy_per_packet") for p in PROTOCOLS}
+            e = {p: set1[p, vmax, False, seed].report.energy_per_packet
+                 for p in PROTOCOLS}
             oks.append(e["LBR"] < e["MMBCR"] < e["FORP"])
         holds_in_enough_seeds(oks, vmax, failures)
     verdict("criterion-11 energy per packet", not failures, str(failures))
@@ -281,10 +293,8 @@ def test_criterion_12_tpc_energy_ratios(desk):
         for seed in SEEDS:
             ratio = {}
             for p in PROTOCOLS:
-                on = kappa_free(set1[p, vmax, True, seed],
-                                "energy_per_packet")
-                off = kappa_free(set1[p, vmax, False, seed],
-                                 "energy_per_packet")
+                on = set1[p, vmax, True, seed].report.energy_per_packet
+                off = set1[p, vmax, False, seed].report.energy_per_packet
                 ratio[p] = on / off
             observed[vmax, seed] = {p: round(ratio[p], 3) for p in PROTOCOLS}
             oks.append(ratio["FORP"] < ratio["MMBCR"] < ratio["LBR"]
@@ -303,8 +313,8 @@ def test_criterion_13_fairness(desk):
         for tpc in TPC_MODES:
             oks = []
             for seed in SEEDS:
-                f = {p: kappa_free(set1[p, vmax, tpc, seed],
-                                   "fairness_stddev") for p in PROTOCOLS}
+                f = {p: set1[p, vmax, tpc, seed].report.fairness_stddev
+                     for p in PROTOCOLS}
                 oks.append(f["MMBCR"] < f["LBR"] < f["FORP"])
             holds_in_enough_seeds(oks, (vmax, tpc), failures)
     verdict("criterion-13 fairness", not failures, str(failures))
@@ -319,7 +329,7 @@ def test_criterion_14_first_node_failure(desk):
     for tpc in TPC_MODES:
         oks = []
         for seed in SEEDS:
-            fft = {p: set2[p, tpc, seed].first_failure_time
+            fft = {p: set2[p, tpc, seed].report.first_failure_time
                    for p in PROTOCOLS}
             ratio = fft["FORP"] / fft["MMBCR"]
             observed["ratio", tpc, seed] = round(ratio, 3)
@@ -331,8 +341,8 @@ def test_criterion_14_first_node_failure(desk):
     for proto in PROTOCOLS:
         oks = []
         for seed in SEEDS:
-            factor = (set2[proto, True, seed].first_failure_time
-                      / set2[proto, False, seed].first_failure_time)
+            factor = (set2[proto, True, seed].report.first_failure_time
+                      / set2[proto, False, seed].report.first_failure_time)
             observed["factor", proto, seed] = round(factor, 3)
             oks.append(1.1 <= factor <= 1.8)
         holds_in_enough_seeds(oks, ("tpc-factor", proto), failures)

@@ -21,7 +21,7 @@ from manetsim.mobility import Trace
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
-from test_energy import debit, grand_total
+from test_energy import debit, grand_total, ledger_balances
 from test_mobility import make_nodes
 from test_topology import dense_dist, dense_in_range, full_snapshot
 
@@ -388,11 +388,11 @@ class TestInvariantsDuringRun:
                 assert p.delivered_at == p.created_at + p.total_delay(kappa)
 
     def test_conservation_at_end_of_run(self):
-        result = run(small_config(duration=20.0))
-        cfg = result.config
-        for n in range(cfg.node_count):
-            assert cfg.initial_battery - result.ledger.residual(n) == \
-                result.ledger.total(n)
+        # 0.1 J runs two nodes dry within the 20 s
+        for battery in (1500.0, 0.1):
+            result = run(small_config(duration=20.0, initial_battery=battery))
+            assert ledger_balances(result.ledger)
+        assert result.first_failure_time is not None
 
 
 class TestPerTickView:

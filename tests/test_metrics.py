@@ -185,12 +185,12 @@ class TestComputeReport:
                                 for p in delivered))]
         assert report.delay_per_packet == pytest.approx(sum(parts), rel=1e-9)
 
-    def test_kappa_override_recomputes_delay_only(self, result):
-        low = compute_report(result, kappa=0.1)
-        high = compute_report(result, kappa=1.0)
-        assert low.delay_per_packet < high.delay_per_packet
-        assert low.route_transitions == high.route_transitions
-        assert low.energy_per_packet == high.energy_per_packet
+    def test_delay_grows_with_kappa_and_report_uses_config_kappa(self,
+                                                                 result):
+        delays = [delay_per_packet(result.packets, k) for k in (0.1, 0.5, 1.0)]
+        assert delays[0] < delays[1] < delays[2]
+        assert compute_report(result).delay_per_packet == \
+            delay_per_packet(result.packets, result.config.kappa)
 
     def test_csv_recomputation_matches(self, result, tmp_path):
         pk, rt, lg = (tmp_path / n
