@@ -41,9 +41,8 @@ def cell_config(cell: Cell, base, seed):
 
 
 def _run_cell(args):
-    cell, base, seed = args
-    result = engine.run(cell_config(cell, base, seed))
-    return cell, seed, metrics.compute_report(result)
+    cell, cfg = args
+    return cell, cfg.seed, metrics.compute_report(engine.run(cfg))
 
 
 def run_jobs(fn, jobs, workers=1):
@@ -68,7 +67,7 @@ def run_matrix(base, replications, out_dir, cells, base_seed=1, workers=1):
     if replications < 1:
         raise ConfigError(f"replications must be at least 1, "
                           f"got {replications!r}")
-    jobs = [(cell, base, base_seed + rep)
+    jobs = [(cell, cell_config(cell, base, base_seed + rep).validate())
             for cell in cells for rep in range(replications)]
     rows = run_jobs(_run_cell, jobs, workers)
     os.makedirs(out_dir, exist_ok=True)
@@ -182,9 +181,10 @@ def _cmd_run(args):
     else:
         cfg = ScenarioConfig()
     cfg = _apply_flags(cfg, args)
-    os.makedirs(args.out_dir, exist_ok=True)
     trace = Trace.load(args.trace_in) if args.trace_in else None
-    result = engine.run(cfg, trace=trace, trace_out=args.trace_out)
+    sim = engine.Simulation(cfg, trace=trace, trace_out=args.trace_out)
+    os.makedirs(args.out_dir, exist_ok=True)
+    result = sim.run()
     report = metrics.compute_report(result)
     with open(os.path.join(args.out_dir, "metrics.csv"), "w", newline="") as f:
         w = csv.writer(f)

@@ -145,8 +145,6 @@ class Simulation:
             trace.apply(0, self.nodes)
         self.sessions = make_sessions(config, traffic_rng)
         self.ledger = EnergyLedger(config.node_count, config.initial_battery)
-        # per node, the live routes it forwards for as an intermediate
-        self.activity = [0] * config.node_count
         self.packets = []
         self.routes = []
 
@@ -203,28 +201,20 @@ class Simulation:
 
     # --- per-tick phases ---
 
-    def _teardown(self, st, t):
-        st.route.torn_down_at = t
-        for node in st.route.intermediates:
-            self.activity[node] -= 1
-        st.route = None
-
     def _maintain_routes(self, snap, t):
         live = [st for st in self.sessions if st.route is not None]
         if not live:
             return
-        # a hop holds while both ends are alive and within range: the edge
-        # list's rule for the pair, answered from the hop ends' positions
         tails, heads = np.concatenate([st.hop_ends for st in live], axis=1)
-        holds = snap.alive[tails] & snap.alive[heads]
-        holds &= snap.distance(tails, heads) <= snap.r
+        holds = snap.linked(tails, heads)
         if holds.all():
             return
         off = 0
         for st in live:
             end = off + st.route.hops
             if not holds[off:end].all():
-                self._teardown(st, t)
+                st.route.torn_down_at = t
+                st.route = None
             off = end
 
     def _discover_routes(self, snap, t):
@@ -236,7 +226,7 @@ class Simulation:
                 continue
             route = None
             if self.ledger.alive(st.destination):
-                route = select_route(cfg.protocol, snap, self.activity,
+                route = select_route(cfg.protocol, snap, self._activity(),
                                      st.source, st.destination, session=st.id)
             charge_route_discovery(self.ledger, snap, st.source, route, self.model)
             if route is None:
@@ -244,8 +234,12 @@ class Simulation:
                 continue
             st.follow(route)
             self.routes.append(route)
-            for node in route.intermediates:
-                self.activity[node] += 1
+
+    def _activity(self):
+        """Per node, the live routes it forwards for as an intermediate."""
+        return np.bincount([v for st in self.sessions if st.route is not None
+                            for v in st.route.intermediates],
+                           minlength=self.config.node_count)
 
     def _send_traffic(self, snap, t):
         cfg = self.config

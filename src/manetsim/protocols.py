@@ -147,7 +147,7 @@ def select_route(protocol, snap, activity, s, d, session=-1):
     residual battery, as it was at the start of the tick. LBR balances load:
     it minimizes the summed intermediate activity plus the traffic
     interference of the intermediates' neighborhoods, where activity[v]
-    counts the live routes that v forwards for.
+    counts the live routes that v forwards for at the time of the call.
     """
     if s == d:
         raise ValueError("source equals destination")

@@ -21,8 +21,8 @@ class TopologySnapshot:
     the readers of the whole graph: the beacon round, route discovery and
     selection. Degrees, neighbour lists, neighbour sums and the per-link
     LETs all come from it. Most ticks only ask about the hops of live
-    routes, which `distance` answers from the positions with the formula
-    the edge list is built with.
+    routes, which `linked` answers from the positions with the rule the
+    edge list is built with.
     """
 
     def __init__(self, nodes, residual, r, t):
@@ -50,16 +50,21 @@ class TopologySnapshot:
         dx += dy
         return np.sqrt(dx, out=dx)
 
+    def linked(self, a, b):
+        """Whether nodes a and b are linked, element-wise over broadcast
+        index arrays: both alive and at most r apart. The one link rule."""
+        near = self.distance(a, b) <= self.r
+        near &= self.alive[a]
+        near &= self.alive[b]
+        return near
+
     @cached_property
     def _edges(self):
-        """The in-range pairs (distance <= r, both ends alive) in row-major
-        order, as row and column id arrays, and the (start, end) of each
-        node's run of them. The one n x n build."""
+        """The one n x n build: the linked pairs in row-major order, as row
+        and column id arrays, and the (start, end) of each node's run."""
         n = self.n
         ids = np.arange(n)
-        near = self.distance(ids[:, None], ids[None, :]) <= self.r
-        near &= self.alive[:, None]
-        near &= self.alive[None, :]
+        near = self.linked(ids[:, None], ids[None, :])
         np.fill_diagonal(near, False)
         rows, cols = np.divmod(np.flatnonzero(near), n)
         ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manetsim import engine
 from manetsim.cli import (Cell, _apply_flags, build_parser, cell_config, main,
                           matrix_cells, run_matrix)
 from manetsim.config import (PROTOCOLS, ConfigError, ScenarioConfig,
@@ -507,6 +508,7 @@ class TestCommandLine:
                             "--trace-out", str(rerecorded))
         assert code == 2
         assert not rerecorded.exists()   # rejected before the first tick
+        assert not (tmp_path / "b").exists()  # and before the out dir
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {trace}")
         return err
@@ -626,7 +628,8 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("flag", ["--config", "--trace-in"])
     def test_undecodable_input_file_exit_code(self, tmp_path, capsys, flag):
-        # before, the UnicodeDecodeError escaped as a traceback
+        # before, the UnicodeDecodeError escaped as a traceback, and a bad
+        # trace left an empty out dir behind
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\xff\xfenode_count = 10\n")
         code = self.run_cli("run", flag, str(bad), "--seed", "1",
@@ -634,6 +637,7 @@ class TestCommandLine:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"configuration error: {bad}: not UTF-8 text")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, text, name, value", [
         ("--protocol", "MMBCR", "protocol", "MMBCR"),
@@ -705,4 +709,28 @@ class TestCommandLine:
                             "--nodes", "15", "--vmax", "10", "--sessions", "2",
                             "--tpc", "off", flag, value)
         assert code == 2
+        assert not out.exists()
+
+    def test_matrix_rejects_a_bad_grid_value_before_any_run(self, tmp_path,
+                                                             monkeypatch):
+        # before, every valid cell ahead of the bad one ran first
+        calls = []
+        run = engine.run
+
+        def counted(cfg, **kwargs):
+            calls.append(cfg)
+            return run(cfg, **kwargs)
+        monkeypatch.setattr(engine, "run", counted)
+        out = tmp_path / "matrix"
+        cells = [Cell("FORP", 15, v, 3, False) for v in (5.0, -1.0)]
+        with pytest.raises(ConfigError, match="v_max"):
+            run_matrix(_small_base(), 1, out, cells)
+        assert calls == []
+        assert not out.exists()
+        code = self.run_cli("matrix", "--preset", "set1", "--seed", "1",
+                            "--out-dir", str(out), "--protocol", "FORP",
+                            "--nodes", "15", "--sessions", "3", "--tpc", "off",
+                            "--vmax", "5", "--vmax", "-1")
+        assert code == 2
+        assert calls == []
         assert not out.exists()

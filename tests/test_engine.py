@@ -276,8 +276,7 @@ class CheckedSimulation(Simulation):
     a session that holds both a route and buffered packets found the route
     in this tick, which is when the engine charges the packets the
     discovery's latency. Once traffic is sent, no session buffers more than
-    buffer_cap packets, activity counts exactly the intermediates of the
-    live routes, and every live route edge is in range."""
+    buffer_cap packets and every live route edge is in range."""
 
     def _send_traffic(self, snap, t):
         self.check_flush(t)
@@ -297,12 +296,6 @@ class CheckedSimulation(Simulation):
                 (f"session {st.id} buffers {len(st.buffer)} packets, "
                  f"over buffer_cap {self.config.buffer_cap}")
         live = [st.route for st in self.sessions if st.route is not None]
-        expected = [0] * self.config.node_count
-        for r in live:
-            for node in r.intermediates:
-                expected[node] += 1
-        assert self.activity == expected, \
-            f"activity drift: {self.activity} != {expected}"
         near = dense_in_range(snap)
         for r in live:
             for u, v in zip(r.nodes[:-1], r.nodes[1:]):
@@ -320,17 +313,29 @@ class TestInvariantsDuringRun:
             assert any(r.torn_down_at is not None and r.hops > 1
                        for r in result.routes)
 
-    def test_activity_is_checked_node_by_node(self):
-        sim = CheckedSimulation(small_config(node_count=4, session_count=1))
-        sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 2),
-                                     metric_value=0.0, discovered_at=0.0))
-        snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 300.0]))
-        sim.activity[1] += 1
-        sim.check_invariants(snap)
-        # the same total on the wrong node
-        sim.activity[1], sim.activity[3] = 0, 1
-        with pytest.raises(AssertionError, match="activity drift"):
-            sim.check_invariants(snap)
+    def test_lbr_is_given_the_activity_of_the_live_routes(self, monkeypatch):
+        """Every selection of a run in which routes break and are found
+        again gets, per node, the count of the unbroken routes in the routes
+        log that it relays for."""
+        sim = Simulation(small_config(duration=20.0, v_max=50.0,
+                                      start_window=(0.0, 2.0)))
+        busy = []
+        select = engine.select_route
+
+        def spy(protocol, snap, activity, *args, **kwargs):
+            expected = [0] * sim.config.node_count
+            for r in sim.routes:
+                if r.torn_down_at is None:
+                    for node in r.intermediates:
+                        expected[node] += 1
+            assert list(activity) == expected
+            busy.append(sum(expected))
+            return select(protocol, snap, activity, *args, **kwargs)
+        monkeypatch.setattr(engine, "select_route", spy)
+        result = sim.run()
+        assert any(r.torn_down_at is not None and r.hops > 1
+                   for r in result.routes)
+        assert any(busy)  # some selection weighed a busy relay
 
     def test_buffer_over_an_older_route_is_caught(self):
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
@@ -359,7 +364,6 @@ class TestInvariantsDuringRun:
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
         sim.sessions[0].follow(Route(session=0, nodes=(0, 1, 3),
                                      metric_value=0.0, discovered_at=0.0))
-        sim.activity[1] += 1
         snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 400.0]))
         with pytest.raises(AssertionError, match="stale route edge 1-3"):
             sim.check_invariants(snap)
@@ -405,26 +409,27 @@ class TestPerTickView:
                  (0.0, 0.0), (400.0, 0.0), (200.0, -140.0)]
 
     def discover_two(self, protocol, monkeypatch):
-        """The snapshot of the tick, the simulation after it, and the live
-        residuals each selection ran beside."""
+        """The snapshot of the tick, the simulation after it, the live
+        residuals each selection ran beside and the activity it was given."""
         sim = Simulation(ScenarioConfig(node_count=6, session_count=2,
                                         protocol=protocol, seed=1))
         for st, (s, d) in zip(sim.sessions, ((0, 1), (3, 4))):
             st.source, st.destination = s, d
             st.start = 0.0
         debit(sim.ledger, 5, "mac", 1e-6)
-        live = []
+        live, activity = [], []
         select = engine.select_route
 
-        def spy(*args, **kwargs):
+        def spy(protocol, snap, act, *args, **kwargs):
             live.append(sim.ledger.residuals())
-            return select(*args, **kwargs)
+            activity.append(list(act))
+            return select(protocol, snap, act, *args, **kwargs)
         monkeypatch.setattr(engine, "select_route", spy)
         snap = snapshot(make_nodes(self.POSITIONS), sim.ledger.residuals(),
                         250.0, 0.0)
         sim._discover_routes(snap, 0.0)
         assert sim.sessions[0].route.nodes == (0, 2, 1)
-        return snap, sim, live
+        return snap, sim, live, activity
 
     @pytest.mark.parametrize("source_dead", [False, True])
     def test_a_source_dead_in_the_ledger_does_not_discover(self, source_dead):
@@ -448,7 +453,7 @@ class TestPerTickView:
             assert sim.ledger.category_total("discovery") > 0.0
 
     def test_mmbcr_weighs_the_residuals_of_the_tick_start(self, monkeypatch):
-        snap, sim, live = self.discover_two("MMBCR", monkeypatch)
+        snap, sim, live, _ = self.discover_two("MMBCR", monkeypatch)
         assert snap.residual[2] > snap.residual[5]
         # by the second selection the ledger ranks the relays the other way
         assert live[1][2] < live[1][5]
@@ -457,10 +462,10 @@ class TestPerTickView:
         assert route.metric_value == snap.residual[2]
 
     def test_lbr_counts_a_route_found_earlier_in_the_tick(self, monkeypatch):
-        _, sim, _ = self.discover_two("LBR", monkeypatch)
+        _, sim, _, activity = self.discover_two("LBR", monkeypatch)
         # relay 2 now forwards for session 0, so relay 5 is cheaper
+        assert activity == [[0] * 6, [0, 0, 1, 0, 0, 0]]
         assert sim.sessions[1].route.nodes == (3, 5, 4)
-        assert sim.activity == [0, 0, 1, 0, 0, 1]
 
 
 class TestDelayModel:
