@@ -226,7 +226,9 @@ class Simulation:
                 continue
             route = None
             if self.ledger.alive(st.destination):
-                route = select_route(cfg.protocol, snap, self._activity(),
+                # only LBR reads the activity
+                activity = self._activity() if cfg.protocol == "LBR" else None
+                route = select_route(cfg.protocol, snap, activity,
                                      st.source, st.destination, session=st.id)
             charge_route_discovery(self.ledger, snap, st.source, route, self.model)
             if route is None:
@@ -268,9 +270,8 @@ class Simulation:
                 sending.append((st, batch))
         if not sending:
             return
-        tables = self._tick_send_tables(snap, [st for st, _ in sending])
-        for (st, batch), table in zip(sending, tables):
-            self._deliver(st, batch, table)
+        self._deliver(sending,
+                      self._tick_send_tables(snap, [st for st, _ in sending]))
 
     def _tick_send_tables(self, snap, senders):
         """The send table of each session in senders, in that order, for this
@@ -317,24 +318,28 @@ class Simulation:
             off = end
         return tables
 
-    def _deliver(self, st, batch, table):
-        """Send one session's (packet, wait) pairs over its route, in order."""
-        base, cont, prop, joules = table
-        ledger, nodes, kappa = self.ledger, st.route.nodes, self.config.kappa
-        for pkt, wait in batch:
-            if ledger.newly_dead and not all(map(ledger.alive, nodes)):
-                st.buffer.append(pkt)  # mid-tick death; retried after teardown
-                continue
-            try:
-                ledger.debit_all(st.payer_nodes, st.payer_categories, joules)
-            except DeadNodeError:
-                continue  # forwarder died mid-path; packet lost
-            pkt.buffering = wait
-            pkt.base_service = base
-            pkt.contention_service = cont
-            pkt.propagation = prop
-            pkt.hops_traversed = st.route.hops
-            pkt.delivered_at = pkt.created_at + pkt.total_delay(kappa)
+    def _deliver(self, sending, tables):
+        """Send this tick's traffic: each session's (packet, wait) pairs in
+        `sending`, over its route with its send table in `tables`, session
+        by session and packet by packet, in order."""
+        ledger, kappa = self.ledger, self.config.kappa
+        for (st, batch), (base, cont, prop, joules) in zip(sending, tables):
+            nodes = st.route.nodes
+            for pkt, wait in batch:
+                if ledger.newly_dead and not all(map(ledger.alive, nodes)):
+                    st.buffer.append(pkt)  # mid-tick death; retried after teardown
+                    continue
+                try:
+                    ledger.debit_all(st.payer_nodes, st.payer_categories,
+                                     joules)
+                except DeadNodeError:
+                    continue  # forwarder died mid-path; packet lost
+                pkt.buffering = wait
+                pkt.base_service = base
+                pkt.contention_service = cont
+                pkt.propagation = prop
+                pkt.hops_traversed = st.route.hops
+                pkt.delivered_at = pkt.created_at + pkt.total_delay(kappa)
 
 
 def run(config, trace=None, trace_out=None) -> RunResult:

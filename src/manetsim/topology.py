@@ -1,8 +1,41 @@
 """Instantaneous wireless graph built from node positions."""
 
-from functools import cached_property
+import math
+import threading
+from functools import cache, cached_property
 
 import numpy as np
+
+
+@cache
+def link_bound(r):
+    """The largest double s with sqrt(s) <= r, for a finite r >= 0.
+
+    IEEE square root is correctly rounded, hence monotone, so for any
+    double s, `s <= link_bound(r)` holds exactly when `sqrt(s) <= r`: the
+    link rule on squared distances, with no square root taken.
+    """
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"range must be finite and >= 0, got {r!r}")
+    r = float(r)
+    s = r * r
+    while math.sqrt(s) > r:
+        s = math.nextafter(s, -math.inf)
+    while math.sqrt(up := math.nextafter(s, math.inf)) <= r:
+        s = up
+    return s
+
+
+_scratch = threading.local()
+
+
+def _scratch_pair(n):
+    """Two (n, n) float64 arrays that the calling thread reuses for every
+    n-node mask build; only the latest node count's pair is kept."""
+    pair = getattr(_scratch, "pair", None)
+    if pair is None or len(pair[0]) != n:
+        pair = _scratch.pair = (np.empty((n, n)), np.empty((n, n)))
+    return pair
 
 
 class TopologySnapshot:
@@ -17,12 +50,16 @@ class TopologySnapshot:
     the whole tick, however the ledger moves on within it.
 
     Only positions, residuals and kinematics are captured eagerly. The graph
-    is one edge list (`_edges`), built lazily, at most once per snapshot, by
-    the readers of the whole graph: the beacon round, route discovery and
-    selection. Degrees, neighbour lists, neighbour sums and the per-link
-    LETs all come from it. Most ticks only ask about the hops of live
-    routes, which `linked` answers from the positions with the rule the
-    edge list is built with.
+    is one n x n boolean link mask (`_mask`), built lazily, at most once per
+    snapshot, by the readers of the whole graph: the beacon round, route
+    discovery and selection. It compares squared distances with
+    `link_bound(r)`, so it takes no square root, and it computes them in a
+    pair of scratch arrays reused from build to build, so the only n x n
+    array it allocates is the mask itself. Degrees are counted straight from
+    the mask; the edge list (`_edges`) is cut from it only when neighbour
+    lists, neighbour sums or the per-link LETs are read. Most ticks only ask
+    about the hops of live routes, which `linked` answers from the positions
+    with the rule the mask is built with.
     """
 
     def __init__(self, nodes, residual, r, t):
@@ -39,35 +76,46 @@ class TopologySnapshot:
         self.alive = np.array(self.residual) > 0.0
         self._let = None
 
-    def distance(self, a, b):
-        """Distances between nodes a and b, element-wise over broadcast
-        index arrays: the one distance formula."""
-        dx = self.x[a] - self.x[b]
-        dy = self.y[a] - self.y[b]
-        # in place: dx * dx + dy * dy without the temporaries
+    def _squared(self, a, b, out=(None, None)):
+        """dx * dx + dy * dy between nodes a and b, element-wise over
+        broadcast indices, into the `out` pair of arrays when given."""
+        dx = np.subtract(self.x[a], self.x[b], out=out[0])
+        dy = np.subtract(self.y[a], self.y[b], out=out[1])
         dx *= dx
         dy *= dy
         dx += dy
-        return np.sqrt(dx, out=dx)
+        return dx
 
-    def linked(self, a, b):
+    def distance(self, a, b):
+        """Distances between nodes a and b, element-wise over broadcast
+        index arrays: the one distance formula."""
+        d = self._squared(a, b)
+        return np.sqrt(d, out=d)
+
+    def linked(self, a, b, out=(None, None)):
         """Whether nodes a and b are linked, element-wise over broadcast
-        index arrays: both alive and at most r apart. The one link rule."""
-        near = self.distance(a, b) <= self.r
+        indices: both alive and at most r apart. The one link rule; `out`
+        is as for `_squared`, and the result is a new array."""
+        near = self._squared(a, b, out) <= link_bound(self.r)
         near &= self.alive[a]
         near &= self.alive[b]
         return near
 
     @cached_property
-    def _edges(self):
-        """The one n x n build: the linked pairs in row-major order, as row
-        and column id arrays, and the (start, end) of each node's run."""
-        n = self.n
-        ids = np.arange(n)
-        near = self.linked(ids[:, None], ids[None, :])
+    def _mask(self):
+        """The one n x n build: whether each ordered pair is linked, with
+        the diagonal cleared."""
+        near = self.linked(np.s_[:, None], np.s_[None, :],
+                           _scratch_pair(self.n))
         np.fill_diagonal(near, False)
-        rows, cols = np.divmod(np.flatnonzero(near), n)
-        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+        return near
+
+    @cached_property
+    def _edges(self):
+        """The linked pairs in row-major order, as row and column id arrays,
+        and the (start, end) of each node's run."""
+        rows, cols = np.divmod(np.flatnonzero(self._mask), self.n)
+        ends = np.cumsum(self.degrees()).tolist()
         return rows, cols, list(zip([0] + ends, ends))
 
     def _by_node(self, flat):
@@ -106,7 +154,7 @@ class TopologySnapshot:
         return self._let
 
     def degrees(self):
-        return np.bincount(self._edges[0], minlength=self.n)
+        return np.count_nonzero(self._mask, axis=1)
 
     def neighbor_sums(self, values):
         """Per node, the sum of values[v] over its neighbours v; exact in

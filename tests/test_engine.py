@@ -228,15 +228,20 @@ class TestLazySnapshot:
         result = run(cfg)
         assert sum(p.delivered for p in result.packets) > 0
         beacon_every = round(cfg.beacon_interval / cfg.tick)
-        quiet = 0
+        quiet = beacon_only = 0
         for k, snap in enumerate(snaps):
-            built = "_edges" in vars(snap)
-            if k % beacon_every == 0 or id(snap) in discovering:
-                assert built
+            built = vars(snap)
+            if id(snap) in discovering:
+                assert "_mask" in built and "_edges" in built
+            elif k % beacon_every == 0:
+                # degrees come straight from the mask
+                assert "_mask" in built and "_edges" not in built
+                beacon_only += 1
             else:
-                assert not built
+                assert "_mask" not in built and "_edges" not in built
                 quiet += 1
         assert quiet > len(snaps) // 2
+        assert beacon_only > 0
 
     # multiples of 50 m give exact 250 m hops (150-200-250 triangles and
     # straight lines); a nudge puts a coordinate one ulp further out
@@ -337,6 +342,20 @@ class TestInvariantsDuringRun:
                    for r in result.routes)
         assert any(busy)  # some selection weighed a busy relay
 
+    def test_only_lbr_counts_the_activity(self, monkeypatch):
+        counted = []
+        activity = Simulation._activity
+
+        def spy(sim):
+            counted.append(sim.config.protocol)
+            return activity(sim)
+        monkeypatch.setattr(Simulation, "_activity", spy)
+        for proto in ("FORP", "MMBCR", "LBR"):
+            result = run(small_config(protocol=proto, duration=20.0,
+                                      v_max=50.0, start_window=(0.0, 2.0)))
+            assert len(result.routes) > len(result.sessions)  # rediscovery
+        assert set(counted) == {"LBR"}
+
     def test_buffer_over_an_older_route_is_caught(self):
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
         st = sim.sessions[0]
@@ -410,7 +429,8 @@ class TestPerTickView:
 
     def discover_two(self, protocol, monkeypatch):
         """The snapshot of the tick, the simulation after it, the live
-        residuals each selection ran beside and the activity it was given."""
+        residuals each selection ran beside and the activity it was given
+        (None for FORP and MMBCR, which do not read it)."""
         sim = Simulation(ScenarioConfig(node_count=6, session_count=2,
                                         protocol=protocol, seed=1))
         for st, (s, d) in zip(sim.sessions, ((0, 1), (3, 4))):
@@ -422,7 +442,7 @@ class TestPerTickView:
 
         def spy(protocol, snap, act, *args, **kwargs):
             live.append(sim.ledger.residuals())
-            activity.append(list(act))
+            activity.append(None if act is None else list(act))
             return select(protocol, snap, act, *args, **kwargs)
         monkeypatch.setattr(engine, "select_route", spy)
         snap = snapshot(make_nodes(self.POSITIONS), sim.ledger.residuals(),

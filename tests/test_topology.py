@@ -2,15 +2,18 @@
 
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from manetsim import topology
 from manetsim.config import ScenarioConfig
 from manetsim.mobility import init_mobility
-from manetsim.topology import snapshot
+from manetsim.topology import link_bound, snapshot
 
 from test_mobility import link_expiration_time, make_nodes
 
@@ -259,28 +262,80 @@ class TestLazyMatrices:
             assert [rows.tolist(), cols.tolist()] == \
                 [x.tolist() for x in np.nonzero(rule)]
 
-    def test_matrices_built_once_and_only_when_read(self):
+    def test_matrices_built_once_and_only_when_read(self, monkeypatch):
+        builds = []
+        pair = topology._scratch_pair
+        monkeypatch.setattr(topology, "_scratch_pair",
+                            lambda n: builds.append(n) or pair(n))
         snap = self.edge_case_snapshot(random.Random(33))
         snap.distance(np.array([0, 2]), np.array([1, 3]))
-        assert "_edges" not in vars(snap)
+        snap.linked(np.array([0, 2]), np.array([1, 3]))
+        assert "_mask" not in vars(snap) and not builds
         snap.degrees()
+        assert "_mask" in vars(snap) and "_edges" not in vars(snap)
+        snap.neighbor_lists, snap.let, snap.neighbor_sums(np.ones(snap.n))
         assert "_edges" in vars(snap)
-        assert snap._edges is snap._edges
+        assert snap._mask is snap._mask and snap._edges is snap._edges
+        assert builds == [snap.n]
         assert not hasattr(snap, "dist") and not hasattr(snap, "in_range")
+
+    def test_a_later_build_leaves_earlier_masks_alone(self):
+        # the builds of one node count share their scratch arrays
+        rng = random.Random(34)
+        snaps = [full_snapshot(random_nodes(rng, n=30)) for _ in range(3)]
+        masks = [snap._mask for snap in snaps]
+        for snap, mask in zip(snaps, masks):
+            assert (mask == dense_in_range(snap)).all()
+            assert not any(np.shares_memory(mask, scratch)
+                           for scratch in topology._scratch_pair(snap.n))
+
+    def test_second_mask_and_edge_build_allocates_less_than_its_floats(self):
+        # 8 * n * n bytes is one n x n float64 array
+        n = 200
+        nodes = init_mobility(ScenarioConfig(node_count=n), random.Random(35))
+        full_snapshot(nodes)._edges
+        snap = full_snapshot(nodes)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            snap._edges
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
+    # tx ranges whose square is not a double, about half of them with
+    # link_bound(r) > r * r; and 250 m, whose square is one
+    RANGE = st.one_of(
+        st.just(250.0),
+        st.floats(1.0, 800.0).filter(
+            lambda r: Fraction(r) ** 2 != Fraction(r * r)))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_edge_list_equals_the_dense_oracle(self, data):
-        # a 50 m grid: pairs at exactly r, coincident nodes, dead nodes
+        # a 50 m grid: pairs at exactly 250 m, coincident nodes, dead nodes;
+        # then pairs at exactly r, one ulp inside and one ulp beyond it, and
+        # pairs whose squared distance is k ulps above r * r: for every r
+        # whose bound exceeds r * r, one of them lands in between
+        r = data.draw(self.RANGE)
         n = data.draw(st.integers(1, 16))
         coord = st.integers(0, 12).map(lambda k: 50.0 * k)
         points = data.draw(st.lists(st.tuples(coord, coord),
                                     min_size=n, max_size=n))
+        offsets = [(r, 0.0), (math.nextafter(r, 0.0), 0.0),
+                   (math.nextafter(r, math.inf), 0.0)]
+        offsets += [(r, math.sqrt(k * math.ulp(r * r))) for k in (1, 2, 3)]
+        for k, (dx, dy) in enumerate(data.draw(st.lists(
+                st.sampled_from(offsets), max_size=4))):
+            points += [(0.0, 1000.0 * k), (dx, 1000.0 * k + dy)]
+        n = len(points)
         dead = data.draw(st.sets(st.integers(0, n - 1)))
         values = np.array(data.draw(st.lists(st.integers(-1000, 1000),
                                              min_size=n, max_size=n)),
                           dtype=np.int64)
-        snap = full_snapshot(make_nodes(points), dead)
+        residual = [0.0 if i in dead else 1500.0 for i in range(n)]
+        snap = snapshot(make_nodes(points), residual, r, 0.0)
         near = dense_in_range(snap)
         rows, cols, _ = snap._edges
         assert [rows.tolist(), cols.tolist()] == \
@@ -291,6 +346,34 @@ class TestLazyMatrices:
         sums = snap.neighbor_sums(values)
         assert sums.tolist() == [float(sum(values[row].tolist()))
                                  for row in near]
+
+
+class TestLinkBound:
+    @settings(max_examples=500, deadline=None)
+    @given(r=st.floats(1e-3, 1e6))
+    @example(r=250.0)
+    @example(r=100.1)
+    def test_the_bound_is_the_sqrt_rule(self, r):
+        bound = link_bound(r)
+        assert math.sqrt(bound) <= r
+        assert math.sqrt(math.nextafter(bound, math.inf)) > r
+        s = r * r
+        for _ in range(4):
+            s = math.nextafter(s, 0.0)
+        for _ in range(9):
+            assert (math.sqrt(s) <= r) == (s <= bound)
+            s = math.nextafter(s, math.inf)
+
+    def test_known_bounds(self):
+        assert link_bound(250.0) == 62500.0
+        # sqrt rounds the double above 100.1 * 100.1 down to 100.1
+        assert link_bound(100.1) == math.nextafter(100.1 * 100.1, math.inf)
+        assert link_bound(0.0) == 0.0
+
+    @pytest.mark.parametrize("r", [-1.0, math.inf, math.nan])
+    def test_a_range_with_no_bound_is_rejected(self, r):
+        with pytest.raises(ValueError, match="range must be finite"):
+            link_bound(r)
 
 
 class TestTrafficInterference:
