@@ -3,54 +3,44 @@
 import csv
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class PowerModel:
-    tpc: bool = False
-    fixed_tx_power: float = 1.4        # W, used whenever TPC is off
-    rx_power: float = 0.967            # W
-    circuit_power: float = 1.1182      # W
-    distance_coeff: float = 7.2e-11    # W / m^4
-    max_range: float = 250.0           # m
-    bitrate: float = 2.0e6             # bits/s
-    data_bytes: int = 512
-    rts_bytes: int = 20
-    cts_bytes: int = 14
-    ack_bytes: int = 14
-    beacon_bytes: int = 32
-    rreq_base_bytes: int = 64
-    rreq_hop_bytes: int = 8
-    rrep_bytes: int = 64
-
-    @classmethod
-    def from_config(cls, config):
-        return cls(tpc=config.tpc, max_range=config.tx_range,
-                   bitrate=config.bitrate, data_bytes=config.packet_size)
+# The radio's fixed figures; the scenario's radio values (tpc, tx_range,
+# bitrate, packet_size) come from the run's ScenarioConfig. Every function
+# reads these at call time, so a study varies one with a single assignment.
+FIXED_TX_POWER = 1.4        # W, used whenever TPC is off
+RX_POWER = 0.967            # W
+CIRCUIT_POWER = 1.1182      # W
+DISTANCE_COEFF = 7.2e-11    # W / m^4
+RTS_BYTES = 20
+CTS_BYTES = 14
+ACK_BYTES = 14
+BEACON_BYTES = 32
+RREQ_BASE_BYTES = 64
+RREQ_HOP_BYTES = 8
+RREP_BYTES = 64
 
 
-def tx_power(d, model: PowerModel):
+def tx_power(d, config):
     """Transmission power for a hop of length d meters."""
-    if not 0.0 <= d <= model.max_range * (1.0 + 1e-12):
-        raise ValueError(f"hop distance {d} outside [0, {model.max_range}]")
-    if not model.tpc:
-        return model.fixed_tx_power
-    return model.circuit_power + model.distance_coeff * d ** 4
+    if not 0.0 <= d <= config.tx_range * (1.0 + 1e-12):
+        raise ValueError(f"hop distance {d} outside [0, {config.tx_range}]")
+    if not config.tpc:
+        return FIXED_TX_POWER
+    return CIRCUIT_POWER + DISTANCE_COEFF * d ** 4
 
 
-def broadcast_tx_power(model: PowerModel):
+def broadcast_tx_power(config):
     # broadcasts target every neighbor, so full-range power even with TPC
-    return tx_power(model.max_range, model)
+    return tx_power(config.tx_range, config)
 
 
-def airtime(nbytes, model: PowerModel):
+def airtime(nbytes, config):
     """Seconds on air for a packet of nbytes."""
     if nbytes <= 0:
         raise ValueError(f"packet size must be positive, got {nbytes}")
-    return 8.0 * nbytes / model.bitrate
+    return 8.0 * nbytes / config.bitrate
 
 
 CATEGORIES = ("data_tx", "data_rx", "mac", "beacon", "discovery")
@@ -165,7 +155,7 @@ def exchange_payers(senders, receivers):
     return nodes, list(DATA_EXCHANGE) * len(senders)
 
 
-def unicast_exchange(hop_lengths, nbytes, model):
+def unicast_exchange(hop_lengths, nbytes, config):
     """Joules of one RTS/CTS/payload/ACK exchange over each hop of the given
     lengths, as one flat list of four per hop: (sender payload, sender
     control, receiver payload, receiver control).
@@ -175,29 +165,29 @@ def unicast_exchange(hop_lengths, nbytes, model):
     each joule; callers apply the debits under their own policy for dead
     nodes.
     """
-    t_payload = airtime(nbytes, model)
-    t_rts = airtime(model.rts_bytes, model)
-    t_cts_ack = airtime(model.cts_bytes, model) + airtime(model.ack_bytes, model)
-    p_rx = model.rx_power
+    t_payload = airtime(nbytes, config)
+    t_rts = airtime(RTS_BYTES, config)
+    t_cts_ack = airtime(CTS_BYTES, config) + airtime(ACK_BYTES, config)
+    p_rx = RX_POWER
     rx_payload, rx_rts, rx_cts_ack = (p_rx * t_payload, p_rx * t_rts,
                                       p_rx * t_cts_ack)
     joules = []
     for d in hop_lengths:
-        p_tx = tx_power(d, model)
+        p_tx = tx_power(d, config)
         joules += (p_tx * t_payload, p_tx * t_rts + rx_cts_ack,
                    rx_payload, rx_rts + p_tx * t_cts_ack)
     return joules
 
 
-def charge_beacon_round(ledger, snap, model):
+def charge_beacon_round(ledger, snap, config):
     """Charge one beacon from every live node in a single pass.
 
     Each live node pays one debit: its own full-range transmission plus the
     reception of each live neighbor's beacon.
     """
-    t = airtime(model.beacon_bytes, model)
-    tx_e = broadcast_tx_power(model) * t
-    rx_e = model.rx_power * t
+    t = airtime(BEACON_BYTES, config)
+    tx_e = broadcast_tx_power(config) * t
+    rx_e = RX_POWER * t
     charges = tx_e + rx_e * snap.degrees()
     alive = np.flatnonzero(ledger.alive_mask())
     ledger.debit_all(alive.tolist(), ("beacon",) * len(alive),
@@ -224,7 +214,7 @@ def flood_depths(snap, source):
     return depths
 
 
-def charge_route_discovery(ledger, snap, source, route, model):
+def charge_route_discovery(ledger, snap, source, route, config):
     """Charge one flood-based discovery, plus, when a route was found, RREP
     unicast hops back along it. Every live node the flood reaches rebroadcasts
     the RREQ, sized by its recorded hop count, and hears each live neighbour's
@@ -238,11 +228,11 @@ def charge_route_discovery(ledger, snap, source, route, model):
     depths = np.array(flood_depths(snap, source))
     payers = np.flatnonzero((depths >= 0) & ledger.alive_mask())
     sent = np.zeros(snap.n, dtype=np.int64)  # bytes of each payer's RREQ
-    sent[payers] = model.rreq_base_bytes + model.rreq_hop_bytes * depths[payers]
+    sent[payers] = RREQ_BASE_BYTES + RREQ_HOP_BYTES * depths[payers]
     heard = snap.neighbor_sums(sent)[payers]
     # not airtime(), which rejects the 0 bytes an isolated source hears
-    charges = (broadcast_tx_power(model) * (8.0 * sent[payers] / model.bitrate)
-               + model.rx_power * (8.0 * heard / model.bitrate))
+    charges = (broadcast_tx_power(config) * (8.0 * sent[payers] / config.bitrate)
+               + RX_POWER * (8.0 * heard / config.bitrate))
     ledger.debit_all(payers.tolist(), ("discovery",) * len(payers),
                      charges.tolist())
     if route is None:
@@ -251,7 +241,7 @@ def charge_route_discovery(ledger, snap, source, route, model):
     # at its start is skipped
     tails, heads = route.nodes[:-1], route.nodes[1:]
     lengths = snap.distance(list(tails), list(heads)).tolist()
-    joules = unicast_exchange(lengths, model.rrep_bytes, model)
+    joules = unicast_exchange(lengths, RREP_BYTES, config)
     for i, (tail, head) in enumerate(zip(tails, heads)):  # source end first
         if not (ledger.alive(head) and ledger.alive(tail)):
             continue

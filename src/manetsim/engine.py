@@ -9,9 +9,10 @@ from operator import add
 
 import numpy as np
 
+from . import energy
 from . import mobility as mob
 from .config import ConfigError, ScenarioConfig
-from .energy import (DeadNodeError, EnergyLedger, PowerModel, airtime,
+from .energy import (DeadNodeError, EnergyLedger, airtime,
                      charge_beacon_round, charge_route_discovery,
                      exchange_payers, unicast_exchange)
 from .protocols import select_route
@@ -117,11 +118,12 @@ def tick_count(horizon, tick):
     return k
 
 
-def discovery_latency(hops, model, forwarding_overhead):
+def discovery_latency(hops, config):
     """Flood-out plus RREP-back latency for a freshly found route."""
     if hops < 1:
         raise ValueError("route must have at least one hop")
-    return 2.0 * hops * (airtime(model.rreq_base_bytes, model) + forwarding_overhead)
+    return 2.0 * hops * (airtime(energy.RREQ_BASE_BYTES, config)
+                         + config.forwarding_overhead)
 
 
 class Simulation:
@@ -130,10 +132,9 @@ class Simulation:
     def __init__(self, config, trace=None, trace_out=None):
         config.validate()
         self.config = config
-        m = self.model = PowerModel.from_config(config)
         # airtime of one RTS/CTS/DATA/ACK exchange: a hop's base service time
-        self._exchange = airtime(m.data_bytes + m.rts_bytes + m.cts_bytes
-                                 + m.ack_bytes, m)
+        self._exchange = airtime(config.packet_size + energy.RTS_BYTES
+                                 + energy.CTS_BYTES + energy.ACK_BYTES, config)
         self.trace = trace
         self.trace_out = trace_out
         self.mob_rng = random.Random(f"mobility:{config.seed}")
@@ -185,7 +186,7 @@ class Simulation:
                 if writer:
                     writer.record(t, self.nodes)
                 if k % beacon_every == 0:
-                    charge_beacon_round(self.ledger, snap, self.model)
+                    charge_beacon_round(self.ledger, snap, cfg)
                 self._maintain_routes(snap, t)
                 self._discover_routes(snap, t)
                 self._send_traffic(snap, t)
@@ -230,7 +231,7 @@ class Simulation:
                 activity = self._activity() if cfg.protocol == "LBR" else None
                 route = select_route(cfg.protocol, snap, activity,
                                      st.source, st.destination, session=st.id)
-            charge_route_discovery(self.ledger, snap, st.source, route, self.model)
+            charge_route_discovery(self.ledger, snap, st.source, route, cfg)
             if route is None:
                 st.next_retry_time = t + cfg.discovery_retry_interval
                 continue
@@ -247,6 +248,9 @@ class Simulation:
         cfg = self.config
         sending = []  # (session, its (packet, wait) pairs in order)
         for st in self.sessions:
+            # a route found in an earlier tick carries every packet made in
+            # this one; a route found in this tick first takes the buffer
+            sends_now = st.route is not None and st.route.discovered_at < t
             batch = []
             while st.next_pkt_time <= t + 1e-9:
                 pkt = PacketRecord(session=st.id, seq=st.seq,
@@ -254,15 +258,12 @@ class Simulation:
                 st.seq += 1
                 self.packets.append(pkt)
                 st.next_pkt_time += 1.0 / cfg.cbr_rate
-                if (st.route is not None
-                        and st.route.discovered_at < pkt.created_at - 1e-9):
+                if sends_now:
                     batch.append((pkt, 0.0))
                 else:
                     st.buffer.append(pkt)  # a full buffer drops its oldest
-            # a buffer meets a route only in the tick that found the route
-            if st.route is not None and st.buffer:
-                found = discovery_latency(st.route.hops, self.model,
-                                          cfg.forwarding_overhead)
+            if st.route is not None and not sends_now and st.buffer:
+                found = discovery_latency(st.route.hops, cfg)
                 batch += [(pkt, max(0.0, t - pkt.created_at) + found)
                           for pkt in st.buffer]
                 st.buffer.clear()
@@ -289,6 +290,7 @@ class Simulation:
         either endpoint: the hop length with TPC, the transmission range
         without.
         """
+        cfg = self.config
         tails, heads = ends = np.concatenate([st.hop_ends for st in senders],
                                              axis=1)
         is_tx = np.zeros(snap.n, dtype=bool)
@@ -299,10 +301,10 @@ class Simulation:
         # hop's tail is a transmitter at distance 0, and its head is one
         # only if it transmits too: neither counts against the hop
         near = snap.distance(ends[:, :, None], tx) \
-            <= (hop_d[:, None] if self.model.tpc else snap.r)
+            <= (hop_d[:, None] if cfg.tpc else snap.r)
         counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
         lengths = hop_d.tolist()
-        joules = unicast_exchange(lengths, self.model.data_bytes, self.model)
+        joules = unicast_exchange(lengths, cfg.packet_size, cfg)
         exchange = self._exchange
         tables = []
         off = 0

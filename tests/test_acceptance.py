@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from manetsim import (MetricsReport, compute_report, run, set1_config,
-                      set2_config)
+from manetsim import (MetricsReport, ScenarioConfig, compute_report, run,
+                      set1_config, set2_config)
 from manetsim.cli import cell_config, matrix_cells, run_jobs
-from manetsim.energy import PowerModel, tx_power
+from manetsim.energy import tx_power
 from manetsim.engine import write_packets_csv, write_routes_csv
 from manetsim.metrics import (delay_per_packet, recompute_from_csv,
                               relative_close)
@@ -182,8 +182,8 @@ def test_criterion_05_determinism(tmp_path):
 
 
 def test_criterion_06_power_constants():
-    at_250 = tx_power(250.0, PowerModel(tpc=True))
-    fixed = tx_power(100.0, PowerModel(tpc=False))
+    at_250 = tx_power(250.0, ScenarioConfig(tpc=True))
+    fixed = tx_power(100.0, ScenarioConfig(tpc=False))
     ok = abs(at_250 - 1.39945) <= 1e-6 and fixed == 1.4
     verdict("criterion-06 power constants", ok,
             f"tx_power(250)={at_250!r}, fixed={fixed!r}")

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from manetsim import energy
+from manetsim.config import ScenarioConfig
 from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DeadNodeError,
-                             EnergyLedger, PowerModel, airtime,
+                             EnergyLedger, airtime,
                              broadcast_tx_power, charge_beacon_round,
                              charge_route_discovery, exchange_payers,
                              flood_depths, tx_power,
@@ -22,10 +24,10 @@ from test_mobility import make_nodes
 from test_topology import dense_in_range, full_snapshot
 
 
-def rreq_bytes(recorded_hops, model):
+def rreq_bytes(recorded_hops):
     """Size of an RREQ that has recorded the given hop count: the oracle
     for the sizes charge_route_discovery computes for every node at once."""
-    return model.rreq_base_bytes + model.rreq_hop_bytes * recorded_hops
+    return energy.RREQ_BASE_BYTES + energy.RREQ_HOP_BYTES * recorded_hops
 
 
 def grand_total(ledger):
@@ -53,8 +55,9 @@ def random_nodes(rng, n=50, area=1000.0):
     return make_nodes([(rng.uniform(0, area), rng.uniform(0, area))
                        for _ in range(n)])
 
-TPC = PowerModel(tpc=True)
-FIXED = PowerModel(tpc=False)
+# the default radio with power control on and off
+TPC = ScenarioConfig(tpc=True)
+FIXED = ScenarioConfig(tpc=False)
 
 
 class TestTxPower:
@@ -100,8 +103,8 @@ class TestAirtime:
         assert airtime(1024, FIXED) == pytest.approx(2 * airtime(512, FIXED))
 
     def test_rreq_grows_with_recorded_hops(self):
-        assert rreq_bytes(0, FIXED) == 64
-        assert rreq_bytes(3, FIXED) == 88
+        assert rreq_bytes(0) == 64
+        assert rreq_bytes(3) == 88
 
 
 class TestLedger:
@@ -275,11 +278,12 @@ def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
 def unicast_exchange_oracle(hop_lengths, nbytes, model):
     """The per-hop scalar loop over tx_power: the oracle for
     unicast_exchange, one 4-tuple per hop."""
-    p_rx = model.rx_power
+    p_rx = energy.RX_POWER
     bitrate = model.bitrate
     t_payload = 8.0 * nbytes / bitrate
-    t_rts = 8.0 * model.rts_bytes / bitrate
-    t_cts_ack = 8.0 * model.cts_bytes / bitrate + 8.0 * model.ack_bytes / bitrate
+    t_rts = 8.0 * energy.RTS_BYTES / bitrate
+    t_cts_ack = (8.0 * energy.CTS_BYTES / bitrate
+                 + 8.0 * energy.ACK_BYTES / bitrate)
     rx_payload = p_rx * t_payload
     rx_rts = p_rx * t_rts
     rx_cts_ack = p_rx * t_cts_ack
@@ -421,7 +425,7 @@ def charge_broadcast(ledger, sender, neighbor_ids, nbytes, model,
         raise DeadNodeError(f"broadcast from dead node {sender}")
     t = airtime(nbytes, model)
     debit(ledger, sender, category, broadcast_tx_power(model) * t)
-    rx_energy = model.rx_power * t
+    rx_energy = energy.RX_POWER * t
     for j in neighbor_ids:
         if ledger.alive(j):
             debit(ledger, j, category, rx_energy)
@@ -570,22 +574,22 @@ class TestRouteDiscovery:
             for node in range(50):
                 expected = 0.0
                 if hops[node] >= 0:
-                    heard = sum(rreq_bytes(hops[j], FIXED)
+                    heard = sum(rreq_bytes(hops[j])
                                 for j in snap.neighbor_lists[node])
-                    expected = (1.4 * (8.0 * rreq_bytes(hops[node], FIXED) / 2e6)
+                    expected = (1.4 * (8.0 * rreq_bytes(hops[node]) / 2e6)
                                 + 0.967 * (8.0 * heard / 2e6))
                 assert ledger.entries["discovery"][node] == expected
 
-    def test_flood_reception_scales_with_degree_sum(self):
+    def test_flood_reception_scales_with_degree_sum(self, monkeypatch):
         # with constant-size RREQs, total reception energy is
         # rx_power * airtime * sum of degrees
-        model = PowerModel(tpc=False, rreq_hop_bytes=0)
+        monkeypatch.setattr(energy, "RREQ_HOP_BYTES", 0)
         rng = random.Random(7)
         nodes = random_nodes(rng, n=40)
         snap = full_snapshot(nodes)
         ledger = EnergyLedger(40, 1500.0)
-        charge_route_discovery(ledger, snap, 0, None, model)
-        t = airtime(64, model)
+        charge_route_discovery(ledger, snap, 0, None, FIXED)
+        t = airtime(64, FIXED)
         expected_rx = 0.967 * t * snap.degrees().sum()
         expected_tx = 1.4 * t * 40
         assert grand_total(ledger) == pytest.approx(expected_tx + expected_rx)
@@ -605,14 +609,14 @@ def flood_oracle(snap, alive, source, model):
             if v not in depth:
                 depth[v] = depth[u] + 1
                 queue.append(v)
-    sent = [rreq_bytes(depth[u], model) if u in depth and alive[u] else 0
+    sent = [rreq_bytes(depth[u]) if u in depth and alive[u] else 0
             for u in range(snap.n)]
     joules = []
     for u in range(snap.n):
         heard = sum(sent[v] for v in np.flatnonzero(near[u]).tolist())
         joules.append(0.0 if not sent[u] else
                       broadcast_tx_power(model) * (8.0 * sent[u] / model.bitrate)
-                      + model.rx_power * (8.0 * heard / model.bitrate))
+                      + energy.RX_POWER * (8.0 * heard / model.bitrate))
     return joules
 
 

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from manetsim import engine
+from manetsim import energy, engine
 from manetsim.config import ConfigError, ScenarioConfig, set1_config, set2_config
-from manetsim.energy import PowerModel, airtime, unicast_exchange
+from manetsim.energy import airtime, unicast_exchange
 from manetsim.engine import (PacketRecord, Session, Simulation,
                              discovery_latency, make_sessions, run, tick_count,
                              write_packets_csv, write_routes_csv)
@@ -68,7 +68,7 @@ def delay(components, kappa=0.5):
     return base + kappa * cont + prop
 
 
-EXCHANGE = airtime(512 + 20 + 14 + 14, PowerModel())
+EXCHANGE = airtime(512 + 20 + 14 + 14, ScenarioConfig())
 
 
 class TestSessions:
@@ -490,18 +490,18 @@ class TestPerTickView:
 
 class TestDelayModel:
     def test_discovery_latency_one_hop(self):
-        model = PowerModel()
-        assert discovery_latency(1, model, 1.0e-3) == pytest.approx(2.512e-3)
+        cfg = ScenarioConfig(forwarding_overhead=1.0e-3)
+        assert discovery_latency(1, cfg) == pytest.approx(2.512e-3)
 
     def test_discovery_latency_monotone(self):
-        model = PowerModel()
-        values = [discovery_latency(h, model, 1.0e-3) for h in range(1, 8)]
+        cfg = ScenarioConfig(forwarding_overhead=1.0e-3)
+        values = [discovery_latency(h, cfg) for h in range(1, 8)]
         assert values == sorted(values)
         assert len(set(values)) == len(values)
 
     def test_discovery_latency_needs_a_hop(self):
         with pytest.raises(ValueError):
-            discovery_latency(0, PowerModel(), 1.0e-3)
+            discovery_latency(0, ScenarioConfig())
 
     def test_one_hop_delay_no_contention(self):
         [components], _ = send_tables([0.0, 100.0], [(0, 1)])
@@ -520,7 +520,7 @@ class TestDelayModel:
         assert two[2] == pytest.approx(2 * one[2])
         assert two[1] == EXCHANGE * 1
         a, b, c, d, e, f, g, h = unicast_exchange([100.0, 100.0], 512,
-                                                  PowerModel())
+                                                  ScenarioConfig())
         assert charges == [(0, "data_tx", a), (0, "mac", b),
                            (1, "data_rx", c), (1, "mac", d),
                            (1, "data_tx", e), (1, "mac", f),
@@ -557,7 +557,7 @@ class TestDelayModel:
         snap = full_snapshot(make_nodes(points))
         service, charges = tick_tables(snap, routes, tpc)
 
-        model = PowerModel(tpc=tpc)
+        cfg = ScenarioConfig(tpc=tpc)
         dist = dense_dist(snap)
         transmitters = {u for nodes in routes for u in nodes[:-1]}
         for nodes, (base, cont, prop), got in zip(routes, service, charges):
@@ -576,7 +576,7 @@ class TestDelayModel:
             assert cont == EXCHANGE * float(sum(counts))
             expected = []
             for (u, v), d in zip(hops, hop_d.tolist()):
-                a, b, c, e = unicast_exchange([d], 512, model)
+                a, b, c, e = unicast_exchange([d], 512, cfg)
                 expected += [(u, "data_tx", a), (u, "mac", b),
                              (v, "data_rx", c), (v, "mac", e)]
             assert got == expected
@@ -634,6 +634,31 @@ class TestEnergyWiring:
                   .ledger.category_total("beacon")
                   for proto in ("FORP", "LBR", "MMBCR")}
         assert len(set(totals.values())) == 1
+
+    @pytest.mark.parametrize("radio", [
+        {}, {"packet_size": 256, "bitrate": 1e6, "tx_range": 300.0}],
+        ids=["defaults", "small-slow-far"])
+    def test_data_energy_is_delivered_hops_times_the_exchange(self, radio):
+        """With TPC off and no deaths, each data category's total is the
+        delivered hops times that category's joules per hop, at the
+        scenario's packet size and bitrate."""
+        cfg = set1_config(protocol="MMBCR", v_max=20.0, duration=120.0,
+                          seed=2, **radio)
+        result = run(cfg)
+        assert result.first_failure_time is None
+        hops = sum(p.hops_traversed for p in result.packets if p.delivered)
+        assert hops > 0
+
+        def on_air(nbytes):
+            return 8.0 * nbytes / cfg.bitrate
+        t_pay, t_rts = on_air(cfg.packet_size), on_air(energy.RTS_BYTES)
+        t_cts_ack = on_air(energy.CTS_BYTES) + on_air(energy.ACK_BYTES)
+        p_tx, p_rx = energy.FIXED_TX_POWER, energy.RX_POWER
+        per_hop = {"data_tx": p_tx * t_pay, "data_rx": p_rx * t_pay,
+                   "mac": (p_tx + p_rx) * (t_rts + t_cts_ack)}
+        for category, joules in per_hop.items():
+            assert result.ledger.category_total(category) == \
+                pytest.approx(hops * joules, rel=1e-12, abs=0.0), category
 
 
 class TestBufferingAndPartitions:
@@ -728,7 +753,7 @@ def relay_budget(packets):
     `packets` 512-byte packets with TPC off, receiving each on hop 0 and
     sending it on hop 1, then dies at its payload debit of the next packet,
     which a further debit to it makes the engine drop."""
-    m = PowerModel()
+    m = ScenarioConfig()
     t_pay, t_rts = airtime(512, m), airtime(20, m)
     t_cts_ack = airtime(14, m) + airtime(14, m)
     receive = 0.967 * t_pay + 0.967 * t_rts + 1.4 * t_cts_ack
@@ -793,7 +818,6 @@ class TestMidTickDeath:
         sim = CheckedSimulation(cfg, trace=trace)
         st = sim.sessions[0]
         st.source, st.destination = 0, 2
-        m = PowerModel()
         budget = relay_budget(1)
         discover = sim._discover_routes
 
@@ -812,7 +836,7 @@ class TestMidTickDeath:
         sent = [p for p in result.packets if p.created_at <= first.discovered_at]
         assert [p.delivered for p in sent] == [True, False] + [True] * 7
         def latency(hops):
-            return discovery_latency(hops, m, cfg.forwarding_overhead)
+            return discovery_latency(hops, cfg)
         assert sent[0].buffering == (arrive * tick - 0.0) + latency(2)
         # the rebuffered packets wait for the new route's discovery
         for pkt in sent[2:]:

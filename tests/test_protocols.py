@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manetsim.energy import EnergyLedger, PowerModel, charge_route_discovery
+from manetsim.config import ScenarioConfig
+from manetsim.energy import EnergyLedger, charge_route_discovery
 from manetsim.protocols import (Route, _least_cost_path, select_route,
                                 widest_path)
 from manetsim.topology import TopologySnapshot, snapshot
@@ -575,7 +576,7 @@ class TestSharedSnapshotStructures:
             select_route("MMBCR", snap, None, 0, 29)
             select_route("LBR", snap, activity, 0, 29)
             charge_route_discovery(EnergyLedger(30, 1500.0), snap, 0, None,
-                                   PowerModel())
+                                   ScenarioConfig())
             assert snap._let is None
             select_route("FORP", snap, None, 0, 29)
             assert snap._let is not None
