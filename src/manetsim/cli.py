@@ -5,7 +5,7 @@ import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from . import engine, metrics
 from .config import (ConfigError, PROTOCOLS, ScenarioConfig, load_config,
@@ -18,31 +18,18 @@ MATRIX_SESSIONS = (15, 30)
 PRESETS = {"set1": set1_config, "set2": set2_config}
 
 
-@dataclass(frozen=True)
-class Cell:
-    protocol: str
-    node_count: int
-    v_max: float
-    session_count: int
-    tpc: bool
+def matrix_configs(base, seeds, protocols=PROTOCOLS, nodes=MATRIX_NODES,
+                   vmax=MATRIX_VMAX, sessions=MATRIX_SESSIONS,
+                   tpc=(False, True)):
+    """The matrix's runs over base, cell by cell, each cell once per seed.
 
-
-def matrix_cells(protocols=PROTOCOLS, nodes=MATRIX_NODES, vmax=MATRIX_VMAX,
-                 sessions=MATRIX_SESSIONS, tpc=(False, True)):
-    return [Cell(p, n, v, s, t)
+    Every cell uses the same seeds, so all protocol and TPC variants of a
+    cell replay the same mobility and the same sessions.
+    """
+    return [base.replace(protocol=p, node_count=n, v_max=v, session_count=s,
+                         tpc=t, seed=seed)
             for p in protocols for n in nodes for v in vmax
-            for s in sessions for t in tpc]
-
-
-def cell_config(cell: Cell, base, seed):
-    return base.replace(protocol=cell.protocol, node_count=cell.node_count,
-                        v_max=cell.v_max, session_count=cell.session_count,
-                        tpc=cell.tpc, seed=seed)
-
-
-def _run_cell(args):
-    cell, cfg = args
-    return cell, cfg.seed, metrics.compute_report(engine.run(cfg))
+            for s in sessions for t in tpc for seed in seeds]
 
 
 def run_jobs(fn, jobs, workers=1):
@@ -56,20 +43,15 @@ def run_jobs(fn, jobs, workers=1):
         return list(pool.map(fn, jobs))
 
 
-def run_matrix(base, replications, out_dir, cells, base_seed=1, workers=1):
-    """Run every cell of the matrix over the base config with paired seeds
-    and write CSV tables.
+def _report(cfg):
+    return metrics.compute_report(engine.run(cfg))
 
-    Replication k uses seed base_seed + k for every cell, so all protocol and
-    TPC variants of a cell replay the same mobility and the same sessions.
-    Returns the list of (cell, seed, report) rows in deterministic order.
-    """
-    if replications < 1:
-        raise ConfigError(f"replications must be at least 1, "
-                          f"got {replications!r}")
-    jobs = [(cell, cell_config(cell, base, base_seed + rep).validate())
-            for cell in cells for rep in range(replications)]
-    rows = run_jobs(_run_cell, jobs, workers)
+
+def run_matrix(configs, out_dir, workers=1):
+    """Run every config, each validated before any runs, and write the CSV
+    tables. Returns the (config, report) rows in config order."""
+    configs = [cfg.validate() for cfg in configs]
+    rows = list(zip(configs, run_jobs(_report, configs, workers)))
     os.makedirs(out_dir, exist_ok=True)
     write_run_rows(rows, os.path.join(out_dir, "runs.csv"))
     write_comparison_table(rows, os.path.join(out_dir, "comparison.csv"))
@@ -79,17 +61,25 @@ def run_matrix(base, replications, out_dir, cells, base_seed=1, workers=1):
 _METRIC_FIELDS = [f.name for f in fields(metrics.MetricsReport)]
 
 
+def _cell(cfg):
+    """The table columns that name cfg's matrix cell."""
+    return (cfg.protocol, cfg.node_count, cfg.session_count, repr(cfg.v_max),
+            int(cfg.tpc))
+
+
+def _text(value):
+    return "" if value is None else repr(value)
+
+
 def write_run_rows(rows, path):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("protocol", "nodes", "sessions", "v_max", "tpc", "seed",
                     "metric", "value"))
-        for cell, seed, report in rows:
+        for cfg, report in rows:
             for name in _METRIC_FIELDS:
-                value = getattr(report, name)
-                w.writerow((cell.protocol, cell.node_count, cell.session_count,
-                            repr(cell.v_max), int(cell.tpc), seed, name,
-                            "" if value is None else repr(value)))
+                w.writerow((*_cell(cfg), cfg.seed, name,
+                            _text(getattr(report, name))))
 
 
 def write_comparison_table(rows, path):
@@ -97,8 +87,8 @@ def write_comparison_table(rows, path):
     only one run of a cell has no sample stddev, so its stddev cell is
     empty."""
     by_cell = {}
-    for cell, _, report in rows:
-        by_cell.setdefault(cell, []).append(report)
+    for cfg, report in rows:
+        by_cell.setdefault(_cell(cfg), []).append(report)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(("protocol", "nodes", "sessions", "v_max", "tpc", "metric",
@@ -106,11 +96,8 @@ def write_comparison_table(rows, path):
         for cell, reports in by_cell.items():
             mean, std = metrics.aggregate(reports)
             for name in _METRIC_FIELDS:
-                m, s = getattr(mean, name), getattr(std, name)
-                w.writerow((cell.protocol, cell.node_count, cell.session_count,
-                            repr(cell.v_max), int(cell.tpc), name,
-                            "" if m is None else repr(m),
-                            "" if s is None else repr(s), len(reports)))
+                w.writerow((*cell, name, _text(getattr(mean, name)),
+                            _text(getattr(std, name)), len(reports)))
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -176,10 +163,8 @@ def build_parser():
 def _cmd_run(args):
     if args.config:
         cfg = load_config(args.config)
-    elif args.preset:
-        cfg = PRESETS[args.preset]()
     else:
-        cfg = ScenarioConfig()
+        cfg = PRESETS[args.preset or "set1"]()
     cfg = _apply_flags(cfg, args)
     trace = Trace.load(args.trace_in) if args.trace_in else None
     sim = engine.Simulation(cfg, trace=trace, trace_out=args.trace_out)
@@ -190,8 +175,7 @@ def _cmd_run(args):
         w = csv.writer(f)
         w.writerow(("metric", "value"))
         for name in _METRIC_FIELDS:
-            value = getattr(report, name)
-            w.writerow((name, "" if value is None else repr(value)))
+            w.writerow((name, _text(getattr(report, name))))
     result.ledger.write_csv(os.path.join(args.out_dir, "ledger.csv"))
     if args.emit_packets:
         engine.write_packets_csv(result, os.path.join(args.out_dir, "packets.csv"))
@@ -206,14 +190,18 @@ def _cmd_matrix(args):
                          ("--sessions", args.sessions)):
         if values and len(set(values)) < len(values):
             raise ConfigError(f"{flag} repeats a value: {values}")
+    if args.reps < 1:
+        raise ConfigError(f"replications must be at least 1, "
+                          f"got {args.reps!r}")
     tpc = {"on": (True,), "off": (False,), "both": (False, True)}[args.tpc]
-    cells = matrix_cells(protocols=tuple(args.protocol or PROTOCOLS),
-                         nodes=tuple(args.nodes or MATRIX_NODES),
-                         vmax=tuple(args.vmax or MATRIX_VMAX),
-                         sessions=tuple(args.sessions or MATRIX_SESSIONS),
-                         tpc=tpc)
-    run_matrix(PRESETS[args.preset](), args.reps, args.out_dir, cells,
-               base_seed=args.seed, workers=args.workers)
+    configs = matrix_configs(PRESETS[args.preset](),
+                             range(args.seed, args.seed + args.reps),
+                             protocols=args.protocol or PROTOCOLS,
+                             nodes=args.nodes or MATRIX_NODES,
+                             vmax=args.vmax or MATRIX_VMAX,
+                             sessions=args.sessions or MATRIX_SESSIONS,
+                             tpc=tpc)
+    run_matrix(configs, args.out_dir, workers=args.workers)
     return 0
 
 

@@ -79,42 +79,22 @@ class ScenarioConfig:
             raise ConfigError(f"zero-area rectangle: {self.area}")
         if self.node_count < 2:
             raise ConfigError(f"need at least 2 nodes, got {self.node_count}")
-        if self.tx_range <= 0:
-            raise ConfigError("tx_range must be positive")
-        if self.v_max <= 0:
-            raise ConfigError("v_max must be positive")
+        for name in _POSITIVE_FIELDS:
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        for name in _NON_NEGATIVE_FIELDS:
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if not 0 < self.min_speed <= self.v_max:
             raise ConfigError("min_speed must lie in (0, v_max]")
-        if self.tick <= 0:
-            raise ConfigError("tick must be positive")
-        if self.session_count < 0:
-            raise ConfigError("session_count must be >= 0")
-        if self.cbr_rate <= 0 or self.packet_size <= 0:
-            raise ConfigError("cbr_rate and packet_size must be positive")
-        if self.buffer_cap < 0:
-            raise ConfigError("buffer_cap must be >= 0")
-        if self.initial_battery <= 0:
-            raise ConfigError("initial_battery must be positive")
-        if self.bitrate <= 0:
-            raise ConfigError("bitrate must be positive")
-        if self.beacon_interval <= 0:
-            raise ConfigError("beacon_interval must be positive")
         # beacons go out on ticks only: 0.3 s is 3 ticks of 0.1 s although
         # 0.3 / 0.1 == 2.9999999999999996, but 0.25 s is no whole number
         ticks = self.beacon_interval / self.tick
         if round(ticks) < 1 or abs(ticks - round(ticks)) > 1e-9:
             raise ConfigError(f"beacon_interval {self.beacon_interval!r} is "
                               f"not a whole number of ticks of {self.tick!r}")
-        if self.duration <= 0:
-            raise ConfigError("duration must be positive")
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.kappa < 0:
-            raise ConfigError("kappa must be >= 0")
-        if self.forwarding_overhead < 0:
-            raise ConfigError("forwarding_overhead must be >= 0")
-        if self.discovery_retry_interval < 0:
-            raise ConfigError("discovery_retry_interval must be >= 0")
         lo, hi = self.start_window
         if lo < 0 or hi < lo:
             raise ConfigError(f"bad start_window {self.start_window}")
@@ -134,6 +114,11 @@ _INT_FIELDS = _fields_of(int)
 _TUPLE_FIELDS = _fields_of(tuple)
 _BOOL_FIELDS = _fields_of(bool)
 _STR_FIELDS = _fields_of(str)
+_POSITIVE_FIELDS = ("tx_range", "v_max", "tick", "cbr_rate", "packet_size",
+                    "initial_battery", "bitrate", "beacon_interval",
+                    "duration")
+_NON_NEGATIVE_FIELDS = ("session_count", "buffer_cap", "kappa",
+                        "forwarding_overhead", "discovery_retry_interval")
 
 
 def _is_number(value):

@@ -43,6 +43,13 @@ def airtime(nbytes, config):
     return 8.0 * nbytes / config.bitrate
 
 
+def exchange_airtime(config):
+    """Seconds on air of one RTS/CTS/DATA/ACK exchange: a hop's base service
+    time."""
+    return airtime(config.packet_size + RTS_BYTES + CTS_BYTES + ACK_BYTES,
+                   config)
+
+
 CATEGORIES = ("data_tx", "data_rx", "mac", "beacon", "discovery")
 # what energy per packet counts: every category but the beacons, which are
 # identical across protocols
@@ -212,6 +219,14 @@ def flood_depths(snap, source):
                     reached.append(v)
         frontier = reached
     return depths
+
+
+def discovery_latency(hops, config):
+    """Flood-out plus RREP-back latency for a freshly found route."""
+    if hops < 1:
+        raise ValueError("route must have at least one hop")
+    return 2.0 * hops * (airtime(RREQ_BASE_BYTES, config)
+                         + config.forwarding_overhead)
 
 
 def charge_route_discovery(ledger, snap, source, route, config):

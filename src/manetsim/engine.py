@@ -9,12 +9,11 @@ from operator import add
 
 import numpy as np
 
-from . import energy
 from . import mobility as mob
 from .config import ConfigError, ScenarioConfig
-from .energy import (DeadNodeError, EnergyLedger, airtime,
-                     charge_beacon_round, charge_route_discovery,
-                     exchange_payers, unicast_exchange)
+from .energy import (DeadNodeError, EnergyLedger, charge_beacon_round,
+                     charge_route_discovery, discovery_latency,
+                     exchange_airtime, exchange_payers, unicast_exchange)
 from .protocols import select_route
 from .topology import snapshot
 
@@ -118,23 +117,12 @@ def tick_count(horizon, tick):
     return k
 
 
-def discovery_latency(hops, config):
-    """Flood-out plus RREP-back latency for a freshly found route."""
-    if hops < 1:
-        raise ValueError("route must have at least one hop")
-    return 2.0 * hops * (airtime(energy.RREQ_BASE_BYTES, config)
-                         + config.forwarding_overhead)
-
-
 class Simulation:
     """One isolated run; owns all mutable state."""
 
     def __init__(self, config, trace=None, trace_out=None):
         config.validate()
         self.config = config
-        # airtime of one RTS/CTS/DATA/ACK exchange: a hop's base service time
-        self._exchange = airtime(config.packet_size + energy.RTS_BYTES
-                                 + energy.CTS_BYTES + energy.ACK_BYTES, config)
         self.trace = trace
         self.trace_out = trace_out
         self.mob_rng = random.Random(f"mobility:{config.seed}")
@@ -305,7 +293,7 @@ class Simulation:
         counts = ((near[0] | near[1]).sum(axis=1) - 1 - is_tx[heads]).tolist()
         lengths = hop_d.tolist()
         joules = unicast_exchange(lengths, cfg.packet_size, cfg)
-        exchange = self._exchange
+        exchange = exchange_airtime(cfg)
         tables = []
         off = 0
         for st in senders:

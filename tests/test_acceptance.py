@@ -19,7 +19,7 @@ import pytest
 
 from manetsim import (MetricsReport, ScenarioConfig, compute_report, run,
                       set1_config, set2_config)
-from manetsim.cli import cell_config, matrix_cells, run_jobs
+from manetsim.cli import matrix_configs, run_jobs
 from manetsim.energy import tx_power
 from manetsim.engine import write_packets_csv, write_routes_csv
 from manetsim.metrics import (delay_per_packet, recompute_from_csv,
@@ -59,12 +59,10 @@ def summarize(cfg):
 
 def desk_configs():
     """The 90 desk runs: each preset's matrix cells, under paired seeds."""
-    return [cell_config(cell, preset(), seed)
-            for preset, vmaxes in ((set1_config, VMAXES),
-                                   (set2_config, (SET2_VMAX,)))
-            for cell in matrix_cells(nodes=(50,), vmax=vmaxes,
-                                     sessions=(15,))
-            for seed in SEEDS]
+    return (matrix_configs(set1_config(), SEEDS, nodes=(50,), vmax=VMAXES,
+                           sessions=(15,))
+            + matrix_configs(set2_config(), SEEDS, nodes=(50,),
+                             vmax=(SET2_VMAX,), sessions=(15,)))
 
 
 @pytest.fixture(scope="session")

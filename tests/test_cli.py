@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manetsim import engine
-from manetsim.cli import (Cell, _apply_flags, build_parser, cell_config, main,
-                          matrix_cells, run_matrix)
+from manetsim.cli import (_apply_flags, build_parser, main, matrix_configs,
+                          run_matrix)
 from manetsim.config import (PROTOCOLS, ConfigError, ScenarioConfig,
                              load_config, set1_config, set2_config)
+from manetsim.metrics import recompute_from_csv, relative_close
 
 
 def save_config(cfg, path):
@@ -165,8 +166,8 @@ RANGE_CHECKS = [
     (dict(min_speed=11.0, v_max=10.0), "min_speed must lie in (0, v_max]"),
     (dict(tick=0.0), "tick must be positive"),
     (dict(session_count=-1), "session_count must be >= 0"),
-    (dict(cbr_rate=0.0), "cbr_rate and packet_size must be positive"),
-    (dict(packet_size=0), "cbr_rate and packet_size must be positive"),
+    (dict(cbr_rate=0.0), "cbr_rate must be positive"),
+    (dict(packet_size=0), "packet_size must be positive"),
     (dict(buffer_cap=-1), "buffer_cap must be >= 0"),
     (dict(initial_battery=0.0), "initial_battery must be positive"),
     (dict(bitrate=-2.0e6), "bitrate must be positive"),
@@ -316,16 +317,19 @@ def test_bad_value_of_any_field_rejected(tmp_path_factory, data):
 class TestMatrixCells:
     def test_full_matrix_size(self):
         # 3 protocols x 2 densities x 6 speeds x 2 loads x 2 tpc modes
-        assert len(matrix_cells()) == 144
+        assert len(matrix_configs(ScenarioConfig(), seeds=(1,))) == 144
 
-    def test_cell_config_applies_cell_and_seed(self):
-        cell = Cell("MMBCR", 100, 30.0, 30, True)
-        cfg = cell_config(cell, set1_config(duration=5.0), seed=12)
-        assert (cfg.protocol, cfg.node_count, cfg.v_max,
-                cfg.session_count, cfg.tpc, cfg.seed) == \
-            ("MMBCR", 100, 30.0, 30, True, 12)
+    def test_matrix_configs_apply_the_cell_and_seed(self):
+        configs = matrix_configs(set1_config(duration=5.0), seeds=(12, 13),
+                                 protocols=("MMBCR",), nodes=(100,),
+                                 vmax=(30.0,), sessions=(30,), tpc=(True,))
+        assert [(cfg.protocol, cfg.node_count, cfg.v_max, cfg.session_count,
+                 cfg.tpc, cfg.seed) for cfg in configs] == \
+            [("MMBCR", 100, 30.0, 30, True, 12),
+             ("MMBCR", 100, 30.0, 30, True, 13)]
         # every other field comes from the base
-        assert (cfg.initial_battery, cfg.duration) == (1500.0, 5.0)
+        assert all((cfg.initial_battery, cfg.duration) == (1500.0, 5.0)
+                   for cfg in configs)
 
 
 def _small_base():
@@ -335,16 +339,20 @@ def _small_base():
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("matrix")
-    cells = [Cell(p, 15, 10.0, 3, False) for p in ("FORP", "LBR")]
-    rows = run_matrix(_small_base(), 2, out, cells, base_seed=5)
-    return out, cells, rows
+    configs = matrix_configs(_small_base(), (5, 6), protocols=("FORP", "LBR"),
+                             nodes=(15,), vmax=(10.0,), sessions=(3,),
+                             tpc=(False,))
+    rows = run_matrix(configs, out)
+    return out, configs, rows
 
 
 class TestRunMatrix:
     def test_row_count_and_order(self, outputs):
-        _, cells, rows = outputs
-        assert [(cell, seed) for cell, seed, _ in rows] == \
-            [(c, s) for c in cells for s in (5, 6)]
+        _, configs, rows = outputs
+        assert [cfg for cfg, _ in rows] == configs
+        # the seed runs innermost, each cell under every seed
+        assert [(cfg.protocol, cfg.seed) for cfg in configs] == \
+            [(p, s) for p in ("FORP", "LBR") for s in (5, 6)]
 
     def test_runs_csv_schema(self, outputs):
         out, _, rows = outputs
@@ -357,14 +365,14 @@ class TestRunMatrix:
         assert len(records) == len(rows) * 6  # six metrics per run
 
     def test_comparison_csv_aggregates(self, outputs):
-        out, cells, _ = outputs
+        out, _, _ = outputs
         with open(out / "comparison.csv", newline="") as f:
             reader = csv.DictReader(f)
             assert reader.fieldnames == ["protocol", "nodes", "sessions",
                                          "v_max", "tpc", "metric", "mean",
                                          "stddev", "n_reps"]
             records = list(reader)
-        assert len(records) == len(cells) * 6
+        assert len(records) == 2 * 6  # two cells of two seeds each
         assert all(r["n_reps"] == "2" for r in records)
         transitions = [r for r in records
                        if r["metric"] == "route_transitions"]
@@ -372,7 +380,7 @@ class TestRunMatrix:
 
     def test_one_replication_has_no_stddev(self, tmp_path):
         # before, route_transitions, hop_count and fairness_stddev read 0.0
-        run_matrix(_small_base(), 1, tmp_path, [Cell("FORP", 15, 10.0, 3, False)])
+        run_matrix([_small_base()], tmp_path)
         with open(tmp_path / "comparison.csv", newline="") as f:
             records = list(csv.DictReader(f))
         assert len(records) == 6
@@ -380,14 +388,14 @@ class TestRunMatrix:
         assert records[0]["mean"] != ""
 
     def test_matrix_is_deterministic(self, outputs, tmp_path):
-        out, cells, _ = outputs
-        run_matrix(_small_base(), 2, tmp_path, cells, base_seed=5)
+        out, configs, _ = outputs
+        run_matrix(configs, tmp_path)
         assert (out / "runs.csv").read_bytes() == \
             (tmp_path / "runs.csv").read_bytes()
 
     def test_worker_pool_matches_serial(self, outputs, tmp_path):
-        out, cells, _ = outputs
-        run_matrix(_small_base(), 2, tmp_path, cells, base_seed=5, workers=2)
+        out, configs, _ = outputs
+        run_matrix(configs, tmp_path, workers=2)
         assert (out / "runs.csv").read_bytes() == \
             (tmp_path / "runs.csv").read_bytes()
 
@@ -584,6 +592,10 @@ class TestCommandLine:
             f"configuration error: {name} must be >= 0\n"
         assert not (tmp_path / "out").exists()
 
+    def test_the_default_base_is_set1(self):
+        # `manetsim run` with neither --preset nor --config runs set1
+        assert ScenarioConfig() == set1_config()
+
     def test_run_from_a_preset(self, tmp_path):
         # set2 runs until the first death, which the defaults do not; the
         # scenario flags go on top
@@ -602,6 +614,28 @@ class TestCommandLine:
         first = float(metrics["first_failure_time"])
         assert died == {repr(first)}
         assert created and max(created) <= first + 1e-9
+
+    def test_run_csvs_recompute_its_metrics(self, tmp_path):
+        # the four files of one run agree: packets, routes and ledger give
+        # back metrics.csv (route_transitions aside, as in criterion 07)
+        out = tmp_path / "out"
+        code = self.run_cli("run", "--preset", "set2", "--nodes", "30",
+                            "--sessions", "6", "--battery", "3", "--seed", "1",
+                            "--out-dir", str(out), "--emit-packets",
+                            "--emit-routes")
+        assert code == 0
+        with open(out / "metrics.csv", newline="") as f:
+            written = {row["metric"]: float(row["value"]) if row["value"]
+                       else None for row in csv.DictReader(f)}
+        first = written["first_failure_time"]
+        assert first is not None
+        recomputed = recompute_from_csv(out / "packets.csv",
+                                        out / "routes.csv",
+                                        out / "ledger.csv", end_time=first)
+        for name in ("hop_count", "delay_per_packet", "energy_per_packet",
+                     "fairness_stddev", "first_failure_time"):
+            assert relative_close(getattr(recomputed, name), written[name]), \
+                name
 
     def test_non_finite_flag_exit_code(self, tmp_path):
         code = self.run_cli("run", "--nodes", "15", "--sessions", "3",
@@ -722,9 +756,9 @@ class TestCommandLine:
             return run(cfg, **kwargs)
         monkeypatch.setattr(engine, "run", counted)
         out = tmp_path / "matrix"
-        cells = [Cell("FORP", 15, v, 3, False) for v in (5.0, -1.0)]
+        configs = [_small_base().replace(v_max=v) for v in (5.0, -1.0)]
         with pytest.raises(ConfigError, match="v_max"):
-            run_matrix(_small_base(), 1, out, cells)
+            run_matrix(configs, out)
         assert calls == []
         assert not out.exists()
         code = self.run_cli("matrix", "--preset", "set1", "--seed", "1",

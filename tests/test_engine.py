@@ -540,6 +540,17 @@ class TestDelayModel:
         both_ways, _ = send_tables([0.0, 100.0], [(0, 1), (1, 0)])
         assert [c[1] for c in both_ways] == [0.0, 0.0]
 
+    def test_send_tables_read_the_frame_sizes_at_call_time(self, monkeypatch):
+        # a study may set a frame-size constant after building the run
+        sim = Simulation(small_config())
+        monkeypatch.setattr(energy, "RTS_BYTES", 40)
+        st = Session(id=0, source=0, destination=2, start=0.0)
+        st.follow(Route(session=0, nodes=(0, 1, 2), metric_value=0.0,
+                        discovered_at=0.0))
+        snap = full_snapshot(line_nodes([0.0, 100.0, 200.0]))
+        [(base, _, _, _)] = sim._tick_send_tables(snap, [st])
+        assert base == 2 * airtime(512 + 40 + 14 + 14, ScenarioConfig())
+
     @pytest.mark.parametrize("tpc", [False, True])
     def test_send_tables_are_exact(self, tpc):
         # walks of 3, 8 and 10 hops with 60-240 m steps in a 1 km square,

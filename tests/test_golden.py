@@ -243,21 +243,43 @@ def moved_csvs(name, digests):
             if golden.get(csv_name) != digest]
 
 
+def golden_table(digests):
+    """The GOLDEN block of this file for {scenario: {csv name: digest}}."""
+    lines = ["GOLDEN = {"]
+    for name, csvs in digests.items():
+        lines.append(f'    "{name}": {{')
+        for csv_name, digest in csvs.items():
+            lines += [f'        "{csv_name}":', f'            "{digest}",']
+        lines.append("    },")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_golden_table_reprints_the_golden_block():
+    with open(__file__) as f:
+        source = f.read()
+    start = source.index("\nGOLDEN = {\n") + 1
+    end = source.index("\n}\n", start) + 3
+    assert golden_table(GOLDEN) == source[start:end]
+
+
+def test_rebless_tool_prints_the_table_and_what_moved(monkeypatch, capsys):
+    monkeypatch.setattr(sys.modules[__name__], "SCENARIOS",
+                        {"set2-LBR": SCENARIOS["set2-LBR"]})
+    main()
+    out, err = capsys.readouterr()
+    assert out == golden_table({"set2-LBR": GOLDEN["set2-LBR"]})
+    assert err == "set2-LBR: unchanged\n"
+
+
 def main():
-    print("GOLDEN = {")
-    moved = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cfg in SCENARIOS.items():
-            digests, _ = output_digests(cfg, tmp)
-            moved[name] = moved_csvs(name, digests)
-            print(f'    "{name}": {{')
-            for csv_name, digest in digests.items():
-                print(f'        "{csv_name}":')
-                print(f'            "{digest}",')
-            print("    },")
-    print("}")
-    for name, csvs in moved.items():
-        print(f"{name}: {' '.join(csvs) if csvs else 'unchanged'}",
+        digests = {name: output_digests(cfg, tmp)[0]
+                   for name, cfg in SCENARIOS.items()}
+    print(golden_table(digests), end="")
+    for name, csvs in digests.items():
+        moved = moved_csvs(name, csvs)
+        print(f"{name}: {' '.join(moved) if moved else 'unchanged'}",
               file=sys.stderr)
 
 
