@@ -26,10 +26,9 @@ from manetsim.metrics import (delay_per_packet, recompute_from_csv,
                               relative_close)
 from manetsim.protocols import select_route
 
-from test_energy import ledger_balances
-from test_mobility import _random_in_range_pair, stepping_let_oracle
-from test_mobility import link_expiration_time
-from test_protocols import oracle_route, random_instance
+from oracles import (ledger_balances, link_expiration_time, oracle_route,
+                     random_in_range_pair, random_instance,
+                     stepping_let_oracle)
 
 PROTOCOLS = ("FORP", "LBR", "MMBCR")
 SEEDS = (1, 2, 3, 4, 5)
@@ -110,7 +109,7 @@ def test_criterion_01_let_stepping_oracle():
     horizon = 4000.0
     worst = 0.0
     for _ in range(1000):
-        pair = _random_in_range_pair(rng, r=250.0)
+        pair = random_in_range_pair(rng, r=250.0)
         predicted = link_expiration_time(pair, 0, 1, 250.0)
         observed = stepping_let_oracle(pair, 0, 1, 250.0, horizon=horizon)
         if predicted >= horizon:

@@ -3,7 +3,6 @@
 import csv
 import math
 import random
-from collections import deque
 
 import numpy as np
 import pytest
@@ -20,40 +19,10 @@ from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DeadNodeError,
                              unicast_exchange)
 from manetsim.protocols import Route
 
-from test_mobility import make_nodes
-from test_topology import dense_in_range, full_snapshot
+from oracles import (charge_broadcast, debit, flood_oracle, full_snapshot,
+                     grand_total, ledger_balances, make_nodes,
+                     random_static_nodes, rreq_bytes, unicast_exchange_oracle)
 
-
-def rreq_bytes(recorded_hops):
-    """Size of an RREQ that has recorded the given hop count: the oracle
-    for the sizes charge_route_discovery computes for every node at once."""
-    return energy.RREQ_BASE_BYTES + energy.RREQ_HOP_BYTES * recorded_hops
-
-
-def grand_total(ledger):
-    """Energy spent by every node together."""
-    return sum(ledger.node_totals())
-
-
-def ledger_balances(ledger):
-    """Whether every node's books balance: its category entries sum to what
-    it spent to within 1e-9 of the initial battery, its residual is not
-    negative, and a dead node's residual is exactly zero. (initial -
-    residual == total holds for any ledger, since total is derived that
-    way.)"""
-    tol = 1e-9 * ledger.initial_battery
-    return all(
-        abs(math.fsum(ledger.entries[cat][n] for cat in CATEGORIES)
-            - ledger.total(n)) <= tol
-        and ledger.residual(n) >= 0.0
-        and (ledger.died[n] is None and n not in ledger.newly_dead
-             or ledger.residual(n) == 0.0)
-        for n in range(ledger.node_count))
-
-
-def random_nodes(rng, n=50, area=1000.0):
-    return make_nodes([(rng.uniform(0, area), rng.uniform(0, area))
-                       for _ in range(n)])
 
 # the default radio with power control on and off
 TPC = ScenarioConfig(tpc=True)
@@ -195,25 +164,6 @@ _debits = st.lists(st.tuples(st.integers(0, 2), st.sampled_from(CATEGORIES),
                              _amounts), max_size=25)
 
 
-def debit(ledger, node, category, joules):
-    """The debit rule on one debit, written out on the ledger's state: the
-    scalar oracle for debit_all, and the single debit the tests charge
-    with."""
-    joules = float(joules)  # keep numpy scalars out of the ledger
-    if joules < 0.0:
-        raise ValueError("negative debit")
-    remaining = ledger._residual[node]
-    if remaining <= 0.0:
-        raise DeadNodeError(f"node {node} is dead")
-    if joules >= remaining:
-        joules = remaining
-        ledger._residual[node] = 0.0
-        ledger.newly_dead.append(node)
-    else:
-        ledger._residual[node] = remaining - joules
-    ledger.entries[category][node] += joules
-
-
 def _outcome(apply, dead, debits):
     """The ledger after apply(ledger, debits) and the exception it
     raised."""
@@ -273,26 +223,6 @@ def charge_exchange(ledger, sender, receiver, d, model, nbytes=512):
     joules = unicast_exchange([d], nbytes, model)
     nodes, categories = exchange_payers([sender], [receiver])
     ledger.debit_all(nodes, categories, joules)
-
-
-def unicast_exchange_oracle(hop_lengths, nbytes, model):
-    """The per-hop scalar loop over tx_power: the oracle for
-    unicast_exchange, one 4-tuple per hop."""
-    p_rx = energy.RX_POWER
-    bitrate = model.bitrate
-    t_payload = 8.0 * nbytes / bitrate
-    t_rts = 8.0 * energy.RTS_BYTES / bitrate
-    t_cts_ack = (8.0 * energy.CTS_BYTES / bitrate
-                 + 8.0 * energy.ACK_BYTES / bitrate)
-    rx_payload = p_rx * t_payload
-    rx_rts = p_rx * t_rts
-    rx_cts_ack = p_rx * t_cts_ack
-    hops = []
-    for d in hop_lengths:
-        p_tx = tx_power(d, model)
-        hops.append((p_tx * t_payload, p_tx * t_rts + rx_cts_ack,
-                     rx_payload, rx_rts + p_tx * t_cts_ack))
-    return hops
 
 
 def assert_matches_oracle(lengths, nbytes, model):
@@ -417,20 +347,6 @@ class TestUnicastHop:
             assert grand_total(lt) <= grand_total(lf)
 
 
-def charge_broadcast(ledger, sender, neighbor_ids, nbytes, model,
-                     category="beacon"):
-    """Charge one local broadcast: the sender at full-range power, each live
-    neighbor its reception. The per-node oracle for charge_beacon_round."""
-    if not ledger.alive(sender):
-        raise DeadNodeError(f"broadcast from dead node {sender}")
-    t = airtime(nbytes, model)
-    debit(ledger, sender, category, broadcast_tx_power(model) * t)
-    rx_energy = energy.RX_POWER * t
-    for j in neighbor_ids:
-        if ledger.alive(j):
-            debit(ledger, j, category, rx_energy)
-
-
 class TestBroadcast:
     def test_neighbor_count_linearity(self):
         ledger = EnergyLedger(11, 1500.0)
@@ -452,7 +368,7 @@ class TestBroadcast:
 
     def test_beacon_round_equals_per_node_broadcasts(self):
         rng = random.Random(5)
-        nodes = random_nodes(rng, n=30)
+        nodes = random_static_nodes(rng, n=30)
         snap = full_snapshot(nodes)
         batched = EnergyLedger(30, 1500.0)
         charge_beacon_round(batched, snap, FIXED)
@@ -562,7 +478,7 @@ class TestRouteDiscovery:
         # the flood reaches a node or charges it nothing
         rng = random.Random(6)
         for trial in range(5):
-            nodes = random_nodes(rng, n=50)
+            nodes = random_static_nodes(rng, n=50)
             for i in rng.sample(range(50), 3):
                 nodes.x[i], nodes.y[i] = 5000.0 + 1000.0 * i, 5000.0
             snap = full_snapshot(nodes)
@@ -585,7 +501,7 @@ class TestRouteDiscovery:
         # rx_power * airtime * sum of degrees
         monkeypatch.setattr(energy, "RREQ_HOP_BYTES", 0)
         rng = random.Random(7)
-        nodes = random_nodes(rng, n=40)
+        nodes = random_static_nodes(rng, n=40)
         snap = full_snapshot(nodes)
         ledger = EnergyLedger(40, 1500.0)
         charge_route_discovery(ledger, snap, 0, None, FIXED)
@@ -593,31 +509,6 @@ class TestRouteDiscovery:
         expected_rx = 0.967 * t * snap.degrees().sum()
         expected_tx = 1.4 * t * 40
         assert grand_total(ledger) == pytest.approx(expected_tx + expected_rx)
-
-
-def flood_oracle(snap, alive, source, model):
-    """The discovery joules of one RREQ flood from source, per node, from a
-    BFS over the dense adjacency and byte counts in Python integers: a node
-    alive in the ledger that the flood reaches sends an RREQ of its recorded
-    hops and hears the RREQs of its neighbours; every other node pays 0."""
-    near = dense_in_range(snap)
-    depth = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(near[u]).tolist():
-            if v not in depth:
-                depth[v] = depth[u] + 1
-                queue.append(v)
-    sent = [rreq_bytes(depth[u]) if u in depth and alive[u] else 0
-            for u in range(snap.n)]
-    joules = []
-    for u in range(snap.n):
-        heard = sum(sent[v] for v in np.flatnonzero(near[u]).tolist())
-        joules.append(0.0 if not sent[u] else
-                      broadcast_tx_power(model) * (8.0 * sent[u] / model.bitrate)
-                      + energy.RX_POWER * (8.0 * heard / model.bitrate))
-    return joules
 
 
 def flood_charges(snap, source, model, ledger_dead=()):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from manetsim import energy, engine
 from manetsim.config import ConfigError, ScenarioConfig, set1_config, set2_config
-from manetsim.energy import airtime, unicast_exchange
+from manetsim.energy import DATA_EXCHANGE, airtime, unicast_exchange
 from manetsim.engine import (PacketRecord, Session, Simulation,
                              discovery_latency, make_sessions, run, tick_count,
                              write_packets_csv, write_routes_csv)
@@ -21,9 +21,9 @@ from manetsim.mobility import Trace
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
-from test_energy import debit, grand_total, ledger_balances
-from test_mobility import make_nodes
-from test_topology import dense_dist, dense_in_range, full_snapshot
+from oracles import (debit, dense_dist, dense_in_range, full_snapshot,
+                     grand_total, ledger_balances, make_nodes,
+                     unicast_exchange_oracle)
 
 
 def small_config(**overrides):
@@ -639,6 +639,35 @@ class TestDelayModel:
             pytest.approx(0.5 * 4e-3)
 
 
+class ExchangeCredits(CheckedSimulation):
+    """A checked run that credits each delivered packet's data joules from
+    the scalar exchange oracle, per category: one exchange per hop, at the
+    hop's length in the tick's snapshot."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.credits = {category: [] for category in DATA_EXCHANGE}
+
+    def _tick_send_tables(self, snap, senders):
+        dist, cfg = dense_dist(snap), self.config
+        self.exchanges = {}
+        for st in senders:
+            tails, heads = st.hop_ends
+            self.exchanges[st.id] = unicast_exchange_oracle(
+                dist[tails, heads].tolist(), cfg.packet_size, cfg)
+        return super()._tick_send_tables(snap, senders)
+
+    def _deliver(self, sending, tables):
+        waiting = [(st, pkt) for st, batch in sending for pkt, _ in batch
+                   if pkt.delivered_at is None]
+        super()._deliver(sending, tables)
+        for st, pkt in waiting:
+            if pkt.delivered_at is not None:
+                for hop in self.exchanges[st.id]:
+                    for category, joules in zip(DATA_EXCHANGE, hop):
+                        self.credits[category].append(joules)
+
+
 class TestEnergyWiring:
     def test_beacon_energy_identical_across_protocols(self):
         totals = {proto: run(small_config(protocol=proto, duration=10.0))
@@ -670,6 +699,20 @@ class TestEnergyWiring:
         for category, joules in per_hop.items():
             assert result.ledger.category_total(category) == \
                 pytest.approx(hops * joules, rel=1e-12, abs=0.0), category
+
+    @pytest.mark.parametrize("protocol", ["FORP", "LBR", "MMBCR"])
+    def test_data_energy_with_tpc_is_the_delivered_exchanges(self, protocol):
+        """With TPC on and no deaths, each data category's total is the
+        sum, over delivered packets, of their exchanges' joules in that
+        category at the lengths of their hops."""
+        sim = ExchangeCredits(set1_config(protocol=protocol, v_max=20.0,
+                                          duration=120.0, seed=2, tpc=True))
+        result = sim.run()
+        assert result.first_failure_time is None
+        assert sim.credits["data_tx"]
+        for category, credits in sim.credits.items():
+            assert result.ledger.category_total(category) == \
+                pytest.approx(math.fsum(credits), rel=1e-12, abs=0.0), category
 
 
 class TestBufferingAndPartitions:

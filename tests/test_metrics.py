@@ -17,7 +17,7 @@ from manetsim.metrics import (MetricsReport, aggregate, compute_report,
                               time_averaged_hop_count)
 from manetsim.protocols import Route
 
-from test_energy import debit
+from oracles import debit
 
 
 def make_route(session, discovered, torn_down, hops):

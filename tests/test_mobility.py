@@ -14,21 +14,8 @@ from manetsim.config import ConfigError, ScenarioConfig
 from manetsim.mobility import (Nodes, Trace, TraceWriter, advance,
                                init_mobility)
 
-
-def make_nodes(positions, speed=0.0, heading=0.0, waypoints=None):
-    """The node state of a test: nodes at the given (x, y) positions, with
-    one speed and heading for all or one each, and each waypoint at its
-    node's position unless given."""
-    n = len(positions)
-
-    def pairs(points):
-        return np.array(points, dtype=float).reshape(n, 2).T.copy()
-
-    def column(values):
-        return np.broadcast_to(np.asarray(values, dtype=float), n).copy()
-    x, y = pairs(positions)
-    wx, wy = pairs(positions if waypoints is None else waypoints)
-    return Nodes(x, y, column(speed), column(heading), wx, wy)
+from oracles import (advance_oracle, link_expiration_time, make_nodes,
+                     random_in_range_pair, stepping_let_oracle, velocity)
 
 
 def copy_nodes(nodes):
@@ -39,63 +26,6 @@ def bits(nodes):
     """Every field of every node, exactly: a float's hex tells -0.0 from
     0.0 and differs in any bit."""
     return [[v.hex() for v in a.tolist()] for a in dataclasses.astuple(nodes)]
-
-
-def velocity(nodes, i):
-    return (nodes.speed[i] * math.cos(nodes.heading[i]),
-            nodes.speed[i] * math.sin(nodes.heading[i]))
-
-
-def link_expiration_time(nodes, i, j, r):
-    """Predicted time until nodes i and j move out of range r: the scalar
-    oracle for TopologySnapshot.let.
-
-    Assumes both keep their current velocity. Returns math.inf when the
-    relative velocity is zero. The pair must currently be within range.
-    """
-    b = nodes.x[i] - nodes.x[j]
-    d = nodes.y[i] - nodes.y[j]
-    if b * b + d * d > r * r * (1.0 + 1e-12):
-        raise ValueError(f"nodes {i} and {j} are not neighbors")
-    vxi, vyi = velocity(nodes, i)
-    vxj, vyj = velocity(nodes, j)
-    a = vxi - vxj
-    c = vyi - vyj
-    k = a * a + c * c
-    if k == 0.0:
-        return math.inf
-    radicand = k * r * r - (a * d - b * c) ** 2
-    if radicand < 0.0:
-        # cannot happen while dist <= r except for rounding noise
-        assert radicand > -1e-9, f"negative radicand {radicand}"
-        radicand = 0.0
-    return (-(a * b + c * d) + math.sqrt(radicand)) / k
-
-
-def stepping_let_oracle(nodes, i, j, r, step=1e-3, horizon=4000.0):
-    """Advance both nodes at constant velocity in 1 ms steps; return the
-    first time their distance exceeds r, or horizon if they stay in range.
-
-    Evaluated in chunks with numpy purely for speed; the check is still a
-    plain step-by-step scan.
-    """
-    vxi, vyi = velocity(nodes, i)
-    vxj, vyj = velocity(nodes, j)
-    dx0 = nodes.x[i] - nodes.x[j]
-    dy0 = nodes.y[i] - nodes.y[j]
-    ax, ay = vxi - vxj, vyi - vyj
-    chunk = 65_536
-    start = 0
-    total = int(round(horizon / step))
-    while start <= total:
-        t = np.arange(start, min(start + chunk, total + 1)) * step
-        out = (dx0 + ax * t) ** 2 + (dy0 + ay * t) ** 2 > r * r
-        hits = np.nonzero(out)[0]
-        if len(hits):
-            return float(t[hits[0]])
-        start += len(t)
-        chunk *= 4
-    return horizon
 
 
 class TestLinkExpirationTime:
@@ -125,7 +55,7 @@ class TestLinkExpirationTime:
     def test_symmetric_in_arguments(self):
         rng = random.Random(7)
         for _ in range(50):
-            pair = _random_in_range_pair(rng, r=250.0)
+            pair = random_in_range_pair(rng, r=250.0)
             assert link_expiration_time(pair, 0, 1, 250.0) == pytest.approx(
                 link_expiration_time(pair, 1, 0, 250.0))
 
@@ -134,7 +64,7 @@ class TestLinkExpirationTime:
         rng = random.Random(20240811)
         horizon = 4000.0
         for _ in range(1000):
-            pair = _random_in_range_pair(rng, r=250.0)
+            pair = random_in_range_pair(rng, r=250.0)
             predicted = link_expiration_time(pair, 0, 1, 250.0)
             observed = stepping_let_oracle(pair, 0, 1, 250.0, horizon=horizon)
             if predicted >= horizon:
@@ -148,25 +78,13 @@ class TestLinkExpirationTime:
         delta = 0.01
         checked = 0
         while checked < 200:
-            pair = _random_in_range_pair(rng, r=250.0)
+            pair = random_in_range_pair(rng, r=250.0)
             let = link_expiration_time(pair, 0, 1, 250.0)
             if not delta < let < 1e6:
                 continue
             checked += 1
             assert _distance_at(pair, 0, 1, let - delta) <= 250.0
             assert _distance_at(pair, 0, 1, let + delta) > 250.0
-
-
-def _random_in_range_pair(rng, r):
-    """Two nodes within range r of each other, with random velocities."""
-    x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
-    angle = rng.uniform(0, 2 * math.pi)
-    dist = rng.uniform(0, r)
-    speed_i, heading_i = rng.uniform(0, 50), rng.uniform(0, 2 * math.pi)
-    speed_j, heading_j = rng.uniform(0, 50), rng.uniform(0, 2 * math.pi)
-    return make_nodes([(x, y), (x + dist * math.cos(angle),
-                                y + dist * math.sin(angle))],
-                      speed=[speed_i, speed_j], heading=[heading_i, heading_j])
 
 
 def _distance_at(nodes, i, j, t):
@@ -225,39 +143,6 @@ class _CountingRandom(random.Random):
     def uniform(self, lo, hi):
         self.draws += 1
         return super().uniform(lo, hi)
-
-
-def draw_leg(x, y, config, rng):
-    """A fresh leg for a node at (x, y), on Python floats: its waypoint,
-    speed and heading, drawn as the random waypoint model does."""
-    w, h = config.area
-    wx, wy = rng.uniform(0.0, w), rng.uniform(0.0, h)
-    speed = config.v_max - rng.uniform(0.0, config.v_max - config.min_speed)
-    heading = math.atan2(wy - y, wx - x) % (2.0 * math.pi)
-    return wx, wy, speed, heading
-
-
-def advance_oracle(nodes, dt, config, rng):
-    """The per-node loop that `advance` replaced, on Python floats: node by
-    node in id order, each walking leg after leg until dt is spent. The
-    reference `advance` must match bit for bit, rng draws included."""
-    columns = (nodes.x, nodes.y, nodes.speed, nodes.heading, nodes.wx,
-               nodes.wy)
-    for i in range(len(nodes.x)):
-        x, y, speed, heading, wx, wy = (float(a[i]) for a in columns)
-        remaining = dt
-        while remaining > 0.0:
-            dist_wp = math.hypot(wx - x, wy - y)
-            step = speed * remaining
-            if step < dist_wp:
-                frac = step / dist_wp
-                x, y = x + (wx - x) * frac, y + (wy - y) * frac
-                break
-            x, y = wx, wy
-            remaining -= dist_wp / speed if speed > 0 else remaining
-            wx, wy, speed, heading = draw_leg(x, y, config, rng)
-        for a, value in zip(columns, (x, y, speed, heading, wx, wy)):
-            a[i] = value
 
 
 class TestAdvance:

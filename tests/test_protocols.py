@@ -1,10 +1,7 @@
 """Route selection disciplines versus exhaustive path enumeration."""
 
-import heapq
 import math
 import random
-from collections import deque
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,135 +12,11 @@ from manetsim.config import ScenarioConfig
 from manetsim.energy import EnergyLedger, charge_route_discovery
 from manetsim.protocols import (Route, _least_cost_path, select_route,
                                 widest_path)
-from manetsim.topology import TopologySnapshot, snapshot
+from manetsim.topology import snapshot
 
-from test_mobility import make_nodes
-from test_topology import dense_in_range, traffic_interference
-
-
-class GraphSnap:
-    """Minimal snapshot stand-in: an explicit edge list with optional LETs
-    (+inf each by default) and residual batteries (1500 J each by default,
-    0 for the dead).
-
-    Its dense mask `near` is the oracle; `_edges` cuts it into runs as
-    TopologySnapshot does, and the neighbour lists and neighbour sums
-    select_route reads are the engine's own TopologySnapshot code, run on
-    that edge list. The LETs are rows parallel to the neighbour lists, the
-    form TopologySnapshot.let has.
-    """
-
-    _by_node = TopologySnapshot._by_node
-    neighbor_lists = TopologySnapshot.neighbor_lists
-    neighbor_sums = TopologySnapshot.neighbor_sums
-
-    def __init__(self, n, edges, lets=None, residual=None, time=0.0,
-                 dead=()):
-        self.n = n
-        self.time = time
-        self.r = 250.0
-        self.edges = list(edges)
-        self.lets = lets
-        self.residual = [0.0 if i in dead else b for i, b in
-                         enumerate(residual or [1500.0] * n)]
-        self.alive = np.array(self.residual) > 0.0
-        self.near = np.zeros((n, n), dtype=bool)
-        width = {}
-        for idx, (i, j) in enumerate(edges):
-            self.near[i, j] = self.near[j, i] = True
-            w = math.inf if lets is None else lets[idx]
-            width[i, j] = width[j, i] = w
-        self.near &= self.alive[:, None] & self.alive[None, :]
-        self.let = [[width[u, v] for v in nbrs]
-                    for u, nbrs in enumerate(self.neighbor_lists)]
-
-    @cached_property
-    def _edges(self):
-        rows, cols = np.nonzero(self.near)
-        ends = np.cumsum(np.bincount(rows, minlength=self.n)).tolist()
-        return rows, cols, list(zip([0] + ends, ends))
-
-
-def adjacency(snap):
-    """The dense oracle of a snapshot's edge list: a GraphSnap's own mask,
-    or dense_in_range of a TopologySnapshot."""
-    return snap.near if isinstance(snap, GraphSnap) else dense_in_range(snap)
-
-
-def edge_let(snap, u, v):
-    """The LET of the link u-v, from the snapshot's rows."""
-    return snap.let[u][snap.neighbor_lists[u].index(v)]
-
-
-def all_simple_paths(snap, s, d):
-    paths = []
-
-    def extend(path):
-        u = path[-1]
-        if u == d:
-            paths.append(tuple(path))
-            return
-        for v in snap.neighbor_lists[u]:
-            if v not in path:
-                path.append(v)
-                extend(path)
-                path.pop()
-
-    extend([s])
-    return paths
-
-
-def oracle_forp(snap, s, d):
-    paths = all_simple_paths(snap, s, d)
-    if not paths:
-        return None
-    scored = [(min(edge_let(snap, u, v) for u, v in zip(p[:-1], p[1:])), p)
-              for p in paths]
-    best = min(scored, key=lambda sp: (-sp[0], len(sp[1]), sp[1]))
-    return best[1], best[0]
-
-
-def oracle_mmbcr(snap, s, d):
-    paths = all_simple_paths(snap, s, d)
-    if not paths:
-        return None
-    scored = [(min((snap.residual[m] for m in p[1:-1]), default=math.inf), p)
-              for p in paths]
-    best = min(scored, key=lambda sp: (-sp[0], len(sp[1]), sp[1]))
-    return best[1], best[0]
-
-
-def oracle_lbr(snap, activity, s, d):
-    paths = all_simple_paths(snap, s, d)
-    if not paths:
-        return None
-    near = adjacency(snap)
-    scored = [(sum(activity[m] + traffic_interference(near, activity, m)
-                   for m in p[1:-1]), p)
-              for p in paths]
-    best = min(scored, key=lambda sp: (sp[0], len(sp[1]), sp[1]))
-    return best[1], best[0]
-
-
-def oracle_route(protocol, snap, activity, s, d):
-    """The enumeration oracle of `protocol`: (path, metric) or None."""
-    if protocol == "LBR":
-        return oracle_lbr(snap, activity, s, d)
-    oracle = {"FORP": oracle_forp, "MMBCR": oracle_mmbcr}[protocol]
-    return oracle(snap, s, d)
-
-
-def random_instance(rng):
-    n = rng.randint(2, 8)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < rng.uniform(0.3, 0.8)]
-    # small integer weights on purpose: ties must be broken identically
-    lets = [math.inf if rng.random() < 0.1 else float(rng.randint(1, 5))
-            for _ in edges]
-    snap = GraphSnap(n, edges, lets,
-                     residual=[float(rng.randint(1, 5)) for _ in range(n)])
-    activity = [rng.randint(0, 3) for _ in range(n)]
-    return snap, activity, 0, n - 1
+from oracles import (GraphSnap, dense_in_range, least_cost_path_full,
+                     make_nodes, oracle_route, random_instance,
+                     traffic_interference, widest_path_oracle)
 
 
 def rows(adj):
@@ -265,7 +138,7 @@ class TestEnumerationOracles:
         rng = random.Random(501)
         for _ in range(500):
             snap, _, s, d = random_instance(rng)
-            expected = oracle_forp(snap, s, d)
+            expected = oracle_route("FORP", snap, None, s, d)
             route = select_route("FORP", snap, None, s, d)
             if expected is None:
                 assert route is None
@@ -277,7 +150,7 @@ class TestEnumerationOracles:
         rng = random.Random(502)
         for _ in range(500):
             snap, _, s, d = random_instance(rng)
-            expected = oracle_mmbcr(snap, s, d)
+            expected = oracle_route("MMBCR", snap, None, s, d)
             route = select_route("MMBCR", snap, None, s, d)
             if expected is None:
                 assert route is None
@@ -289,46 +162,13 @@ class TestEnumerationOracles:
         rng = random.Random(503)
         for _ in range(500):
             snap, activity, s, d = random_instance(rng)
-            expected = oracle_lbr(snap, activity, s, d)
+            expected = oracle_route("LBR", snap, activity, s, d)
             route = select_route("LBR", snap, activity, s, d)
             if expected is None:
                 assert route is None
             else:
                 assert route.nodes == expected[0]
                 assert route.metric_value == expected[1]
-
-
-def least_cost_path_full(nbrs, cost, s, d):
-    """_least_cost_path labelling d's whole component before the walk from
-    s: the oracle for its stop once s is settled."""
-    label = {d: (0.0, 0)}
-    heap = [(0.0, 0, d)]
-    done = set()
-    while heap:
-        cu, hu, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        step = cost[u] if u != d else 0.0
-        for v in nbrs[u]:
-            if v in done:
-                continue
-            cand = (cu + step, hu + 1)
-            if cand < label.get(v, (math.inf, 0)):
-                label[v] = cand
-                heapq.heappush(heap, (cand[0], cand[1], v))
-    if s not in label:
-        return None
-    path = [s]
-    u = s
-    while u != d:
-        cu, hu = label[u]
-        u = min(v for v in nbrs[u]
-                if label.get(v) is not None
-                and label[v][0] + (cost[v] if v != d else 0.0) == cu
-                and label[v][1] + 1 == hu)
-        path.append(u)
-    return tuple(path), label[s][0]
 
 
 class TestLeastCostEarlyStop:
@@ -349,99 +189,6 @@ class TestLeastCostEarlyStop:
         s, d = rng.sample(range(n), 2)
         assert _least_cost_path(snap.neighbor_lists, cost, s, d) == \
             least_cost_path_full(snap.neighbor_lists, cost, s, d)
-
-
-def best_bottleneck_oracle(links, s, d):
-    """Widest s-d bottleneck over the (neighbour, width) pairs links(u),
-    with dict and set labels: the oracle for widest_path's bottleneck
-    search."""
-    best = {s: math.inf}
-    heap = [(-math.inf, s)]
-    done = set()
-    while heap:
-        _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == d:
-            return best[d]
-        bu = best[u]
-        for v, w in links(u):
-            if v in done:
-                continue
-            cand = min(bu, w)
-            if cand > best.get(v, -math.inf):
-                best[v] = cand
-                heapq.heappush(heap, (-cand, v))
-    return None
-
-
-def min_hop_lex_path_oracle(nbrs, s, d):
-    """Lexicographically smallest minimum-hop s-d path over the graph whose
-    neighbour lists nbrs(u) returns, or None."""
-    hops = {d: 0}
-    queue = deque([d])
-    while queue and s not in hops:
-        u = queue.popleft()
-        for v in nbrs(u):
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    if s not in hops:
-        return None
-    path = [s]
-    u = s
-    while u != d:
-        u = min(v for v in nbrs(u) if hops.get(v, -1) == hops[u] - 1)
-        path.append(u)
-    return tuple(path)
-
-
-def widest_path_oracle(links, s, d):
-    """widest_path over the callable graph links(u), from the dict-labelled
-    searches: (path, bottleneck) or None."""
-    bottleneck = best_bottleneck_oracle(links, s, d)
-    if bottleneck is None:
-        return None
-    # the links at or above the bottleneck carry exactly the optimal paths
-    path = min_hop_lex_path_oracle(
-        lambda u: [v for v, w in links(u) if w >= bottleneck], s, d)
-    return path, bottleneck
-
-
-def least_cost_path_oracle(nbrs, cost, s, d):
-    """_least_cost_path with dict and set labels, stopping once s is
-    settled: its oracle on the same early stop."""
-    label = {d: (0.0, 0)}
-    heap = [(0.0, 0, d)]
-    done = set()
-    while heap:
-        cu, hu, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == s:
-            break
-        step = cost[u] if u != d else 0.0
-        for v in nbrs[u]:
-            if v in done:
-                continue
-            cand = (cu + step, hu + 1)
-            if cand < label.get(v, (math.inf, 0)):
-                label[v] = cand
-                heapq.heappush(heap, (cand[0], cand[1], v))
-    if s not in label:
-        return None
-    path = [s]
-    u = s
-    while u != d:
-        cu, hu = label[u]
-        u = min(v for v in nbrs[u]
-                if label.get(v) is not None
-                and label[v][0] + (cost[v] if v != d else 0.0) == cu
-                and label[v][1] + 1 == hu)
-        path.append(u)
-    return tuple(path), label[s][0]
 
 
 def small_width(rng):
@@ -486,7 +233,7 @@ class TestKernelsAgainstDictOracles:
         nbrs, _ = rows(adj)
         cost = [float(rng.randint(0, 3)) for _ in nbrs]
         assert _least_cost_path(nbrs, cost, s, d) == \
-            least_cost_path_oracle(nbrs, cost, s, d)
+            least_cost_path_full(nbrs, cost, s, d)
 
 
 class TestProperties:

@@ -15,66 +15,9 @@ from manetsim.config import ScenarioConfig
 from manetsim.mobility import init_mobility
 from manetsim.topology import link_bound, snapshot
 
-from test_mobility import link_expiration_time, make_nodes
-
-
-def random_nodes(rng, n=50, area=1000.0, v_max=20.0):
-    positions, speeds, headings = [], [], []
-    for _ in range(n):
-        positions.append((rng.uniform(0, area), rng.uniform(0, area)))
-        speeds.append(rng.uniform(0.01, v_max))
-        headings.append(rng.uniform(0, 2 * math.pi))
-    return make_nodes(positions, speeds, headings)
-
-
-def full_snapshot(nodes, dead=()):
-    """Snapshot at r = 250 m and t = 0 with 1500 J left on every node but
-    the dead ones."""
-    residual = [0.0 if i in dead else 1500.0 for i in range(len(nodes.x))]
-    return snapshot(nodes, residual, 250.0, 0.0)
-
-
-def dense_dist(snap):
-    """Pairwise distances as an n x n matrix, the one distance formula over
-    every pair: the oracle for what the snapshot answers per pair."""
-    dx = snap.x[:, None] - snap.x[None, :]
-    dy = snap.y[:, None] - snap.y[None, :]
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def dense_in_range(snap):
-    """Boolean n x n adjacency: distance <= r, both ends alive, no self
-    loops. The oracle for the snapshot's edge list."""
-    near = dense_dist(snap) <= snap.r
-    near &= snap.alive[:, None] & snap.alive[None, :]
-    np.fill_diagonal(near, False)
-    return near
-
-
-def dense_let_matrix(snap):
-    """Pairwise link expiration times as an n x n matrix, the formula over
-    every pair: the oracle for TopologySnapshot.let, which evaluates it on
-    the in-range pairs only. Only in-range entries are meaningful."""
-    vx = snap.speed * np.cos(snap.heading)
-    vy = snap.speed * np.sin(snap.heading)
-    a = vx[:, None] - vx[None, :]
-    c = vy[:, None] - vy[None, :]
-    b = snap.x[:, None] - snap.x[None, :]
-    d = snap.y[:, None] - snap.y[None, :]
-    k = a * a + c * c
-    radicand = np.clip(k * snap.r * snap.r - (a * d - b * c) ** 2, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        let = (-(a * b + c * d) + np.sqrt(radicand)) / k
-    let[k == 0.0] = np.inf
-    return let
-
-
-def traffic_interference(near, activity, node):
-    """Sum of the activities of the node's current neighbors in the dense
-    adjacency near: the scalar oracle for LBR's `neighbor_sums(act)`."""
-    if not 0 <= node < len(near):
-        raise KeyError(f"unknown node id {node}")
-    return sum(activity[j] for j in np.nonzero(near[node])[0])
+from oracles import (dense_dist, dense_in_range, dense_let_matrix,
+                     full_snapshot, link_expiration_time, make_nodes,
+                     random_nodes, traffic_interference)
 
 
 class TestSnapshotEdges:
