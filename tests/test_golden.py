@@ -1,8 +1,9 @@
 """Golden sha256 digests of the per-run CSV outputs.
 
 Determinism tests compare a run with itself; these digests pin the bytes of
-ledger.csv, routes.csv and packets.csv across commits, so a refactor that
-changes any output byte fails here. A deliberate model change re-blesses
+ledger.csv, routes.csv and packets.csv of each scenario, and of the CLI's
+metrics.csv, mobility trace CSV, runs.csv and comparison.csv, across
+commits, so a refactor that changes any output byte fails here. A deliberate model change re-blesses
 them in the same commit, and says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,7 +19,7 @@ import tempfile
 
 import pytest
 
-from manetsim import run, set1_config, set2_config
+from manetsim import cli, run, set1_config, set2_config
 from manetsim.engine import write_packets_csv, write_routes_csv
 
 PROTOCOLS = ("FORP", "LBR", "MMBCR")
@@ -63,13 +64,44 @@ def output_digests(cfg, out_dir):
         "routes.csv": lambda path: write_routes_csv(result, path),
         "packets.csv": lambda path: write_packets_csv(result, path),
     }
-    digests = {}
     for name, write in writers.items():
-        path = os.path.join(out_dir, name)
-        write(path)
-        with open(path, "rb") as f:
+        write(os.path.join(out_dir, name))
+    return file_digests(out_dir, writers), result
+
+
+def file_digests(out_dir, names):
+    """{name: sha256 of the bytes of file `name` in out_dir}."""
+    digests = {}
+    for name in names:
+        with open(os.path.join(out_dir, name), "rb") as f:
             digests[name] = hashlib.sha256(f.read()).hexdigest()
-    return digests, result
+    return digests
+
+
+def cli_run_digests(out_dir):
+    """One small `manetsim run` until its first death, recording its
+    mobility trace: the digests of metrics.csv and of the trace CSV."""
+    assert cli.main(["run", "--preset", "set2", "--protocol", "LBR",
+                     "--nodes", "20", "--sessions", "5", "--battery", "2",
+                     "--vmax", "5", "--tpc", "on", "--seed", "3",
+                     "--out-dir", out_dir,
+                     "--trace-out", os.path.join(out_dir, "trace.csv")]) == 0
+    return file_digests(out_dir, ("metrics.csv", "trace.csv"))
+
+
+def cli_matrix_digests(out_dir):
+    """A matrix grid of 2 protocols x TPC off and on x 2 seeds, in which no
+    node dies, so some cells are empty: the digests of runs.csv and
+    comparison.csv."""
+    configs = cli.matrix_configs(
+        set1_config(duration=30.0, start_window=(0.0, 2.0)), seeds=(3, 4),
+        protocols=("FORP", "MMBCR"), nodes=(20,), vmax=(10.0,),
+        sessions=(4,))
+    cli.run_matrix(configs, out_dir)
+    return file_digests(out_dir, ("runs.csv", "comparison.csv"))
+
+
+CLI_OUTPUTS = {"cli-run": cli_run_digests, "cli-matrix": cli_matrix_digests}
 
 
 GOLDEN = {
@@ -217,6 +249,18 @@ GOLDEN = {
         "packets.csv":
             "044b76dcab271bbf6044eb198cdd79d7e4f378c73b0c7e8554dde92a5bfcbd96",
     },
+    "cli-run": {
+        "metrics.csv":
+            "16202f0d688cd7db9d27fc2bffe1d12cad39bbae75fbfb11e53c127aed119682",
+        "trace.csv":
+            "72cf817f23768aeceb0a2631725440b8bada804602c23c9eb6e91a6c54a1965b",
+    },
+    "cli-matrix": {
+        "runs.csv":
+            "5c4abc3c43e8cf20b2ff0cc0eada963d6995e673010f3aadce3c411e6e808d36",
+        "comparison.csv":
+            "64b2bf3c439d598a1971b5fa703e42af5a2009bb94a85b680dc19a2cdfde8e1a",
+    },
 }
 
 
@@ -226,6 +270,11 @@ def test_outputs_match_golden_digests(name, tmp_path):
     if name.startswith("set2"):
         assert result.first_failure_time is not None
     assert digests == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(CLI_OUTPUTS))
+def test_cli_outputs_match_golden_digests(name, tmp_path):
+    assert CLI_OUTPUTS[name](str(tmp_path)) == GOLDEN[name]
 
 
 def test_moved_csvs_names_each_digest_that_differs():
@@ -266,16 +315,21 @@ def test_golden_table_reprints_the_golden_block():
 def test_rebless_tool_prints_the_table_and_what_moved(monkeypatch, capsys):
     monkeypatch.setattr(sys.modules[__name__], "SCENARIOS",
                         {"set2-LBR": SCENARIOS["set2-LBR"]})
+    monkeypatch.setattr(sys.modules[__name__], "CLI_OUTPUTS",
+                        {"cli-run": CLI_OUTPUTS["cli-run"]})
     main()
     out, err = capsys.readouterr()
-    assert out == golden_table({"set2-LBR": GOLDEN["set2-LBR"]})
-    assert err == "set2-LBR: unchanged\n"
+    assert out == golden_table({name: GOLDEN[name]
+                                for name in ("set2-LBR", "cli-run")})
+    assert err == "set2-LBR: unchanged\ncli-run: unchanged\n"
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: output_digests(cfg, tmp)[0]
                    for name, cfg in SCENARIOS.items()}
+        digests.update((name, outputs(tmp))
+                       for name, outputs in CLI_OUTPUTS.items())
     print(golden_table(digests), end="")
     for name, csvs in digests.items():
         moved = moved_csvs(name, csvs)
