@@ -1,7 +1,6 @@
 """Command line front end: single runs and the experiment matrix."""
 
 import argparse
-import csv
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -9,7 +8,7 @@ from dataclasses import fields
 
 from . import engine, metrics
 from .config import (ConfigError, PROTOCOLS, ScenarioConfig, load_config,
-                     set1_config, set2_config)
+                     set1_config, set2_config, write_csv)
 from .mobility import Trace
 
 MATRIX_NODES = (50, 100)
@@ -63,23 +62,15 @@ _METRIC_FIELDS = [f.name for f in fields(metrics.MetricsReport)]
 
 def _cell(cfg):
     """The table columns that name cfg's matrix cell."""
-    return (cfg.protocol, cfg.node_count, cfg.session_count, repr(cfg.v_max),
+    return (cfg.protocol, cfg.node_count, cfg.session_count, cfg.v_max,
             int(cfg.tpc))
 
 
-def _text(value):
-    return "" if value is None else repr(value)
-
-
 def write_run_rows(rows, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("protocol", "nodes", "sessions", "v_max", "tpc", "seed",
-                    "metric", "value"))
-        for cfg, report in rows:
-            for name in _METRIC_FIELDS:
-                w.writerow((*_cell(cfg), cfg.seed, name,
-                            _text(getattr(report, name))))
+    write_csv(path, ("protocol", "nodes", "sessions", "v_max", "tpc", "seed",
+                     "metric", "value"),
+              ((*_cell(cfg), cfg.seed, name, getattr(report, name))
+               for cfg, report in rows for name in _METRIC_FIELDS))
 
 
 def write_comparison_table(rows, path):
@@ -89,15 +80,13 @@ def write_comparison_table(rows, path):
     by_cell = {}
     for cfg, report in rows:
         by_cell.setdefault(_cell(cfg), []).append(report)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("protocol", "nodes", "sessions", "v_max", "tpc", "metric",
-                    "mean", "stddev", "n_reps"))
-        for cell, reports in by_cell.items():
-            mean, std = metrics.aggregate(reports)
-            for name in _METRIC_FIELDS:
-                w.writerow((*cell, name, _text(getattr(mean, name)),
-                            _text(getattr(std, name)), len(reports)))
+    write_csv(path, ("protocol", "nodes", "sessions", "v_max", "tpc",
+                     "metric", "mean", "stddev", "n_reps"),
+              ((*cell, name, getattr(mean, name), getattr(std, name),
+                len(reports))
+               for cell, reports in by_cell.items()
+               for mean, std in [metrics.aggregate(reports)]
+               for name in _METRIC_FIELDS))
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -171,11 +160,8 @@ def _cmd_run(args):
     os.makedirs(args.out_dir, exist_ok=True)
     result = sim.run()
     report = metrics.compute_report(result)
-    with open(os.path.join(args.out_dir, "metrics.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("metric", "value"))
-        for name in _METRIC_FIELDS:
-            w.writerow((name, _text(getattr(report, name))))
+    write_csv(os.path.join(args.out_dir, "metrics.csv"), ("metric", "value"),
+              ((name, getattr(report, name)) for name in _METRIC_FIELDS))
     result.ledger.write_csv(os.path.join(args.out_dir, "ledger.csv"))
     if args.emit_packets:
         engine.write_packets_csv(result, os.path.join(args.out_dir, "packets.csv"))

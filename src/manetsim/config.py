@@ -1,5 +1,7 @@
-"""Scenario configuration: parameter set for one simulation run."""
+"""Scenario configuration: parameter set for one simulation run; the
+package's file input and output (UTF-8 input files, CSV tables)."""
 
+import csv
 import dataclasses
 import math
 from contextlib import contextmanager
@@ -140,7 +142,7 @@ def set2_config(**overrides):
     return cfg.replace(**overrides)
 
 
-# --- key = value config files -------------------------------------------------
+# --- files: CSV tables and key = value configs --------------------------------
 
 
 @contextmanager
@@ -152,6 +154,23 @@ def open_text(path, newline=None):
             yield f
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_csv(path, header, rows):
+    """Write a CSV table: the header, then each row of raw values. csv
+    formats every cell: None as an empty cell, a float (numpy's too) as the
+    repr of the Python float, and anything else through str."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path):
+    """The rows of a CSV table, each a {column: text} dict; an empty cell
+    reads as ""."""
+    with open_text(path, newline="") as f:
+        yield from csv.DictReader(f)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -1,10 +1,11 @@
 """Per-hop power, packet airtime, and battery accounting."""
 
-import csv
 import math
 from collections import deque
 
 import numpy as np
+
+from .config import write_csv
 
 # The radio's fixed figures; the scenario's radio values (tpc, tx_range,
 # bitrate, packet_size) come from the run's ScenarioConfig. Every function
@@ -135,15 +136,11 @@ class EnergyLedger:
         return [self.total(i) for i in range(self.node_count)]
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(("node_id", *(f"{cat}_J" for cat in CATEGORIES),
-                             "total_J", "residual_J", "died_s"))
-            for i, died in enumerate(self.died):
-                row = [i] + [repr(self.entries[cat][i]) for cat in CATEGORIES]
-                row += [repr(self.total(i)), repr(self._residual[i]),
-                        "" if died is None else repr(died)]
-                writer.writerow(row)
+        write_csv(path, ("node_id", *(f"{cat}_J" for cat in CATEGORIES),
+                         "total_J", "residual_J", "died_s"),
+                  ((i, *(self.entries[cat][i] for cat in CATEGORIES),
+                    self.total(i), self._residual[i], died)
+                   for i, died in enumerate(self.died)))
 
 
 # categories of an exchange's four joules, in unicast_exchange's order

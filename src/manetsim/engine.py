@@ -10,7 +10,7 @@ from operator import add
 import numpy as np
 
 from . import mobility as mob
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, write_csv
 from .energy import (DeadNodeError, EnergyLedger, charge_beacon_round,
                      charge_route_discovery, discovery_latency,
                      exchange_airtime, exchange_payers, unicast_exchange)
@@ -340,27 +340,17 @@ def run(config, trace=None, trace_out=None) -> RunResult:
 # --- per-run CSV outputs ------------------------------------------------------
 
 def write_packets_csv(result, path):
-    import csv
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("session", "seq", "created_s", "delivered_s", "hops",
-                    "buffering_s", "service_s", "propagation_s"))
-        kappa = result.config.kappa
-        for p in result.packets:
-            w.writerow((p.session, p.seq, repr(p.created_at),
-                        "" if p.delivered_at is None else repr(p.delivered_at),
-                        p.hops_traversed, repr(p.buffering),
-                        repr(p.service(kappa)), repr(p.propagation)))
+    kappa = result.config.kappa
+    write_csv(path, ("session", "seq", "created_s", "delivered_s", "hops",
+                     "buffering_s", "service_s", "propagation_s"),
+              ((p.session, p.seq, p.created_at, p.delivered_at,
+                p.hops_traversed, p.buffering, p.service(kappa),
+                p.propagation) for p in result.packets))
 
 
 def write_routes_csv(result, path):
-    import csv
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(("session", "discovered_s", "torn_down_s", "hops",
-                    "metric_value", "node_list"))
-        for r in result.routes:
-            w.writerow((r.session, repr(r.discovered_at),
-                        "" if r.torn_down_at is None else repr(r.torn_down_at),
-                        r.hops, repr(r.metric_value),
-                        " ".join(str(n) for n in r.nodes)))
+    write_csv(path, ("session", "discovered_s", "torn_down_s", "hops",
+                     "metric_value", "node_list"),
+              ((r.session, r.discovered_at, r.torn_down_at, r.hops,
+                r.metric_value, " ".join(str(n) for n in r.nodes))
+               for r in result.routes))

@@ -1,11 +1,11 @@
 """The six run-level performance metrics and cross-replication aggregation."""
 
-import csv
 import math
 import statistics
 from collections import defaultdict
 from dataclasses import dataclass, fields
 
+from .config import read_csv
 from .energy import METERED_CATEGORIES
 
 
@@ -111,30 +111,27 @@ def recompute_from_csv(packets_path, routes_path, ledger_path, end_time):
     the run's contention coefficient)."""
     sessions = set()
     delays, delivered = [], 0
-    with open(packets_path, newline="") as f:
-        for row in csv.DictReader(f):
-            sessions.add(int(row["session"]))
-            if row["delivered_s"]:
-                delivered += 1
-                delays.append(float(row["delivered_s"]) - float(row["created_s"]))
+    for row in read_csv(packets_path):
+        sessions.add(int(row["session"]))
+        if row["delivered_s"]:
+            delivered += 1
+            delays.append(float(row["delivered_s"]) - float(row["created_s"]))
     counts = defaultdict(int)
     weighted = defaultdict(float)
     lifetime = defaultdict(float)
-    with open(routes_path, newline="") as f:
-        for row in csv.DictReader(f):
-            sid = int(row["session"])
-            counts[sid] += 1
-            torn = float(row["torn_down_s"]) if row["torn_down_s"] else end_time
-            life = torn - float(row["discovered_s"])
-            weighted[sid] += int(row["hops"]) * life
-            lifetime[sid] += life
+    for row in read_csv(routes_path):
+        sid = int(row["session"])
+        counts[sid] += 1
+        torn = float(row["torn_down_s"]) if row["torn_down_s"] else end_time
+        life = torn - float(row["discovered_s"])
+        weighted[sid] += int(row["hops"]) * life
+        lifetime[sid] += life
     totals, metered, deaths = [], [], []
-    with open(ledger_path, newline="") as f:
-        for row in csv.DictReader(f):
-            totals.append(float(row["total_J"]))
-            metered += (float(row[f"{cat}_J"]) for cat in METERED_CATEGORIES)
-            if row["died_s"]:
-                deaths.append(float(row["died_s"]))
+    for row in read_csv(ledger_path):
+        totals.append(float(row["total_J"]))
+        metered += (float(row[f"{cat}_J"]) for cat in METERED_CATEGORIES)
+        if row["died_s"]:
+            deaths.append(float(row["died_s"]))
     per_session = [weighted[sid] / lifetime[sid]
                    for sid in sorted(lifetime) if lifetime[sid] > 0.0]
     n_sessions = len(sessions) if sessions else 1

@@ -6,6 +6,7 @@ Test modules import from here, never from one another."""
 
 import heapq
 import math
+import pathlib
 from collections import deque
 from functools import cached_property
 
@@ -14,6 +15,7 @@ import numpy as np
 from manetsim import energy
 from manetsim.energy import (CATEGORIES, DeadNodeError, airtime,
                              broadcast_tx_power, tx_power)
+from manetsim.engine import write_packets_csv, write_routes_csv
 from manetsim.mobility import Nodes
 from manetsim.topology import TopologySnapshot, snapshot
 
@@ -519,3 +521,16 @@ def widest_path_oracle(links, s, d):
     path = min_hop_lex_path_oracle(
         lambda u: [v for v, w in links(u) if w >= bottleneck], s, d)
     return path, bottleneck
+
+
+def write_run_csvs(result, directory):
+    """Write the per-run CSVs of result into directory, made if missing;
+    returns the paths of packets.csv, routes.csv and ledger.csv."""
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    packets, routes, ledger = (directory / name for name in
+                               ("packets.csv", "routes.csv", "ledger.csv"))
+    write_packets_csv(result, packets)
+    write_routes_csv(result, routes)
+    result.ledger.write_csv(ledger)
+    return packets, routes, ledger

@@ -21,14 +21,13 @@ from manetsim import (MetricsReport, ScenarioConfig, compute_report, run,
                       set1_config, set2_config)
 from manetsim.cli import matrix_configs, run_jobs
 from manetsim.energy import tx_power
-from manetsim.engine import write_packets_csv, write_routes_csv
 from manetsim.metrics import (delay_per_packet, recompute_from_csv,
                               relative_close)
 from manetsim.protocols import select_route
 
 from oracles import (ledger_balances, link_expiration_time, oracle_route,
                      random_in_range_pair, random_instance,
-                     stepping_let_oracle)
+                     stepping_let_oracle, write_run_csvs)
 
 PROTOCOLS = ("FORP", "LBR", "MMBCR")
 SEEDS = (1, 2, 3, 4, 5)
@@ -167,12 +166,7 @@ def test_criterion_05_determinism(tmp_path):
     for _ in range(2):
         result = run(set1_config(protocol="FORP", v_max=50.0, seed=1,
                                  duration=200.0))
-        pk = tmp_path / f"p{len(outputs)}.csv"
-        rt = tmp_path / f"r{len(outputs)}.csv"
-        lg = tmp_path / f"l{len(outputs)}.csv"
-        write_packets_csv(result, pk)
-        write_routes_csv(result, rt)
-        result.ledger.write_csv(lg)
+        pk, rt, lg = write_run_csvs(result, tmp_path / str(len(outputs)))
         outputs.append((pk.read_bytes(), rt.read_bytes(), lg.read_bytes()))
     verdict("criterion-05 determinism", outputs[0] == outputs[1],
             "byte-identical packet, route and ledger CSVs")
@@ -194,11 +188,7 @@ def test_criterion_07_metric_recomputation(tmp_path):
     mismatches = []
     for k, cfg in enumerate(configs):
         result = run(cfg)
-        pk, rt, lg = (tmp_path / f"{k}-{n}"
-                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
-        write_packets_csv(result, pk)
-        write_routes_csv(result, rt)
-        result.ledger.write_csv(lg)
+        pk, rt, lg = write_run_csvs(result, tmp_path / str(k))
         reference = compute_report(result)
         recomputed = recompute_from_csv(pk, rt, lg, result.end_time)
         mismatches += [

@@ -6,6 +6,7 @@ import math
 import re
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from manetsim import engine
 from manetsim.cli import (_apply_flags, build_parser, main, matrix_configs,
                           run_matrix)
 from manetsim.config import (PROTOCOLS, ConfigError, ScenarioConfig,
-                             load_config, set1_config, set2_config)
+                             load_config, read_csv, set1_config, set2_config,
+                             write_csv)
 from manetsim.metrics import recompute_from_csv, relative_close
 
 
@@ -312,6 +314,37 @@ def test_bad_value_of_any_field_rejected(tmp_path_factory, data):
     save_config(cfg, path)
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+class TestCsvCells:
+    """Every table goes through write_csv, so csv alone formats its cells."""
+
+    def test_none_is_empty_and_a_float_is_its_repr(self, tmp_path):
+        values = (float("inf"), -0.0, 5e-324, 0.1 + 0.2, 1e16,
+                  np.float64(0.1))
+        path = tmp_path / "cells.csv"
+        write_csv(path, ("none", *(f"v{k}" for k in range(len(values)))),
+                  [(None, *values)])
+        header, row = path.read_bytes().decode().split("\r\n")[:2]
+        assert row == ",".join(["", *(repr(float(v)) for v in values)])
+        [cells] = read_csv(path)
+        assert cells["none"] == ""
+        assert [float(cells[name]).hex() for name in header.split(",")[1:]] \
+            == [float(v).hex() for v in values]
+
+    def test_packets_csv_writes_a_numpy_float_as_the_python_float(self,
+                                                                   tmp_path):
+        def packets_csv(number):
+            record = engine.PacketRecord(
+                session=0, seq=0, created_at=number(0.1),
+                delivered_at=number(0.1 + 0.2), hops_traversed=2,
+                buffering=number(1e16), base_service=number(1e-3),
+                contention_service=number(2e-3), propagation=number(5e-324))
+            result = engine.RunResult(ScenarioConfig(), None, [record], [], [])
+            path = tmp_path / f"{number.__name__}.csv"
+            engine.write_packets_csv(result, path)
+            return path.read_bytes()
+        assert packets_csv(np.float64) == packets_csv(float)
 
 
 class TestMatrixCells:

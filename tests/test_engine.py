@@ -16,14 +16,14 @@ from manetsim.config import ConfigError, ScenarioConfig, set1_config, set2_confi
 from manetsim.energy import DATA_EXCHANGE, airtime, unicast_exchange
 from manetsim.engine import (PacketRecord, Session, Simulation,
                              discovery_latency, make_sessions, run, tick_count,
-                             write_packets_csv, write_routes_csv)
+                             write_packets_csv)
 from manetsim.mobility import Trace
 from manetsim.protocols import Route
 from manetsim.topology import snapshot
 
 from oracles import (debit, dense_dist, dense_in_range, full_snapshot,
                      grand_total, ledger_balances, make_nodes,
-                     unicast_exchange_oracle)
+                     unicast_exchange_oracle, write_run_csvs)
 
 
 def small_config(**overrides):
@@ -193,13 +193,7 @@ class TestDeterminism:
         paths = []
         for tag in ("a", "b"):
             result = run(small_config())
-            pk = tmp_path / f"packets_{tag}.csv"
-            rt = tmp_path / f"routes_{tag}.csv"
-            lg = tmp_path / f"ledger_{tag}.csv"
-            write_packets_csv(result, pk)
-            write_routes_csv(result, rt)
-            result.ledger.write_csv(lg)
-            paths.append((pk, rt, lg))
+            paths.append(write_run_csvs(result, tmp_path / tag))
         for left, right in zip(paths[0], paths[1]):
             assert left.read_bytes() == right.read_bytes()
 

@@ -20,7 +20,8 @@ import tempfile
 import pytest
 
 from manetsim import cli, run, set1_config, set2_config
-from manetsim.engine import write_packets_csv, write_routes_csv
+
+from oracles import write_run_csvs
 
 PROTOCOLS = ("FORP", "LBR", "MMBCR")
 
@@ -59,14 +60,9 @@ SCENARIOS = scenarios()
 def output_digests(cfg, out_dir):
     """Run one scenario; returns ({csv name: sha256}, run result)."""
     result = run(cfg)
-    writers = {
-        "ledger.csv": result.ledger.write_csv,
-        "routes.csv": lambda path: write_routes_csv(result, path),
-        "packets.csv": lambda path: write_packets_csv(result, path),
-    }
-    for name, write in writers.items():
-        write(os.path.join(out_dir, name))
-    return file_digests(out_dir, writers), result
+    write_run_csvs(result, out_dir)
+    return (file_digests(out_dir, ("ledger.csv", "routes.csv", "packets.csv")),
+            result)
 
 
 def file_digests(out_dir, names):

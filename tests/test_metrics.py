@@ -8,8 +8,7 @@ import pytest
 
 from manetsim.config import ScenarioConfig
 from manetsim.energy import EnergyLedger
-from manetsim.engine import (PacketRecord, Session, run, write_packets_csv,
-                             write_routes_csv)
+from manetsim.engine import PacketRecord, Session, run
 from manetsim.metrics import (MetricsReport, aggregate, compute_report,
                               delay_per_packet, energy_per_packet,
                               fairness_stddev, recompute_from_csv,
@@ -17,7 +16,7 @@ from manetsim.metrics import (MetricsReport, aggregate, compute_report,
                               time_averaged_hop_count)
 from manetsim.protocols import Route
 
-from oracles import debit
+from oracles import debit, write_run_csvs
 
 
 def make_route(session, discovered, torn_down, hops):
@@ -193,11 +192,7 @@ class TestComputeReport:
             delay_per_packet(result.packets, result.config.kappa)
 
     def test_csv_recomputation_matches(self, result, tmp_path):
-        pk, rt, lg = (tmp_path / n
-                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
-        write_packets_csv(result, pk)
-        write_routes_csv(result, rt)
-        result.ledger.write_csv(lg)
+        pk, rt, lg = write_run_csvs(result, tmp_path)
         reference = compute_report(result)
         recomputed = recompute_from_csv(pk, rt, lg, result.end_time)
         for fld in fields(MetricsReport):
@@ -213,11 +208,7 @@ class TestDeathTimes:
                                     initial_battery=0.3,
                                     until_first_failure=True, seed=1))
         assert result.first_failure_time == result.end_time == 17.7
-        pk, rt, lg = (tmp_path / n
-                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
-        write_packets_csv(result, pk)
-        write_routes_csv(result, rt)
-        result.ledger.write_csv(lg)
+        pk, rt, lg = write_run_csvs(result, tmp_path)
         with open(lg, newline="") as f:
             died = [row["died_s"] for row in csv.DictReader(f)]
         assert died == ["17.7" if i == 7 else "" for i in range(10)]
@@ -225,11 +216,7 @@ class TestDeathTimes:
         assert report.first_failure_time == 17.7
 
     def test_no_death_recomputes_to_none(self, result, tmp_path):
-        pk, rt, lg = (tmp_path / n
-                      for n in ("packets.csv", "routes.csv", "ledger.csv"))
-        write_packets_csv(result, pk)
-        write_routes_csv(result, rt)
-        result.ledger.write_csv(lg)
+        pk, rt, lg = write_run_csvs(result, tmp_path)
         assert result.first_failure_time is None
         assert recompute_from_csv(pk, rt, lg, 60.0).first_failure_time is None
 

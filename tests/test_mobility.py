@@ -15,7 +15,7 @@ from manetsim.mobility import (Nodes, Trace, TraceWriter, advance,
                                init_mobility)
 
 from oracles import (advance_oracle, link_expiration_time, make_nodes,
-                     random_in_range_pair, stepping_let_oracle, velocity)
+                     random_in_range_pair, velocity)
 
 
 def copy_nodes(nodes):
@@ -58,19 +58,6 @@ class TestLinkExpirationTime:
             pair = random_in_range_pair(rng, r=250.0)
             assert link_expiration_time(pair, 0, 1, 250.0) == pytest.approx(
                 link_expiration_time(pair, 1, 0, 250.0))
-
-    def test_stepping_oracle_agreement(self):
-        # 1000 random in-range pairs vs a 1 ms brute-force stepper
-        rng = random.Random(20240811)
-        horizon = 4000.0
-        for _ in range(1000):
-            pair = random_in_range_pair(rng, r=250.0)
-            predicted = link_expiration_time(pair, 0, 1, 250.0)
-            observed = stepping_let_oracle(pair, 0, 1, 250.0, horizon=horizon)
-            if predicted >= horizon:
-                assert observed == horizon
-            else:
-                assert abs(predicted - observed) <= 0.01
 
     def test_boundary_consistency(self):
         # still in range just before the predicted expiry, out just after
