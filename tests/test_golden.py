@@ -3,8 +3,9 @@
 Determinism tests compare a run with itself; these digests pin the bytes of
 ledger.csv, routes.csv and packets.csv of each scenario, and of the CLI's
 metrics.csv, mobility trace CSV, runs.csv and comparison.csv, across
-commits, so a refactor that changes any output byte fails here. A deliberate model change re-blesses
-them in the same commit, and says so in CHANGES.md:
+commits, so a refactor that changes any output byte fails here. A
+deliberate model change re-blesses them in the same commit, and says so in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 
