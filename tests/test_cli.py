@@ -1,6 +1,5 @@
 """Command line interface, config files, and the experiment matrix runner."""
 
-import csv
 import dataclasses
 import math
 import re
@@ -389,23 +388,18 @@ class TestRunMatrix:
 
     def test_runs_csv_schema(self, outputs):
         out, _, rows = outputs
-        with open(out / "runs.csv", newline="") as f:
-            reader = csv.DictReader(f)
-            assert reader.fieldnames == ["protocol", "nodes", "sessions",
-                                         "v_max", "tpc", "seed", "metric",
-                                         "value"]
-            records = list(reader)
+        records = list(read_csv(out / "runs.csv"))
         assert len(records) == len(rows) * 6  # six metrics per run
+        assert list(records[0]) == ["protocol", "nodes", "sessions", "v_max",
+                                    "tpc", "seed", "metric", "value"]
 
     def test_comparison_csv_aggregates(self, outputs):
         out, _, _ = outputs
-        with open(out / "comparison.csv", newline="") as f:
-            reader = csv.DictReader(f)
-            assert reader.fieldnames == ["protocol", "nodes", "sessions",
-                                         "v_max", "tpc", "metric", "mean",
-                                         "stddev", "n_reps"]
-            records = list(reader)
+        records = list(read_csv(out / "comparison.csv"))
         assert len(records) == 2 * 6  # two cells of two seeds each
+        assert list(records[0]) == ["protocol", "nodes", "sessions", "v_max",
+                                    "tpc", "metric", "mean", "stddev",
+                                    "n_reps"]
         assert all(r["n_reps"] == "2" for r in records)
         transitions = [r for r in records
                        if r["metric"] == "route_transitions"]
@@ -414,8 +408,7 @@ class TestRunMatrix:
     def test_one_replication_has_no_stddev(self, tmp_path):
         # before, route_transitions, hop_count and fairness_stddev read 0.0
         run_matrix([_small_base()], tmp_path)
-        with open(tmp_path / "comparison.csv", newline="") as f:
-            records = list(csv.DictReader(f))
+        records = list(read_csv(tmp_path / "comparison.csv"))
         assert len(records) == 6
         assert all(r["n_reps"] == "1" and r["stddev"] == "" for r in records)
         assert records[0]["mean"] != ""
@@ -447,9 +440,8 @@ class TestCommandLine:
                             "--duration", "8", "--seed", "1",
                             "--out-dir", str(out))
         assert code == 0
-        with open(out / "metrics.csv", newline="") as f:
-            metrics = dict((row["metric"], row["value"])
-                           for row in csv.DictReader(f))
+        metrics = {row["metric"]: row["value"]
+                   for row in read_csv(out / "metrics.csv")}
         assert set(metrics) == {"route_transitions", "hop_count",
                                 "delay_per_packet", "energy_per_packet",
                                 "fairness_stddev", "first_failure_time"}
@@ -638,12 +630,11 @@ class TestCommandLine:
                             "--seed", "1", "--out-dir", str(out),
                             "--emit-packets")
         assert code == 0
-        with open(out / "metrics.csv", newline="") as f:
-            metrics = {row["metric"]: row["value"] for row in csv.DictReader(f)}
-        with open(out / "ledger.csv", newline="") as f:
-            died = {row["died_s"] for row in csv.DictReader(f)} - {""}
-        with open(out / "packets.csv", newline="") as f:
-            created = [float(row["created_s"]) for row in csv.DictReader(f)]
+        metrics = {row["metric"]: row["value"]
+                   for row in read_csv(out / "metrics.csv")}
+        died = {row["died_s"] for row in read_csv(out / "ledger.csv")} - {""}
+        created = [float(row["created_s"])
+                   for row in read_csv(out / "packets.csv")]
         first = float(metrics["first_failure_time"])
         assert died == {repr(first)}
         assert created and max(created) <= first + 1e-9
@@ -657,9 +648,8 @@ class TestCommandLine:
                             "--out-dir", str(out), "--emit-packets",
                             "--emit-routes")
         assert code == 0
-        with open(out / "metrics.csv", newline="") as f:
-            written = {row["metric"]: float(row["value"]) if row["value"]
-                       else None for row in csv.DictReader(f)}
+        written = {row["metric"]: float(row["value"]) if row["value"]
+                   else None for row in read_csv(out / "metrics.csv")}
         first = written["first_failure_time"]
         assert first is not None
         recomputed = recompute_from_csv(out / "packets.csv",

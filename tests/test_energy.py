@@ -1,6 +1,5 @@
 """Power model, airtime, and battery ledger accounting."""
 
-import csv
 import math
 import random
 
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manetsim import energy
-from manetsim.config import ScenarioConfig
+from manetsim.config import ScenarioConfig, read_csv
 from manetsim.energy import (CATEGORIES, DATA_EXCHANGE, DeadNodeError,
                              EnergyLedger, airtime,
                              broadcast_tx_power, charge_beacon_round,
@@ -141,8 +140,7 @@ class TestLedger:
         ledger.note_deaths(2.5)
         path = tmp_path / "ledger.csv"
         ledger.write_csv(path)
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
+        rows = list(read_csv(path))
         assert len(rows) == 4
         for node, row in enumerate(rows):
             assert int(row["node_id"]) == node

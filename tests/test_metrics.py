@@ -1,12 +1,11 @@
 """Run-level metric formulas, aggregation, and CSV recomputation."""
 
-import csv
 import statistics
 from dataclasses import fields
 
 import pytest
 
-from manetsim.config import ScenarioConfig
+from manetsim.config import ScenarioConfig, read_csv, set1_config
 from manetsim.energy import EnergyLedger
 from manetsim.engine import PacketRecord, Session, run
 from manetsim.metrics import (MetricsReport, aggregate, compute_report,
@@ -200,6 +199,18 @@ class TestComputeReport:
                                   getattr(reference, fld.name), tol=1e-9), \
                 fld.name
 
+    def test_header_only_tables_recompute_the_report(self, tmp_path):
+        # every session starts after the 1 s run ends: no packet, no route
+        result = run(set1_config(node_count=10, session_count=2, duration=1.0,
+                                 start_window=(5.0, 6.0), seed=1))
+        pk, rt, lg = write_run_csvs(result, tmp_path)
+        assert list(read_csv(pk)) == list(read_csv(rt)) == []
+        reference = compute_report(result)
+        recomputed = recompute_from_csv(pk, rt, lg, result.end_time)
+        for fld in fields(MetricsReport):
+            assert relative_close(getattr(recomputed, fld.name),
+                                  getattr(reference, fld.name)), fld.name
+
 
 class TestDeathTimes:
     def test_first_failure_is_recomputed_from_the_death_times(self, tmp_path):
@@ -209,8 +220,7 @@ class TestDeathTimes:
                                     until_first_failure=True, seed=1))
         assert result.first_failure_time == result.end_time == 17.7
         pk, rt, lg = write_run_csvs(result, tmp_path)
-        with open(lg, newline="") as f:
-            died = [row["died_s"] for row in csv.DictReader(f)]
+        died = [row["died_s"] for row in read_csv(lg)]
         assert died == ["17.7" if i == 7 else "" for i in range(10)]
         report = recompute_from_csv(pk, rt, lg, result.end_time)
         assert report.first_failure_time == 17.7
