@@ -219,7 +219,12 @@ def flood_depths(snap, source):
 
 
 def discovery_latency(hops, config):
-    """Flood-out plus RREP-back latency for a freshly found route."""
+    """Flood-out plus RREP-back latency for a freshly found route.
+
+    Every hop of both legs is timed at airtime(RREQ_BASE_BYTES) plus the
+    forwarding overhead. This is not the sizing of charge_route_discovery,
+    which grows the RREQ by RREQ_HOP_BYTES per hop and sends the reply as
+    an RREP of RREP_BYTES; giving both one rule moves packets.csv."""
     if hops < 1:
         raise ValueError("route must have at least one hop")
     return 2.0 * hops * (airtime(RREQ_BASE_BYTES, config)
