@@ -104,12 +104,13 @@ class EnergyLedger:
         residual, entries = self._residual, self.entries
         for node, category, j in zip(nodes, categories, joules, strict=True):
             j = float(j)  # keep numpy scalars out of the ledger
-            if j < 0.0:
-                raise ValueError("negative debit")
             remaining = residual[node]
-            if remaining <= 0.0:
-                raise DeadNodeError(f"node {node} is dead")
-            if j >= remaining:
+            # one test for the rare cases: a dead node has 0.0 remaining
+            if j >= remaining or j < 0.0:
+                if j < 0.0:
+                    raise ValueError("negative debit")
+                if remaining <= 0.0:
+                    raise DeadNodeError(f"node {node} is dead")
                 j = remaining
                 self.newly_dead.append(node)
             residual[node] = remaining - j

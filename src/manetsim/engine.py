@@ -25,7 +25,7 @@ def _run_state(default=None):
     return field(default=default, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Session:
     """One CBR session and the state the run keeps for it; equality and
     repr are those of the first four fields."""
@@ -51,7 +51,7 @@ class Session:
         self.payer_nodes, self.payer_categories = exchange_payers(tails, heads)
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
     session: int
     seq: int
@@ -74,7 +74,7 @@ class PacketRecord:
         return self.delivered_at is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class RunResult:
     config: ScenarioConfig
     ledger: EnergyLedger
@@ -136,6 +136,9 @@ class Simulation:
         self.ledger = EnergyLedger(config.node_count, config.initial_battery)
         self.packets = []
         self.routes = []
+        # the sessions that hold a route and their hop_ends side by side;
+        # None after a route was adopted or torn down, until rebuilt
+        self._live_hops = None
 
     def _check_trace(self, trace):
         cfg = self.config
@@ -191,11 +194,14 @@ class Simulation:
     # --- per-tick phases ---
 
     def _maintain_routes(self, snap, t):
-        live = [st for st in self.sessions if st.route is not None]
+        if self._live_hops is None:
+            live = [st for st in self.sessions if st.route is not None]
+            self._live_hops = live, (np.concatenate(
+                [st.hop_ends for st in live], axis=1) if live else None)
+        live, ends = self._live_hops
         if not live:
             return
-        tails, heads = np.concatenate([st.hop_ends for st in live], axis=1)
-        holds = snap.linked(tails, heads)
+        holds = snap.linked(*ends)
         if holds.all():
             return
         off = 0
@@ -205,6 +211,7 @@ class Simulation:
                 st.route.torn_down_at = t
                 st.route = None
             off = end
+        self._live_hops = None
 
     def _discover_routes(self, snap, t):
         cfg = self.config
@@ -225,6 +232,7 @@ class Simulation:
                 continue
             st.follow(route)
             self.routes.append(route)
+            self._live_hops = None
 
     def _activity(self):
         """Per node, the live routes it forwards for as an intermediate."""
@@ -235,12 +243,16 @@ class Simulation:
     def _send_traffic(self, snap, t):
         cfg = self.config
         sending = []  # (session, its (packet, wait) pairs in order)
+        limit = t + 1e-9
         for st in self.sessions:
+            if st.next_pkt_time > limit and not st.buffer:
+                continue  # idle: nothing due, nothing buffered
             # a route found in an earlier tick carries every packet made in
             # this one; a route found in this tick first takes the buffer
-            sends_now = st.route is not None and st.route.discovered_at < t
+            route = st.route
+            sends_now = route is not None and route.discovered_at < t
             batch = []
-            while st.next_pkt_time <= t + 1e-9:
+            while st.next_pkt_time <= limit:
                 pkt = PacketRecord(session=st.id, seq=st.seq,
                                    created_at=st.next_pkt_time)
                 st.seq += 1
@@ -250,8 +262,8 @@ class Simulation:
                     batch.append((pkt, 0.0))
                 else:
                     st.buffer.append(pkt)  # a full buffer drops its oldest
-            if st.route is not None and not sends_now and st.buffer:
-                found = discovery_latency(st.route.hops, cfg)
+            if route is not None and not sends_now and st.buffer:
+                found = discovery_latency(route.hops, cfg)
                 batch += [(pkt, max(0.0, t - pkt.created_at) + found)
                           for pkt in st.buffer]
                 st.buffer.clear()
@@ -314,21 +326,21 @@ class Simulation:
         by session and packet by packet, in order."""
         ledger, kappa = self.ledger, self.config.kappa
         for (st, batch), (base, cont, prop, joules) in zip(sending, tables):
-            nodes = st.route.nodes
+            nodes, hops = st.route.nodes, st.route.hops
+            payer_nodes, payer_categories = st.payer_nodes, st.payer_categories
             for pkt, wait in batch:
                 if ledger.newly_dead and not all(map(ledger.alive, nodes)):
                     st.buffer.append(pkt)  # mid-tick death; retried after teardown
                     continue
                 try:
-                    ledger.debit_all(st.payer_nodes, st.payer_categories,
-                                     joules)
+                    ledger.debit_all(payer_nodes, payer_categories, joules)
                 except DeadNodeError:
                     continue  # forwarder died mid-path; packet lost
                 pkt.buffering = wait
                 pkt.base_service = base
                 pkt.contention_service = cont
                 pkt.propagation = prop
-                pkt.hops_traversed = st.route.hops
+                pkt.hops_traversed = hops
                 pkt.delivered_at = pkt.created_at + pkt.total_delay(kappa)
 
 

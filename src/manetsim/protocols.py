@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 
-@dataclass
+@dataclass(slots=True)
 class Route:
     session: int
     nodes: tuple              # ordered node ids, source first

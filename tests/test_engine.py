@@ -271,11 +271,28 @@ class TestLazySnapshot:
 
 
 class CheckedSimulation(Simulation):
-    """A run that asserts its invariants every tick. Before traffic is sent,
+    """A run that asserts its invariants every tick. Before maintenance, a
+    cached live-hop table lists exactly the sessions that hold a route, in
+    order, and their hop ends side by side. Before traffic is sent,
     a session that holds both a route and buffered packets found the route
     in this tick, which is when the engine charges the packets the
     discovery's latency. Once traffic is sent, no session buffers more than
     buffer_cap packets and every live route edge is in range."""
+
+    def _maintain_routes(self, snap, t):
+        self.check_live_hops()
+        super()._maintain_routes(snap, t)
+
+    def check_live_hops(self):
+        if self._live_hops is None:
+            return  # rebuilt from the sessions before it is read
+        cached, ends = self._live_hops
+        live = [st for st in self.sessions if st.route is not None]
+        assert [st.id for st in cached] == [st.id for st in live], \
+            "stale live-hop table"
+        if live:
+            assert np.array_equal(ends, np.concatenate(
+                [st.hop_ends for st in live], axis=1)), "stale live-hop table"
 
     def _send_traffic(self, snap, t):
         self.check_flush(t)
@@ -372,6 +389,24 @@ class TestInvariantsDuringRun:
                                                    created_at=0.1))
         with pytest.raises(AssertionError, match="over buffer_cap 1"):
             sim.check_invariants(snap)
+
+    def test_stale_live_hop_table_is_caught(self):
+        sim = CheckedSimulation(small_config(node_count=4, session_count=2))
+        first, second = sim.sessions
+        first.follow(Route(session=0, nodes=(0, 1), metric_value=0.0,
+                           discovered_at=0.0))
+        snap = full_snapshot(line_nodes([0.0, 100.0, 200.0, 300.0]))
+        sim._maintain_routes(snap, 0.0)  # builds the table; the route holds
+        sim.check_live_hops()
+        second.follow(Route(session=1, nodes=(2, 3), metric_value=0.0,
+                            discovered_at=0.0))
+        with pytest.raises(AssertionError, match="stale live-hop table"):
+            sim.check_live_hops()
+        sim._live_hops = None
+        sim._maintain_routes(snap, 0.1)
+        first.route = None
+        with pytest.raises(AssertionError, match="stale live-hop table"):
+            sim.check_live_hops()
 
     def test_stale_route_edge_is_caught(self):
         sim = CheckedSimulation(small_config(node_count=4, session_count=1))
